@@ -102,7 +102,8 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """GF(p^m) with table-driven arithmetic on integer element codes."""
 
-    __slots__ = ("p", "m", "q", "modulus", "dtype", "ADD", "MUL", "NEG", "INV")
+    __slots__ = ("p", "m", "q", "modulus", "dtype", "ADD", "MUL", "NEG", "INV",
+                 "_digits")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p):
@@ -169,6 +170,7 @@ class Field:
             b = int(np.nonzero(mul[a] == 1)[0][0])
             inv[a] = b
         self.INV = inv
+        self._digits = None
 
     # -- scalar helpers on raw codes -------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -450,44 +452,65 @@ class Matrix:
 
 # ---------------------------------------------------------------------------
 # raw ndarray kernels
+#
+# Products take one of two exact regimes, chosen by field and shape alone.
+# Over characteristic 2 a product of at most _GATHER_LIMIT scalar products
+# is one table gather followed by an XOR reduction (adding codes is XOR).
+# Everything else runs on base-p coefficient planes in float64 BLAS, which
+# is exact while every accumulated sum stays below 2^53.
+
+_GATHER_LIMIT = 1 << 15
+_EXACT_FLOAT = 1 << 53
+
+
+def _digits(f: Field) -> np.ndarray:
+    """digits[code] holds the m base-p coefficients of a code, as float64;
+    built on first use."""
+    if f._digits is None:
+        place = f.p ** np.arange(f.m)
+        f._digits = ((np.arange(f.q)[:, None] // place) % f.p).astype(np.float64)
+    return f._digits
+
 
 def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n, r = A.shape
-    r2, m = B.shape
+    r2, k = B.shape
     if r != r2:
         raise ValueError("matmul dimension mismatch")
-    out = np.zeros((n, m), dtype=f.dtype)
-    if n == 0 or m == 0 or r == 0:
-        return out
-    MUL = f.MUL
-    if f.p == 2:
-        for k in range(r):
-            col = A[:, k]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                out[nz] ^= MUL[col[nz, None], B[k][None, :]]
-    else:
-        ADD = f.ADD
-        for k in range(r):
-            col = A[:, k]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                out[nz] = ADD[out[nz], MUL[col[nz, None], B[k][None, :]]]
-    return out
+    if n == 0 or k == 0 or r == 0:
+        return np.zeros((n, k), dtype=f.dtype)
+    if f.p == 2 and n * r * k <= _GATHER_LIMIT:
+        return np.bitwise_xor.reduce(f.MUL[A[:, :, None], B[None, :, :]], axis=1)
+    p, m = f.p, f.m
+    if r * m * (p - 1) ** 2 >= _EXACT_FLOAT:
+        raise ValueError(f"inner dimension {r} too large for an exact product over {f}")
+    if m == 1:
+        return np.fmod(A.astype(np.float64) @ B.astype(np.float64), p).astype(f.dtype)
+    digits = _digits(f)
+    place = p ** np.arange(m)  # p^a is both the code of x^a and a place value
+    # A B = sum_a A_a (x^a B), where A_a is coefficient plane a of A: one
+    # BLAS product of the planes of A, side by side, with the planes of
+    # x^a B, stacked, gives every coefficient plane of the result.
+    Ap = np.moveaxis(digits[A], 2, 1).reshape(n, m * r)
+    Bp = digits[f.MUL[place[:, None, None], B]].reshape(m * r, k * m)
+    planes = Ap @ Bp
+    np.fmod(planes, p, out=planes)
+    return (planes.reshape(n, k, m) @ place).astype(f.dtype)
 
 
 def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column list)."""
+    if f.q == 2:
+        return _rref_gf2(A)
     R = A.copy()
     nrows, ncols = R.shape
-    MUL, INV, NEG = f.MUL, f.INV, f.NEG
+    MUL, INV, NEG, ADD = f.MUL, f.INV, f.NEG, f.ADD
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -496,32 +519,63 @@ def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pv = int(R[r, c])
         if pv != 1:
             R[r, c:] = MUL[INV[pv], R[r, c:]]
-        colv = R[:, c].copy()
-        colv[r] = 0
-        rows = np.nonzero(colv)[0]
+        rows = np.flatnonzero(R[:, c])
+        rows = rows[rows != r]
         if rows.size:
-            upd = MUL[colv[rows, None], R[r, c:][None, :]]
             if f.p == 2:
-                R[np.ix_(rows, np.arange(c, ncols))] ^= upd
+                R[rows, c:] ^= MUL[R[rows, c][:, None], R[r, c:]]
             else:
-                R[np.ix_(rows, np.arange(c, ncols))] = f.ADD[
-                    R[np.ix_(rows, np.arange(c, ncols))], NEG[upd]
-                ]
+                R[rows, c:] = ADD[R[rows, c:], MUL[R[rows, c][:, None], NEG[R[r, c:]]]]
         pivots.append(c)
         r += 1
     return R, pivots
 
 
+def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """_rref over GF(2) on rows packed 64 columns to a word: column c is bit
+    c % 64 of word c // 64, so clearing a column is one XOR of word slices."""
+    nrows, ncols = A.shape
+    W = np.zeros((nrows, -(-ncols // 64) * 8), dtype=np.uint8)
+    W[:, : -(-ncols // 8)] = np.packbits(A, axis=1, bitorder="little")
+    W = W.view("<u8")
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        w, bit = divmod(c, 64)
+        col = (W[:, w] >> np.uint64(bit)) & np.uint64(1)
+        nz = np.flatnonzero(col[r:])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            W[[r, piv]] = W[[piv, r]]
+            col[[r, piv]] = col[[piv, r]]
+        col[r] = 0
+        rows = np.flatnonzero(col)
+        if rows.size:
+            W[rows, w:] ^= W[r, w:]
+        pivots.append(c)
+        r += 1
+    R = np.unpackbits(W.view(np.uint8), axis=1, count=ncols, bitorder="little")
+    return R.astype(A.dtype, copy=False), pivots
+
+
 def _nullspace(f: Field, A: np.ndarray) -> np.ndarray:
     """Columns form a basis of ker(A) in F^cols."""
-    nrows, ncols = A.shape
     R, pivots = _rref(f, A)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    N = np.zeros((ncols, len(free)), dtype=f.dtype)
-    for j, fc in enumerate(free):
-        N[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            N[pc, j] = f.NEG[R[i, fc]]
+    return _kernel_from_rref(f, R, pivots)
+
+
+def _kernel_from_rref(f: Field, R: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Columns form a basis of ker(R) for R in reduced row echelon form."""
+    ncols = R.shape[1]
+    piv = np.asarray(pivots, dtype=np.intp)
+    free = np.setdiff1d(np.arange(ncols), piv)
+    N = np.zeros((ncols, free.size), dtype=f.dtype)
+    N[free, np.arange(free.size)] = 1
+    N[piv] = f.NEG[R[: piv.size][:, free]]
     return N
 
 
@@ -563,7 +617,8 @@ def linsolve(A: Matrix, B: Matrix) -> LinSolveResult:
         for i, pc in enumerate(a_pivots):
             X[pc, :] = R[i, A.cols:]
         particular = Matrix(f, X)
-    null = _nullspace(f, _rref(f, A.a)[0][:rk])
+    # The left block of the RREF of [A | B] is the RREF of A.
+    null = _kernel_from_rref(f, R[:, : A.cols], a_pivots)
     return LinSolveResult(rank=rk, particular=particular, nullspace_basis=Matrix(f, null))
 
 
@@ -757,14 +812,6 @@ class Poly:
             out.append(f.frob(self.c[i], -1))
         return Poly(f, out)
 
-    def eval_scalar(self, s) -> Scalar:
-        f = self.field
-        code = f.scalar(s).code
-        acc = 0
-        for coef in reversed(self.c):
-            acc = f.add(f.mul(acc, code), coef)
-        return Scalar(f, acc)
-
     def eval_matrix(self, A: Matrix) -> Matrix:
         f = self.field
         n = A.rows
@@ -901,7 +948,8 @@ def charpoly(A: Matrix) -> Poly:
             v = _matmul(f, A.a, v[:, None])[:, 0]
         if total.degree == n:
             break
-    assert total.degree == n, "characteristic polynomial has the wrong degree"
+    if total.degree != n:
+        raise AssertionError("characteristic polynomial has the wrong degree")
     return total
 
 
@@ -936,5 +984,6 @@ def minpoly(A: Matrix) -> Poly:
         total = total.lcm(local)
         if total.degree == n:
             break
-    assert total.eval_matrix(A).is_zero(), "minimal polynomial failed to annihilate"
+    if not total.eval_matrix(A).is_zero():
+        raise AssertionError("minimal polynomial failed to annihilate")
     return total

@@ -149,7 +149,6 @@ class Group:
         self.words = words
         self.index = {g: i for i, g in enumerate(elements)}
         self._mult_table: Optional[np.ndarray] = None
-        self._inv_vector: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
@@ -177,13 +176,6 @@ class Group:
                     t[i, j] = self.index[g * h]
             self._mult_table = t
         return self._mult_table
-
-    def inv_vector(self) -> np.ndarray:
-        if self._inv_vector is None:
-            self._inv_vector = np.array(
-                [self.index[g.inverse()] for g in self.elements], dtype=np.int32
-            )
-        return self._inv_vector
 
     def is_subgroup_of(self, big: "Group") -> bool:
         if self.degree != big.degree:

@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from sttlab.exactfield import field_make
 from sttlab.grouprep import direct_sum, ext_module, trivial_rep
 from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import Tables, ext1
 from sttlab.theoremlab import PairLab
+
+# Property tests replay the same examples on every run, with no time limit
+# per example, so a slow or busy host cannot make the suite flaky.
+settings.register_profile("sttlab", derandomize=True, deadline=None)
+settings.load_profile("sttlab")
 
 
 @pytest.fixture(scope="session")

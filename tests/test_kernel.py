@@ -1,0 +1,303 @@
+"""Property tests of the raw field kernels against two independent references.
+
+The reference implementations below are the per-column product and the
+unpacked column-by-column elimination that the vectorised kernels replaced;
+the kernels must agree with them bit for bit, dtype included.  Over prime
+fields both are also checked against sympy's DomainMatrix over GF(p).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
+from sttlab.exactfield import (
+    Matrix,
+    _matmul,
+    _nullspace,
+    _rref,
+    field_make,
+    linsolve,
+)
+
+# GF(2), GF(4), GF(3), GF(9), GF(16) and GF(2^9), whose codes need uint16.
+FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (2, 4), (2, 9)]
+
+
+# ---------------------------------------------------------------------------
+# reference kernels
+
+def ref_matmul(f, A, B):
+    n, r = A.shape
+    r2, m = B.shape
+    if r != r2:
+        raise ValueError("matmul dimension mismatch")
+    out = np.zeros((n, m), dtype=f.dtype)
+    if n == 0 or m == 0 or r == 0:
+        return out
+    MUL = f.MUL
+    if f.p == 2:
+        for k in range(r):
+            col = A[:, k]
+            nz = np.nonzero(col)[0]
+            if nz.size:
+                out[nz] ^= MUL[col[nz, None], B[k][None, :]]
+    else:
+        ADD = f.ADD
+        for k in range(r):
+            col = A[:, k]
+            nz = np.nonzero(col)[0]
+            if nz.size:
+                out[nz] = ADD[out[nz], MUL[col[nz, None], B[k][None, :]]]
+    return out
+
+
+def ref_rref(f, A):
+    R = A.copy()
+    nrows, ncols = R.shape
+    MUL, INV, NEG = f.MUL, f.INV, f.NEG
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = R[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            R[[r, piv]] = R[[piv, r]]
+        pv = int(R[r, c])
+        if pv != 1:
+            R[r, c:] = MUL[INV[pv], R[r, c:]]
+        colv = R[:, c].copy()
+        colv[r] = 0
+        rows = np.nonzero(colv)[0]
+        if rows.size:
+            upd = MUL[colv[rows, None], R[r, c:][None, :]]
+            if f.p == 2:
+                R[np.ix_(rows, np.arange(c, ncols))] ^= upd
+            else:
+                R[np.ix_(rows, np.arange(c, ncols))] = f.ADD[
+                    R[np.ix_(rows, np.arange(c, ncols))], NEG[upd]
+                ]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def ref_nullspace(f, A):
+    ncols = A.shape[1]
+    R, pivots = ref_rref(f, A)
+    free = [c for c in range(ncols) if c not in pivots]
+    N = np.zeros((ncols, len(free)), dtype=f.dtype)
+    for j, fc in enumerate(free):
+        N[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            N[pc, j] = f.NEG[R[i, fc]]
+    return N
+
+
+def sympy_matrix(f, A):
+    K = GF(f.p, symmetric=False)
+    return DomainMatrix([[K(int(x)) for x in row] for row in A], A.shape, K)
+
+
+def sympy_array(f, D):
+    return np.array([[int(x) for x in row] for row in D.to_list()],
+                    dtype=f.dtype).reshape(D.shape)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+fields = st.sampled_from(FIELDS).map(lambda pm: field_make(*pm))
+seeds = st.integers(0, 2**32 - 1)
+# Sides from empty through single rows and columns to past 120.
+sides = st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 120, 129]),
+                  st.integers(0, 140))
+
+
+def random_matrix(f, rng, rows, cols, rank=None):
+    """Uniform codes, or a product of random factors when rank is given, so
+    that elimination meets dependent rows and columns without pivots."""
+    if rank is None:
+        return rng.integers(0, f.q, (rows, cols)).astype(f.dtype)
+    return ref_matmul(f, random_matrix(f, rng, rows, rank),
+                      random_matrix(f, rng, rank, cols))
+
+
+@st.composite
+def products(draw):
+    f = draw(fields)
+    n, r, m = draw(sides), draw(sides), draw(sides)
+    rng = np.random.default_rng(draw(seeds))
+    return f, random_matrix(f, rng, n, r), random_matrix(f, rng, r, m)
+
+
+@st.composite
+def matrices(draw):
+    f = draw(fields)
+    rows, cols = draw(sides), draw(sides)
+    rank = draw(st.none() | st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(seeds))
+    return f, random_matrix(f, rng, rows, cols, rank)
+
+
+# ---------------------------------------------------------------------------
+# _matmul
+
+def check_matmul(f, A, B):
+    A0, B0 = A.copy(), B.copy()
+    out = _matmul(f, A, B)
+    assert out.dtype == f.dtype
+    assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    assert np.array_equal(out, ref_matmul(f, A, B))
+    return out
+
+
+@settings(max_examples=80)
+@given(products())
+def test_matmul_matches_reference(case):
+    check_matmul(*case)
+
+
+@pytest.mark.parametrize("p,m", FIELDS)
+@pytest.mark.parametrize("n,r,k", [
+    (32, 32, 32),    # exactly at the gather limit 2^15
+    (32, 32, 33),    # one scalar product past it
+    (1, 200, 1),     # inner products only
+    (200, 1, 200),   # outer product
+    (0, 5, 3), (4, 0, 3), (4, 5, 0),
+])
+def test_matmul_shapes_around_the_gather_limit(p, m, n, r, k):
+    f = field_make(p, m)
+    rng = np.random.default_rng(n * 1000 + r * 10 + k)
+    check_matmul(f, random_matrix(f, rng, n, r), random_matrix(f, rng, r, k))
+
+
+def test_matmul_accepts_strided_views():
+    f = field_make(3, 2)
+    rng = np.random.default_rng(5)
+    A = random_matrix(f, rng, 35, 70)
+    B = random_matrix(f, rng, 90, 50)
+    out = check_matmul(f, A.T, B[::2, ::-1][:35])
+    assert out.shape == (70, 50)
+
+
+def test_matmul_rejects_inexact_inner_dimension():
+    # Stride-0 views: the shape passes the dimension check but the guard
+    # must refuse before any arithmetic, since float64 sums would round.
+    f = field_make(3, 1)
+    A = np.broadcast_to(np.ones(1, dtype=f.dtype), (1, 2**51))
+    B = np.broadcast_to(np.ones(1, dtype=f.dtype), (2**51, 1))
+    with pytest.raises(ValueError, match="exact"):
+        _matmul(f, A, B)
+
+
+def test_matmul_rejects_mismatched_shapes():
+    f = field_make(2, 2)
+    with pytest.raises(ValueError, match="mismatch"):
+        _matmul(f, np.zeros((2, 3), dtype=f.dtype), np.zeros((2, 3), dtype=f.dtype))
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([2, 3]), st.integers(0, 40), st.integers(0, 40),
+       st.integers(0, 40), seeds)
+def test_matmul_matches_sympy_over_prime_fields(p, n, r, k, seed):
+    f = field_make(p, 1)
+    rng = np.random.default_rng(seed)
+    A, B = random_matrix(f, rng, n, r), random_matrix(f, rng, r, k)
+    expected = sympy_array(f, sympy_matrix(f, A).matmul(sympy_matrix(f, B)))
+    assert np.array_equal(_matmul(f, A, B), expected)
+
+
+# ---------------------------------------------------------------------------
+# _rref and _nullspace
+
+@settings(max_examples=80)
+@given(matrices())
+def test_rref_matches_reference(case):
+    f, A = case
+    A0 = A.copy()
+    R, pivots = _rref(f, A)
+    R0, pivots0 = ref_rref(f, A)
+    assert pivots == pivots0
+    assert R.dtype == A.dtype
+    assert not np.shares_memory(R, A)
+    assert np.array_equal(A, A0)
+    assert np.array_equal(R, R0)
+
+
+@pytest.mark.parametrize("cols", [1, 63, 64, 65, 127, 130, 200])
+def test_rref_gf2_word_boundaries(cols):
+    f = field_make(2, 1)
+    rng = np.random.default_rng(cols)
+    for rank in (None, cols // 2):
+        A = random_matrix(f, rng, 150, cols, rank)
+        R, pivots = _rref(f, A)
+        R0, pivots0 = ref_rref(f, A)
+        assert pivots == pivots0 and R.dtype == A.dtype
+        assert np.array_equal(R, R0)
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_nullspace_matches_reference(case):
+    f, A = case
+    N = _nullspace(f, A)
+    assert N.dtype == f.dtype
+    assert np.array_equal(N, ref_nullspace(f, A))
+    assert not ref_matmul(f, A, N).any()
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([2, 3]), st.integers(0, 30), st.integers(0, 30),
+       st.none() | st.integers(0, 30), seeds)
+def test_rref_and_nullspace_match_sympy_over_prime_fields(p, rows, cols, rank, seed):
+    f = field_make(p, 1)
+    rng = np.random.default_rng(seed)
+    rank = None if rank is None else min(rank, rows, cols)
+    A = random_matrix(f, rng, rows, cols, rank)
+    R, pivots = _rref(f, A)
+    D, dpivots = sympy_matrix(f, A).rref()
+    expected = np.zeros_like(A)
+    expected[: D.shape[0]] = sympy_array(f, D)
+    assert pivots == list(dpivots)
+    assert np.array_equal(R, expected)
+    # sympy may scale its kernel basis differently, so compare the spans.
+    N = _nullspace(f, A)
+    K = sympy_matrix(f, A).nullspace()
+    assert N.shape == K.shape[::-1]
+    assert np.array_equal(ref_rref(f, N.T.copy())[0], ref_rref(f, sympy_array(f, K))[0])
+
+
+# ---------------------------------------------------------------------------
+# linsolve
+
+@settings(max_examples=50)
+@given(matrices(), st.integers(0, 4), seeds, st.booleans())
+def test_linsolve_matches_reference(case, bcols, seed, consistent):
+    f, A = case
+    rng = np.random.default_rng(seed)
+    if consistent:
+        B = ref_matmul(f, A, random_matrix(f, rng, A.shape[1], bcols))
+    else:
+        B = random_matrix(f, rng, A.shape[0], bcols)
+    res = linsolve(Matrix(f, A), Matrix(f, B))
+
+    R, pivots = ref_rref(f, np.concatenate([A, B], axis=1))
+    a_pivots = [c for c in pivots if c < A.shape[1]]
+    assert res.rank == len(a_pivots)
+    assert np.array_equal(res.nullspace_basis.a, ref_nullspace(f, A))
+    if len(pivots) > len(a_pivots):
+        assert res.particular is None
+    else:
+        X = res.particular.a
+        assert X.dtype == f.dtype
+        assert np.array_equal(ref_matmul(f, A, X), B)
+        for i, pc in enumerate(a_pivots):
+            assert np.array_equal(X[pc], R[i, A.shape[1]:])
