@@ -10,15 +10,17 @@ identity exactly.  No character theory and no randomness anywhere.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, factor, linsolve, minpoly, _nullspace, _rref
-from .grouprep import Rep, induce, rep_apply_algebra, sub_rep, _RowSpace
+from .exactfield import Field, Matrix, Poly, RowSpace, factor, linsolve, minpoly, \
+    _nullspace
+from .grouprep import Rep, induce, rep_apply_algebra, sub_rep, zero_rep
 from .meataxe import SimpleTable, algebra_radical, simples_of
-from .permgroup import Group, Perm, Transversal, group_close, transversal
+from .permgroup import Group, Perm, Transversal, class_sums, group_close, transversal
 
 __all__ = [
     "Block",
@@ -98,8 +100,6 @@ class _Center:
     """The center of kG on the class-sum basis, with exact arithmetic."""
 
     def __init__(self, group: Group, field: Field):
-        from .permgroup import class_sums
-
         self.group = group
         self.field = field
         self.classes = class_sums(group)
@@ -175,10 +175,10 @@ class _Center:
         rows = []
         for R in rad_mats:
             sol = linsolve(A, Matrix(f, R.a.reshape(-1)[:, None].copy()))
-            assert sol.particular is not None
+            if sol.particular is None:
+                raise AssertionError("radical element outside the center")
             rows.append(sol.particular.a[:, 0])
-        R, piv = _rref(f, np.stack(rows))
-        return R[: len(piv)]
+        return RowSpace(f, self.s, rows).matrix()
 
 
 def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
@@ -187,33 +187,28 @@ def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
     s = center.s
     # basis of eZ
     Me = center.mult_operator(e)
-    R, piv = _rref(f, Me.a.T.copy())
-    ez_rows = R[: len(piv)]
+    ez = RowSpace(f, s, Me.a.T)
+    ez_rows = ez.matrix()
     # radical of eZ is e * rad(Z)
-    ej = [center.mul(e, jrows[i]) for i in range(jrows.shape[0])]
-    ej_space = _RowSpace(f, s)
-    for v in ej:
-        ej_space.add(v)
-    # complement representatives of eZ / eJ
-    comp: list[np.ndarray] = []
-    probe = _RowSpace(f, s)
-    for v in ej:
-        probe.add(v)
-    for i in range(ez_rows.shape[0]):
-        if probe.add(ez_rows[i]):
-            comp.append(ez_rows[i])
+    ej_space = RowSpace(f, s, [center.mul(e, jrows[i]) for i in range(jrows.shape[0])])
+    # complement representatives of eZ / eJ: a row is new exactly when its
+    # normal form mod eJ is new
+    reduced = ej_space.reduce(ez_rows)
+    quotient = RowSpace(f, s)
+    picked = [i for i in range(ez.dim) if quotient.add(reduced[i])]
+    comp = [ez_rows[i] for i in picked]
     qdim = len(comp)
     if qdim == 0:
         raise AssertionError("idempotent block collapsed into the radical")
     if qdim == 1:
         return [e]
-    reduced_comp = np.stack([ej_space.reduce(c) for c in comp])
-    A = Matrix(f, reduced_comp.T.copy())
+    A = Matrix(f, reduced[picked].T.copy())
 
     def comp_coords(v: np.ndarray) -> np.ndarray:
         b = Matrix(f, ej_space.reduce(v)[:, None].copy())
         sol = linsolve(A, b)
-        assert sol.particular is not None
+        if sol.particular is None:
+            raise AssertionError("element outside the block algebra")
         return sol.particular.a[:, 0]
 
     F = np.zeros((qdim, qdim), dtype=f.dtype)
@@ -222,14 +217,15 @@ def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
     fixed = _nullspace(f, f.arr_sub(F, np.eye(qdim, dtype=f.dtype)))
     if fixed.shape[1] <= 1:
         return [e]  # semisimple quotient is a field: e is primitive
-    probe2 = _RowSpace(f, qdim)
-    probe2.add(comp_coords(e))
+    probe = RowSpace(f, qdim)
+    probe.add(comp_coords(e))
     z_coords = None
     for j in range(fixed.shape[1]):
-        if probe2.add(fixed[:, j]):
+        if probe.add(fixed[:, j]):
             z_coords = fixed[:, j]
             break
-    assert z_coords is not None
+    if z_coords is None:
+        raise AssertionError("fixed space cannot lie inside the identity line")
     z = np.zeros(s, dtype=f.dtype)
     for i, c in enumerate(comp):
         if z_coords[i]:
@@ -240,11 +236,11 @@ def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
     ez_basis = Matrix(f, ez_rows)
     # restrict mult-by-z to eZ in the ez_rows coordinates
     img = (ez_basis @ Mz.T).a
-    piv2 = _rref(f, ez_rows)[1]
-    restr = Matrix(f, img[:, piv2].T.copy())
+    restr = Matrix(f, img[:, ez.pivots].T.copy())
     mp = minpoly(restr)
-    facs = factor(mp, __import__("random").Random(0))
-    assert len(facs) >= 2, "Frobenius-fixed element failed to split the block"
+    facs = factor(mp, random.Random(0))
+    if len(facs) < 2:
+        raise AssertionError("Frobenius-fixed element failed to split the block")
     out = []
     total = np.zeros(s, dtype=f.dtype)
     for poly, mult in facs:
@@ -254,14 +250,17 @@ def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
         rest = mp // power
         # u * rest == 1 mod power gives the CRT idempotent (u * rest)(z)
         g, u, _v = _poly_xgcd(rest, power)
-        assert g.degree == 0
+        if g.degree != 0:
+            raise AssertionError("CRT factors are not coprime")
         u = u.scale(f.inv(g.c[0]))
         idem_poly = (u * rest) % mp
         e_i = _eval_poly_in_unital(center, idem_poly, z, e)
-        assert np.array_equal(center.mul(e_i, e_i), e_i), "CRT split not idempotent"
+        if not np.array_equal(center.mul(e_i, e_i), e_i):
+            raise AssertionError("CRT split not idempotent")
         out.append(e_i)
         total = f.arr_add(total, e_i)
-    assert np.array_equal(total, e), "CRT split does not sum to the block"
+    if not np.array_equal(total, e):
+        raise AssertionError("CRT split does not sum to the block")
     result = []
     for e_i in out:
         result.extend(_split_primitive(center, e_i, jrows))
@@ -269,8 +268,6 @@ def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
 
 
 def _poly_xgcd(a, b):
-    from .exactfield import Poly
-
     f = a.field
     r0, r1 = a, b
     s0, s1 = Poly.one(f), Poly.zero(f)
@@ -307,12 +304,15 @@ def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
     # verify the central orthogonal decomposition of 1 exactly
     total = np.zeros(group.order, dtype=field.dtype)
     for v in expanded:
-        assert np.array_equal(ga_mul(group, field, v, v), v)
+        if not np.array_equal(ga_mul(group, field, v, v), v):
+            raise AssertionError("block idempotent is not idempotent")
         total = field.arr_add(total, v)
-    assert np.array_equal(total, ga_identity(group, field))
+    if not np.array_equal(total, ga_identity(group, field)):
+        raise AssertionError("block idempotents do not sum to 1")
     for i, u in enumerate(expanded):
         for v in expanded[:i]:
-            assert not ga_mul(group, field, u, v).any()
+            if ga_mul(group, field, u, v).any():
+                raise AssertionError("block idempotents are not orthogonal")
     # assign simples by letting each idempotent act
     members: list[list[str]] = [[] for _ in expanded]
     for S, label in zip(simples.simples, simples.labels):
@@ -437,10 +437,7 @@ def block_cut_induce(M: Rep, Btilde: Block,
         T = transversal(big, M.group)
     ind = induce(M, big, T)
     pi = rep_apply_algebra(ind, Btilde.coeffs)
-    R, piv = _rref(M.field, pi.a.T.copy())
-    rows = Matrix(M.field, R[: len(piv)])
+    rows = Matrix(M.field, RowSpace(M.field, ind.dim, pi.a.T).matrix())
     if rows.rows == 0:
-        from .grouprep import zero_rep
-
         return zero_rep(big, M.field)
     return sub_rep(ind, rows)

@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .blockdec import blocks
 from .exactfield import Field, Matrix, field_make
-from .grouprep import InconclusiveError, Rep, direct_sum, ext_module, induce, \
-    rep_make, trivial_rep
-from .meataxe import simples_of
+from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, ext_module, \
+    induce, is_isomorphic, rep_make, trivial_rep
+from .meataxe import add_compare, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
 from .taucalc import Tables, ext1, is_stt, is_tau_rigid, pims, tau
 from .theoremlab import PairLab, check_theorem1, check_theorem2, \
@@ -280,8 +280,6 @@ def cmd_tau(args, report: Report) -> int:
     report.verdict("tau_dim", t1.dim)
     if args.method == "omega2":
         t2 = tau(M, tables, method="dtr")
-        from .grouprep import is_isomorphic
-
         agree = bool(is_isomorphic(t1, t2, seed=args.seed, trials=args.trials))
         report.verdict("methods_agree", agree)
         return 0 if agree else 1
@@ -432,8 +430,6 @@ def cmd_example_a4s4(args, report: Report) -> int:
     T = ta.simples.simples[ta.simples.labels.index(others[1])]
 
     # (b) odd conjugation swaps the nontrivial simples
-    from .grouprep import conjugate_rep, is_isomorphic
-
     sigma = next(g for g in s4.elements if g not in a4.index)
     check("b_sigmaS_iso_T", bool(is_isomorphic(conjugate_rep(S, sigma), T,
                                                seed=args.seed, trials=args.trials)))
@@ -462,8 +458,6 @@ def cmd_example_a4s4(args, report: Report) -> int:
     check("e_N2_not_invariant", not is_invariant(N2, lab))
 
     # (f) orbit sums are add-equivalent to M; Ind N_i support tau-tilting
-    from .meataxe import add_compare
-
     orb1 = orbit_module(N1, s4, lab.trans)
     orb2 = orbit_module(N2, s4, lab.trans)
     cmp1 = add_compare(orb1, M, seed=args.seed)

@@ -27,6 +27,7 @@ __all__ = [
     "rank",
     "nullspace",
     "rref",
+    "RowSpace",
 ]
 
 _MAX_Q = 4096
@@ -620,6 +621,67 @@ def linsolve(A: Matrix, B: Matrix) -> LinSolveResult:
     # The left block of the RREF of [A | B] is the RREF of A.
     null = _kernel_from_rref(f, R[:, : A.cols], a_pivots)
     return LinSolveResult(rank=rk, particular=particular, nullspace_basis=Matrix(f, null))
+
+
+class RowSpace:
+    """Subspace of F^width held as fully reduced rows, one pivot each.
+
+    Every row has a 1 at its own pivot and a 0 at every other row's pivot,
+    so matrix(), the rows sorted by pivot, is the reduced row echelon form
+    of the space.  A space built from rows is echelonised by one _rref and
+    holds its rows in pivot order; add() keeps the invariant and appends in
+    insertion order.
+    """
+
+    def __init__(self, field: Field, width: int, rows=None):
+        self.f = field
+        self.width = width
+        self.rows = np.zeros((0, width), dtype=field.dtype)
+        self.pivots: list[int] = []
+        if rows is not None:
+            rows = np.asarray(rows, dtype=field.dtype).reshape(len(rows), width)
+            R, self.pivots = _rref(field, rows)
+            self.rows = R[: len(self.pivots)]
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, X) -> np.ndarray:
+        """Normal form of one vector, or of each row of a stack: X minus
+        X[:, pivots] times the rows, zero exactly where X lies in the space."""
+        f = self.f
+        X = np.asarray(X).astype(f.dtype)
+        if not self.pivots:
+            return X
+        X2 = np.atleast_2d(X)
+        return f.arr_sub(X2, _matmul(f, X2[:, self.pivots], self.rows)).reshape(X.shape)
+
+    def contains(self, X) -> bool:
+        """Whether the vector, or every row of the stack, lies in the space."""
+        return not self.reduce(X).any()
+
+    def add(self, v) -> bool:
+        """Extend the space by v; False when v already lies in it."""
+        f = self.f
+        r = self.reduce(v)
+        nz = np.flatnonzero(r)
+        if nz.size == 0:
+            return False
+        p = int(nz[0])
+        if r[p] != 1:
+            r = f.MUL[f.inv(int(r[p])), r]
+        # back-substitute to keep the collection fully reduced
+        col = self.rows[:, p]
+        if col.any():
+            self.rows = f.arr_sub(self.rows, f.MUL[col[:, None], r])
+        self.rows = np.concatenate([self.rows, r[None, :]])
+        self.pivots.append(p)
+        return True
+
+    def matrix(self) -> np.ndarray:
+        """The rows sorted by pivot: the reduced row echelon form."""
+        return self.rows[np.argsort(self.pivots)]
 
 
 class _EchelonTracker:

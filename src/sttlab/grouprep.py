@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from .exactfield import Field, Matrix, _matmul, _nullspace, _rref
+from .exactfield import Field, Matrix, RowSpace, _matmul, _nullspace, rank
 from .permgroup import Group, Perm, Transversal
 
 __all__ = [
@@ -100,7 +100,7 @@ class Rep:
         G, f, d = self.group, self.field, self.dim
         n = G.order
         for gi, M in enumerate(self.gen_mats):
-            if len(_rref(f, M.a)[1]) != d:
+            if rank(M) != d:
                 raise ValueError(f"generator matrix {gi} is singular")
         if d == 0 or n == 1:
             return
@@ -195,61 +195,11 @@ def rep_apply_algebra(M: Rep, coeffs) -> Matrix:
 # ---------------------------------------------------------------------------
 # subspaces
 
-class _RowSpace:
-    """Self-reducing RREF row collection used for spinning and membership."""
-
-    def __init__(self, field: Field, width: int):
-        self.f = field
-        self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        f = self.f
-        r = v.astype(f.dtype).copy()
-        for row, p in zip(self.rows, self.pivots):
-            c = int(r[p])
-            if c:
-                r = f.arr_sub(r, f.MUL[c, row])
-        return r
-
-    def add(self, v: np.ndarray) -> bool:
-        f = self.f
-        r = self.reduce(v)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        if r[p] != 1:
-            r = f.MUL[f.inv(int(r[p])), r]
-        # back-substitute to keep the collection fully reduced
-        for i, row in enumerate(self.rows):
-            c = int(row[p])
-            if c:
-                self.rows[i] = f.arr_sub(row, f.MUL[c, r])
-        self.rows.append(r)
-        self.pivots.append(p)
-        return True
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.width), dtype=self.f.dtype)
-        order = np.argsort(self.pivots)
-        return np.array([self.rows[i] for i in order], dtype=self.f.dtype)
-
-
 def spin(mats, seed_rows: np.ndarray, field: Field) -> np.ndarray:
     """Smallest row space containing seed_rows and closed under every
     action matrix (rows transform as r -> r @ A.T)."""
     d = seed_rows.shape[1]
-    space = _RowSpace(field, d)
+    space = RowSpace(field, d)
     frontier = [seed_rows[i] for i in range(seed_rows.shape[0]) if space.add(seed_rows[i])]
     while frontier:
         new_frontier = []
@@ -263,38 +213,30 @@ def spin(mats, seed_rows: np.ndarray, field: Field) -> np.ndarray:
     return space.matrix()
 
 
-def _rref_rows(field: Field, rows: np.ndarray) -> np.ndarray:
-    R, piv = _rref(field, rows)
-    return R[: len(piv)]
+def _row_space(M: Rep, rows) -> RowSpace:
+    return RowSpace(M.field, M.dim, rows.a if isinstance(rows, Matrix) else rows)
 
 
 def sub_rep(M: Rep, rows) -> Rep:
     """Restriction of the action to an invariant row space."""
     f = M.field
-    W = rows.a if isinstance(rows, Matrix) else np.asarray(rows, dtype=f.dtype)
-    W = _rref_rows(f, W)
-    k = W.shape[0]
-    R, piv = _rref(f, W)
+    space = _row_space(M, rows)
+    W, piv = space.matrix(), space.pivots
     mats = []
     for A in M.gen_mats:
         img = _matmul(f, W, A.a.T)  # rows are images of the basis rows
-        space = _RowSpace(f, M.dim)
-        for i in range(k):
-            space.add(W[i])
-        for i in range(k):
-            if not space.contains(img[i]):
-                raise ValueError("row space is not invariant under the action")
+        if not space.contains(img):
+            raise ValueError("row space is not invariant under the action")
         C = img[:, piv]  # coefficients in the RREF basis
         mats.append(Matrix(f, C.T.copy()))
-    return Rep(M.group, f, mats, dim=k, check="gens")
+    return Rep(M.group, f, mats, dim=space.dim, check="gens")
 
 
 def quotient_rep(M: Rep, rows) -> Rep:
     """Action induced on the quotient by an invariant row space."""
     f = M.field
-    W = rows.a if isinstance(rows, Matrix) else np.asarray(rows, dtype=f.dtype)
-    W = _rref_rows(f, W)
-    R, piv = _rref(f, W)
+    space = _row_space(M, rows)
+    W, piv = space.matrix(), space.pivots
     piv_set = set(piv)
     comp = [c for c in range(M.dim) if c not in piv_set]
     mats = []
@@ -311,9 +253,8 @@ def quotient_rep(M: Rep, rows) -> Rep:
 def quotient_projection(M: Rep, rows) -> Matrix:
     """Matrix of the projection onto the quotient coordinates of quotient_rep."""
     f = M.field
-    W = rows.a if isinstance(rows, Matrix) else np.asarray(rows, dtype=f.dtype)
-    W = _rref_rows(f, W)
-    R, piv = _rref(f, W)
+    space = _row_space(M, rows)
+    W, piv = space.matrix(), space.pivots
     piv_set = set(piv)
     comp = [c for c in range(M.dim) if c not in piv_set]
     P = np.zeros((len(comp), M.dim), dtype=f.dtype)
@@ -327,18 +268,9 @@ def quotient_projection(M: Rep, rows) -> Matrix:
 
 
 def is_invariant_subspace(M: Rep, rows) -> bool:
-    f = M.field
-    W = rows.a if isinstance(rows, Matrix) else np.asarray(rows, dtype=f.dtype)
-    W = _rref_rows(f, W)
-    space = _RowSpace(f, M.dim)
-    for i in range(W.shape[0]):
-        space.add(W[i])
-    for A in M.gen_mats:
-        img = _matmul(f, W, A.a.T)
-        for i in range(W.shape[0]):
-            if not space.contains(img[i]):
-                return False
-    return True
+    space = _row_space(M, rows)
+    W = space.matrix()
+    return all(space.contains(_matmul(M.field, W, A.a.T)) for A in M.gen_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +337,12 @@ class IsoResult:
 def _verify_witness(M: Rep, N: Rep, X: Matrix) -> Matrix:
     """Exact certification of an isomorphism candidate; returns the inverse."""
     Xinv = X.inverse()
-    assert (X @ Xinv) == Matrix.identity(X.field, X.rows)
-    assert (Xinv @ X) == Matrix.identity(X.field, X.rows)
+    eye = Matrix.identity(X.field, X.rows)
+    if (X @ Xinv) != eye or (Xinv @ X) != eye:
+        raise AssertionError("witness inverse does not invert it")
     for Am, An in zip(M.gen_mats, N.gen_mats):
-        assert (X @ Am) == (An @ X), "witness is not an intertwiner"
+        if (X @ Am) != (An @ X):
+            raise AssertionError("witness is not an intertwiner")
     return Xinv
 
 
@@ -419,10 +353,6 @@ def _random_combo(f: Field, basis: list[Matrix], rng) -> Matrix:
         if c:
             out = f.arr_add(out, f.MUL[c, B.a])
     return Matrix(f, out)
-
-
-def _invertible(X: Matrix) -> bool:
-    return len(_rref(X.field, X.a)[1]) == X.rows
 
 
 def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:
@@ -437,7 +367,7 @@ def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:
     if M.dim == 0:
         return IsoResult(True, Matrix.zeros(M.field, 0, 0))
     for X in hom_space(M, N).basis:
-        if _invertible(X):
+        if rank(X) == X.rows:
             _verify_witness(M, N, X)
             return IsoResult(True, X)
     return IsoResult(False)
@@ -465,13 +395,13 @@ def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
     if H.dim == 0:
         return IsoResult(False)
     for X in H.basis:
-        if _invertible(X):
+        if rank(X) == X.rows:
             _verify_witness(M, N, X)
             return IsoResult(True, X)
     rng = random.Random(seed)
     for _ in range(trials):
         X = _random_combo(M.field, H.basis, rng)
-        if _invertible(X):
+        if rank(X) == X.rows:
             _verify_witness(M, N, X)
             return IsoResult(True, X)
     # no invertible hom found; settle by matching indecomposable summands
@@ -593,13 +523,7 @@ def ext_module(S: Rep, T: Rep, cocycle: Cocycle) -> Rep:
             raise ValueError("cocycle does not match the given modules")
     flat = cocycle.matrix.a.reshape(1, -1)
     R = cocycle.restriction_rows.a
-    if R.shape[0]:
-        space = _RowSpace(f, R.shape[1])
-        for i in range(R.shape[0]):
-            space.add(R[i])
-        if space.contains(flat[0]):
-            raise ValueError("cocycle represents the zero class (split extension)")
-    elif not flat.any():
+    if RowSpace(f, R.shape[1], R).contains(flat[0]):
         raise ValueError("cocycle represents the zero class (split extension)")
     P = cocycle.cover
     K = cocycle.omega_rows.a
@@ -615,7 +539,7 @@ def ext_module(S: Rep, T: Rep, cocycle: Cocycle) -> Rep:
         raise AssertionError("extension has the wrong dimension")
     # certify the two-step structure: T embeds, the quotient is S
     proj = quotient_projection(amb, graph)
-    t_rows = _rref_rows(f, proj.a[:, P.dim:].T.copy())
+    t_rows = RowSpace(f, E.dim, proj.a[:, P.dim:].T).matrix()
     if t_rows.shape[0] != T.dim or not is_invariant_subspace(E, t_rows):
         raise AssertionError("bottom module does not embed into the extension")
     bottom = sub_rep(E, t_rows)

@@ -18,7 +18,18 @@ from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, Poly, factor, minpoly, _nullspace, _rref
+from .exactfield import (
+    Field,
+    Matrix,
+    Poly,
+    RowSpace,
+    charpoly,
+    factor,
+    linsolve,
+    minpoly,
+    _matmul,
+    _nullspace,
+)
 from .grouprep import (
     InconclusiveError,
     Rep,
@@ -28,7 +39,7 @@ from .grouprep import (
     regular_rep,
     spin,
     sub_rep,
-    _RowSpace,
+    _random_combo,
 )
 from .permgroup import Group
 
@@ -69,8 +80,6 @@ def _random_algebra_element(f: Field, mats, dim: int, rng,
                             max_word: int) -> np.ndarray:
     """Random element of the enveloping algebra: a short sum of random
     generator words with random nonzero coefficients."""
-    from .exactfield import _matmul
-
     out = np.zeros((dim, dim), dtype=f.dtype)
     terms = rng.randrange(2, 4)
     for _ in range(terms):
@@ -81,13 +90,6 @@ def _random_algebra_element(f: Field, mats, dim: int, rng,
         c = rng.randrange(1, f.q)
         out = f.arr_add(out, f.MUL[c, w])
     return out
-
-
-def _annihilator_rows(f: Field, rows: np.ndarray) -> np.ndarray:
-    """Row basis of {x : rows @ x = 0}."""
-    null = _nullspace(f, rows)
-    R, piv = _rref(f, null.T.copy())
-    return R[: len(piv)]
 
 
 def _is_irreducible_raw(f: Field, mats, dim: int, seed: int, budget: int,
@@ -127,7 +129,8 @@ def _is_irreducible_raw(f: Field, mats, dim: int, seed: int, budget: int,
                 nullT = _nullspace(f, img.a.T.copy())
                 Wd = spin(matsT, nullT[:, 0][None, :].copy(), f)
                 if Wd.shape[0] < dim:
-                    return False, _annihilator_rows(f, Wd)
+                    # the annihilator {x : Wd @ x = 0} is a proper submodule
+                    return False, RowSpace(f, dim, _nullspace(f, Wd).T).matrix()
                 return True, None
             for j in range(1, nullity):
                 W = spin(mats, null[:, j][None, :].copy(), f)
@@ -240,8 +243,7 @@ def radical_top(M: Rep, table: SimpleTable) -> RadicalTop:
     else:  # no homs onto simples can only happen for the zero module
         stacked = np.zeros((0, M.dim), dtype=f.dtype)
     K = _nullspace(f, stacked)
-    R, piv = _rref(f, K.T.copy())
-    rad_rows = Matrix(f, R[: len(piv)])
+    rad_rows = Matrix(f, RowSpace(f, M.dim, K.T).matrix())
     radical = sub_rep(M, rad_rows) if rad_rows.rows else sub_rep(M, Matrix.zeros(f, 0, M.dim))
     top = quotient_rep(M, rad_rows)
     return RadicalTop(rad_rows, radical, top)
@@ -287,11 +289,11 @@ def _fitting_split(rep: Rep, theta: Matrix, rng):
             power = power * poly
         img = power.eval_matrix(theta)
         null = _nullspace(f, img.a)
-        R, piv = _rref(f, null.T.copy())
-        rows = Matrix(f, R[: len(piv)])
+        rows = Matrix(f, RowSpace(f, rep.dim, null.T).matrix())
         parts.append(rows)
         total += rows.rows
-    assert total == rep.dim, "Fitting split does not fill the module"
+    if total != rep.dim:
+        raise AssertionError("Fitting split does not fill the module")
     return parts
 
 
@@ -323,7 +325,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
 
     rng = random.Random(seed)
     for _ in range(min(budget, 8)):
-        theta = _random_combo_matrix(f, end.basis, rng)
+        theta = _random_combo(f, end.basis, rng)
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
             return recurse(parts)
@@ -336,7 +338,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
     if split is not None:
         return recurse(split)
     for _ in range(budget):
-        theta = _random_combo_matrix(f, end.basis, rng)
+        theta = _random_combo(f, end.basis, rng)
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
             return recurse(parts)
@@ -344,15 +346,6 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
         "decomposition stalled: endomorphism algebra is not local but no "
         "splitting element was found; extend the field or raise the budget"
     )
-
-
-def _random_combo_matrix(f: Field, basis: list[Matrix], rng) -> Matrix:
-    out = np.zeros(basis[0].shape, dtype=f.dtype)
-    for B in basis:
-        c = rng.randrange(f.q)
-        if c:
-            out = f.arr_add(out, f.MUL[c, B.a])
-    return Matrix(f, out)
 
 
 def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
@@ -366,20 +359,14 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
     (division algebra quotient, or a noncommutative End/J where the random
     search already failed).
     """
-    from .exactfield import _matmul, linsolve as _linsolve
-
     f = rep.field
-    jspace = _RowSpace(f, rep.dim * rep.dim)
-    for J in radical:
-        jspace.add(J.a.reshape(-1))
-    # coset representatives of End/J picked from the endomorphism basis
-    comp: list[np.ndarray] = []
-    probe = _RowSpace(f, rep.dim * rep.dim)
-    for J in radical:
-        probe.add(J.a.reshape(-1))
-    for b in end_basis:
-        if probe.add(b.a.reshape(-1)):
-            comp.append(b.a)
+    jspace = RowSpace(f, rep.dim * rep.dim, [J.a.reshape(-1) for J in radical])
+    # coset representatives of End/J picked from the endomorphism basis: b
+    # is new exactly when its normal form mod J is new
+    reduced = jspace.reduce([b.a.reshape(-1) for b in end_basis])
+    quotient = RowSpace(f, rep.dim * rep.dim)
+    picked = [i for i in range(len(end_basis)) if quotient.add(reduced[i])]
+    comp = [end_basis[i].a for i in picked]
     q_dim = len(comp)
     if q_dim <= 1:
         return None
@@ -389,13 +376,13 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
             if not jspace.contains(commutator.reshape(-1)):
                 return None  # noncommutative quotient: nothing deterministic here
 
-    reduced_comp = np.stack([jspace.reduce(c.reshape(-1)) for c in comp])
-    A = Matrix(f, reduced_comp.T.copy())
+    A = Matrix(f, reduced[picked].T.copy())
 
     def comp_coords(mat: np.ndarray) -> np.ndarray:
         b = Matrix(f, jspace.reduce(mat.reshape(-1))[:, None].copy())
-        sol = _linsolve(A, b)
-        assert sol.particular is not None, "element not in the endomorphism algebra"
+        sol = linsolve(A, b)
+        if sol.particular is None:
+            raise AssertionError("element not in the endomorphism algebra")
         return sol.particular.a[:, 0]
 
     # Frobenius x -> x^q on End/J in the comp coordinates (q-linear)
@@ -412,14 +399,15 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
     if fixed.shape[1] <= 1:
         return None  # End/J is a field: indecomposable, but not split over k
     id_coords = comp_coords(np.eye(rep.dim, dtype=f.dtype))
-    probe2 = _RowSpace(f, q_dim)
-    probe2.add(id_coords)
+    probe = RowSpace(f, q_dim)
+    probe.add(id_coords)
     z = None
     for j in range(fixed.shape[1]):
-        if probe2.add(fixed[:, j]):
+        if probe.add(fixed[:, j]):
             z = fixed[:, j]
             break
-    assert z is not None, "fixed space cannot lie inside the identity line"
+    if z is None:
+        raise AssertionError("fixed space cannot lie inside the identity line")
     zmat = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
     for i, c in enumerate(comp):
         if z[i]:
@@ -536,22 +524,16 @@ def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
     if not basis:
         return []
     f = basis[0].field
-    from .exactfield import _matmul, charpoly
-
     n = basis[0].rows
     d = len(basis)
-    flat = np.stack([b.a.reshape(-1) for b in basis])
-    space = _RowSpace(f, n * n)
-    for i in range(d):
-        space.add(flat[i])
+    space = RowSpace(f, n * n, [b.a.reshape(-1) for b in basis])
     eye = np.eye(n, dtype=f.dtype).reshape(-1)
     if not space.contains(eye):
         raise ValueError("basis does not span a unital algebra")
     for i in range(d):
-        for j in range(d):
-            prod = _matmul(f, basis[i].a, basis[j].a)
-            if not space.contains(prod.reshape(-1)):
-                raise ValueError("basis is not multiplicatively closed")
+        prods = [_matmul(f, basis[i].a, basis[j].a).reshape(-1) for j in range(d)]
+        if not space.contains(prods):
+            raise ValueError("basis is not multiplicatively closed")
 
     def sigma(z: np.ndarray, k: int) -> int:
         """Degree-k elementary symmetric function of the eigenvalues."""
@@ -590,11 +572,7 @@ def lift_idempotent(e0: Matrix, algebra_basis: list[Matrix],
     """Exact idempotent congruent to e0 mod the radical, via p-power
     stabilization e -> e^(p^s)."""
     f = e0.field
-    from .exactfield import _matmul
-
-    jspace = _RowSpace(f, e0.rows * e0.cols)
-    for J in radical_basis:
-        jspace.add(J.a.reshape(-1))
+    jspace = RowSpace(f, e0.rows * e0.cols, [J.a.reshape(-1) for J in radical_basis])
     delta = (e0 @ e0) - e0
     if not jspace.contains(delta.a.reshape(-1)):
         raise ValueError("e0 is not idempotent modulo the radical")
@@ -606,8 +584,8 @@ def lift_idempotent(e0: Matrix, algebra_basis: list[Matrix],
     for _ in range(steps + 2):
         if (e @ e) == e:
             diff = e - e0
-            assert jspace.contains(diff.a.reshape(-1)), \
-                "lifted idempotent drifted out of the radical coset"
+            if not jspace.contains(diff.a.reshape(-1)):
+                raise AssertionError("lifted idempotent drifted out of the radical coset")
             return e
         acc = e
         for _ in range(f.p - 1):

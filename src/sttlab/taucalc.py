@@ -15,19 +15,21 @@ from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, _nullspace, _rref
+from . import blockdec
+from .exactfield import Field, Matrix, RowSpace, linsolve, rank, _nullspace
 from .grouprep import (
     Cocycle,
     Rep,
     direct_sum,
     dual_rep,
     hom_space,
+    iso_indecomposable,
     quotient_projection,
+    quotient_rep,
     regular_rep,
     right_mult_matrix,
     sub_rep,
     zero_rep,
-    _RowSpace,
 )
 from .meataxe import (
     SimpleTable,
@@ -104,10 +106,9 @@ def pims(group: Group, field: Field, seed: int = 0,
         if label in pim_by_label:
             raise AssertionError("two projective classes share a top")
         # surjection P -> S_i: top projection followed by the matching iso
-        from .grouprep import iso_indecomposable
-
         iso = iso_indecomposable(top, simples.simples[simples.labels.index(label)])
-        assert iso, "top does not match its own label"
+        if not iso:
+            raise AssertionError("top does not match its own label")
         proj = quotient_projection(P, rt.radical_rows)
         cover_by_label[label] = iso.witness @ proj
         pim_by_label[label] = P
@@ -157,7 +158,7 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
         # pick c_i maps whose composites with the top projection are
         # linearly independent; projectivity guarantees they exist
         chosen: list[Matrix] = []
-        probe = _RowSpace(f, rt.top.dim * P.dim)
+        probe = RowSpace(f, rt.top.dim * P.dim)
         for phi in H.basis:
             composite = top_proj @ phi
             if probe.add(composite.a.reshape(-1)):
@@ -177,13 +178,12 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
     else:  # M is zero-dimensional (handled above) or has no top: impossible
         raise AssertionError("nonzero module with empty top")
     # minimality and surjectivity certificates
-    if len(_rref(f, surj.a)[1]) != M.dim:
+    if rank(surj) != M.dim:
         raise AssertionError("projective cover map is not surjective")
     if sum(S.dim * hom_space(M, S).dim for S in simples.simples) != rt.top.dim:
         raise AssertionError("projective cover is not minimal")
     null = _nullspace(f, surj.a)
-    R, piv = _rref(f, null.T.copy())
-    kernel_rows = Matrix(f, R[: len(piv)])
+    kernel_rows = Matrix(f, RowSpace(f, P_total.dim, null.T).matrix())
     omega = sub_rep(P_total, kernel_rows) if kernel_rows.rows else zero_rep(M.group, f)
     return CoverData(P_total, surj, kernel_rows, omega)
 
@@ -235,8 +235,6 @@ def _twisted_hom_to_regular(P: Rep, tables: Tables) -> tuple[Rep, list[Matrix]]:
         return zero_rep(G, f), []
     flat = np.stack([b.a.reshape(-1) for b in basis])
     A = Matrix(f, flat.T.copy())
-    from .exactfield import linsolve
-
     gen_mats = []
     for a in G.generators:
         Rinv = right_mult_matrix(G, f, a.inverse())
@@ -244,7 +242,8 @@ def _twisted_hom_to_regular(P: Rep, tables: Tables) -> tuple[Rep, list[Matrix]]:
         for b in basis:
             img = (Rinv @ b).a.reshape(-1)
             sol = linsolve(A, Matrix(f, img[:, None].copy()))
-            assert sol.particular is not None, "twisted action left the hom space"
+            if sol.particular is None:
+                raise AssertionError("twisted action left the hom space")
             cols.append(sol.particular.a[:, 0])
         gen_mats.append(Matrix(f, np.stack(cols, axis=1)))
     return Rep(G, f, gen_mats, dim=h, check="gens"), basis
@@ -267,22 +266,14 @@ def _tau_dtr(M: Rep, tables: Tables) -> Rep:
         return zero_rep(G, f)
     flat1 = np.stack([b.a.reshape(-1) for b in basis1])
     A1 = Matrix(f, flat1.T.copy())
-    from .exactfield import linsolve
-
     image_rows = []
     for psi in basis0:
         img = (psi @ d).a.reshape(-1)
         sol = linsolve(A1, Matrix(f, img[:, None].copy()))
-        assert sol.particular is not None, "transpose image left the hom space"
+        if sol.particular is None:
+            raise AssertionError("transpose image left the hom space")
         image_rows.append(sol.particular.a[:, 0])
-    if image_rows:
-        stacked = np.stack(image_rows)
-        R, piv = _rref(f, stacked)
-        rows = Matrix(f, R[: len(piv)])
-    else:
-        rows = Matrix.zeros(f, 0, hom1.dim)
-    from .grouprep import quotient_rep
-
+    rows = Matrix(f, RowSpace(f, hom1.dim, image_rows).matrix())
     coker = quotient_rep(hom1, rows) if rows.rows < hom1.dim else zero_rep(G, f)
     if coker.dim == 0:
         return zero_rep(G, f)
@@ -302,7 +293,7 @@ def ext1(S: Rep, T: Rep, tables: Tables) -> Ext1Result:
     if data.omega.dim == 0:
         return Ext1Result(0, [])
     H = hom_space(data.omega, T)
-    restr = _RowSpace(f, T.dim * data.omega.dim)
+    restr = RowSpace(f, T.dim * data.omega.dim)
     restriction_rows = []
     emb = Matrix(f, data.kernel_rows.a.T.copy())  # Omega coords -> P coords
     for psi in hom_space(data.cover, T).basis:
@@ -313,12 +304,11 @@ def ext1(S: Rep, T: Rep, tables: Tables) -> Ext1Result:
         restriction = Matrix(f, np.stack(restriction_rows))
     else:
         restriction = Matrix.zeros(f, 0, T.dim * data.omega.dim)
+    # a cocycle is a new class exactly when it is new modulo the
+    # restrictions and the cocycles picked before it
     cocycles = []
-    probe = _RowSpace(f, T.dim * data.omega.dim)
-    for row in restriction_rows:
-        probe.add(row)
     for phi in H.basis:
-        if probe.add(phi.a.reshape(-1)):
+        if restr.add(phi.a.reshape(-1)):
             cocycles.append(Cocycle(
                 source=S,
                 target=T,
@@ -327,8 +317,9 @@ def ext1(S: Rep, T: Rep, tables: Tables) -> Ext1Result:
                 matrix=phi,
                 restriction_rows=restriction,
             ))
-    dim = H.dim - restr.dim
-    assert dim == len(cocycles)
+    dim = H.dim - len(restriction_rows)
+    if dim != len(cocycles):
+        raise AssertionError("Ext^1 dimension does not match its cocycle basis")
     return Ext1Result(dim, cocycles)
 
 
@@ -363,8 +354,6 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
     if block is not None:
         scope = tuple(block.simple_labels)
         if M.dim > 0:
-            from . import blockdec
-
             if not blockdec.module_in_block(M, block):
                 raise ValueError("module does not lie in the given block")
     else:

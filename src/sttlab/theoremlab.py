@@ -18,10 +18,11 @@ from typing import Optional
 from .blockdec import Block, block_of_module, blocks, covering_blocks, \
     inertial_group, module_in_block
 from .exactfield import Field
-from .grouprep import Rep, conjugate_rep, direct_sum, induce, restrict
+from .grouprep import Rep, conjugate_rep, direct_sum, ext_module, hom_space, induce, \
+    iso_indecomposable, restrict
 from .meataxe import decompose
 from .permgroup import Group, Transversal, transversal
-from .taucalc import Tables, tau
+from .taucalc import Tables, ext1, syzygy, tau
 
 __all__ = [
     "PairLab",
@@ -111,8 +112,6 @@ class PairLab:
 
     def register(self, rep: Rep, side: str) -> int:
         """Class id of an indecomposable module, adding it when new."""
-        from .grouprep import iso_indecomposable
-
         for cid, R in enumerate(self._classes[side]):
             if R.dim == rep.dim and iso_indecomposable(rep, R):
                 return cid
@@ -153,8 +152,6 @@ class PairLab:
         return self._chop[key]
 
     def homdim(self, side: str, ci: int, cj: int) -> int:
-        from .grouprep import hom_space
-
         key = (side, ci, cj)
         if key not in self._homdim:
             self._homdim[key] = hom_space(
@@ -229,7 +226,8 @@ class PairLab:
         """
         I, iT = self.inertial(B)
         out = [ri for ri, t in enumerate(self.trans.reps) if t in I.index]
-        assert len(out) == len(iT.reps), "inertial group is not a union of cosets"
+        if len(out) != len(iT.reps):
+            raise AssertionError("inertial group is not a union of cosets")
         return out
 
     # -- support tau-tilting over class multisets ---------------------------
@@ -368,8 +366,8 @@ def remark_classify(M: Rep, lab: PairLab, B: Optional[Block] = None,
     and block level); containment of the stt sets in the rigid sets is
     enforced as a hard error."""
     classes = lab.classes_of(M, "small")
-    rigid = lab.stt_counts(classes, "small").rigid
-    stt_self = lab.stt_counts(classes, "small").stt
+    counts = lab.stt_counts(classes, "small")
+    rigid, stt_self = counts.rigid, counts.stt
     orbit_ok = lab.stt_counts(lab.orbit_classes(classes), "small").stt
     in_rig_group = rigid and orbit_ok
     in_sta_group = stt_self and orbit_ok
@@ -386,8 +384,8 @@ def remark_classify(M: Rep, lab: PairLab, B: Optional[Block] = None,
     rep_indices = lab.inertial_rep_indices(B)
     orbit_b = lab.orbit_classes(classes, rep_indices)
     scope_b = B.simple_labels
-    rigid_b = lab.stt_counts(classes, "small", scope=scope_b).rigid
-    stt_b = lab.stt_counts(classes, "small", scope=scope_b).stt
+    counts_b = lab.stt_counts(classes, "small", scope=scope_b)
+    rigid_b, stt_b = counts_b.rigid, counts_b.stt
     orbit_b_ok = lab.stt_counts(orbit_b, "small", scope=scope_b).stt
     flags = RemarkFlags(
         in_rig_group=in_rig_group,
@@ -416,9 +414,6 @@ def build_corpus(lab: PairLab, max_sum: int = 3) -> list[CorpusEntry]:
     from simples, projectives, double syzygies, stacked extensions and
     their orbit sums, then all direct sums of up to max_sum distinct
     classes (the zero module is the empty sum)."""
-    from .grouprep import ext_module
-    from .taucalc import ext1, syzygy
-
     tables = lab.tables["small"]
     pool: list[int] = []
 

@@ -14,6 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from sttlab.exactfield import (
     Matrix,
+    RowSpace,
     _matmul,
     _nullspace,
     _rref,
@@ -98,6 +99,52 @@ def ref_nullspace(f, A):
         for i, pc in enumerate(pivots):
             N[pc, j] = f.NEG[R[i, fc]]
     return N
+
+
+class RefRowSpace:
+    """Row-by-row span: every add and reduce subtracts one stored row at a
+    time, in insertion order."""
+
+    def __init__(self, f, width):
+        self.f = f
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, v):
+        f = self.f
+        r = v.astype(f.dtype).copy()
+        for row, p in zip(self.rows, self.pivots):
+            c = int(r[p])
+            if c:
+                r = f.arr_sub(r, f.MUL[c, row])
+        return r
+
+    def add(self, v):
+        f = self.f
+        r = self.reduce(v)
+        nz = np.nonzero(r)[0]
+        if nz.size == 0:
+            return False
+        p = int(nz[0])
+        if r[p] != 1:
+            r = f.MUL[f.inv(int(r[p])), r]
+        for i, row in enumerate(self.rows):
+            c = int(row[p])
+            if c:
+                self.rows[i] = f.arr_sub(row, f.MUL[c, r])
+        self.rows.append(r)
+        self.pivots.append(p)
+        return True
+
+    def contains(self, v):
+        return not self.reduce(v).any()
+
+    def matrix(self):
+        if not self.rows:
+            return np.zeros((0, self.width), dtype=self.f.dtype)
+        order = np.argsort(self.pivots)
+        return np.array([self.rows[i] for i in order], dtype=self.f.dtype)
 
 
 def sympy_matrix(f, A):
@@ -301,3 +348,108 @@ def test_linsolve_matches_reference(case, bcols, seed, consistent):
         assert np.array_equal(ref_matmul(f, A, X), B)
         for i, pc in enumerate(a_pivots):
             assert np.array_equal(X[pc], R[i, A.shape[1]:])
+
+
+# ---------------------------------------------------------------------------
+# RowSpace
+
+# GF(2), GF(4) and GF(3): the packed, the gather and the BLAS product paths.
+SPAN_FIELDS = [(2, 1), (2, 2), (3, 1)]
+span_fields = st.sampled_from(SPAN_FIELDS).map(lambda pm: field_make(*pm))
+span_sides = st.one_of(st.sampled_from([0, 1, 2, 64, 65]), st.integers(0, 24))
+
+
+@st.composite
+def spans(draw):
+    """Rows of a span with dependent and zero rows mixed in, plus a stack of
+    probe vectors, half of them drawn from the span."""
+    f = draw(span_fields)
+    rows, width = draw(span_sides), draw(span_sides)
+    rank = draw(st.none() | st.integers(0, min(rows, width)))
+    rng = np.random.default_rng(draw(seeds))
+    A = random_matrix(f, rng, rows, width, rank)
+    if rows:
+        A[rng.integers(0, rows)] = 0
+    probes = draw(st.integers(0, 6))
+    X = random_matrix(f, rng, probes, width)
+    X[: probes // 2] = ref_matmul(f, random_matrix(f, rng, probes // 2, rows),
+                                  A)
+    return f, A, X
+
+
+@settings(max_examples=80)
+@given(spans())
+def test_rowspace_one_shot_equals_incremental_add(case):
+    f, A, _ = case
+    width = A.shape[1]
+    ref, inc = RefRowSpace(f, width), RowSpace(f, width)
+    flags = [inc.add(A[i]) for i in range(A.shape[0])]
+    assert flags == [ref.add(A[i]) for i in range(A.shape[0])]
+    assert inc.pivots == ref.pivots
+    assert inc.rows.shape == (len(ref.rows), width)
+    assert all(np.array_equal(a, b) for a, b in zip(inc.rows, ref.rows))
+
+    one = RowSpace(f, width, A)
+    R, pivots = ref_rref(f, A)
+    assert one.pivots == pivots == sorted(inc.pivots)
+    assert one.dim == inc.dim == len(pivots)
+    for space in (one, inc):
+        M = space.matrix()
+        assert M.dtype == f.dtype
+        assert np.array_equal(M, ref.matrix())
+        assert np.array_equal(M, R[: len(pivots)])
+
+
+@settings(max_examples=80)
+@given(spans())
+def test_rowspace_stacked_reduce_equals_row_by_row(case):
+    f, A, X = case
+    width = A.shape[1]
+    ref = RefRowSpace(f, width)
+    for i in range(A.shape[0]):
+        ref.add(A[i])
+    X0 = X.copy()
+    for space in (RowSpace(f, width, A), RowSpace(f, width, list(A))):
+        out = space.reduce(X)
+        assert out.dtype == f.dtype and out.shape == X.shape
+        assert not np.shares_memory(out, X)
+        for i in range(X.shape[0]):
+            expect = ref.reduce(X[i])
+            assert np.array_equal(out[i], expect)
+            assert np.array_equal(space.reduce(X[i]), expect)
+            assert space.contains(X[i]) == ref.contains(X[i])
+        assert space.contains(X) == all(ref.contains(x) for x in X)
+        assert space.contains(X[: X.shape[0] // 2])
+    assert np.array_equal(X, X0)
+
+
+@pytest.mark.parametrize("p,m", SPAN_FIELDS)
+def test_rowspace_edge_cases(p, m):
+    f = field_make(p, m)
+    # no rows, from None or from an empty stack or list
+    for space in (RowSpace(f, 3), RowSpace(f, 3, np.zeros((0, 3), dtype=f.dtype)),
+                  RowSpace(f, 3, [])):
+        assert space.dim == 0 and space.pivots == []
+        assert space.matrix().shape == (0, 3)
+        v = np.array([1, 0, 2 % f.q], dtype=f.dtype)
+        assert np.array_equal(space.reduce(v), v)
+        assert not space.contains(v)
+        assert space.contains(np.zeros(3, dtype=f.dtype))
+        assert space.contains(np.zeros((0, 3), dtype=f.dtype))
+    # width zero
+    for space in (RowSpace(f, 0), RowSpace(f, 0, np.zeros((4, 0), dtype=f.dtype))):
+        assert space.dim == 0 and space.matrix().shape == (0, 0)
+        assert not space.add(np.zeros(0, dtype=f.dtype))
+        assert space.contains(np.zeros((2, 0), dtype=f.dtype))
+    # zero and dependent rows add nothing
+    rows = np.array([[0, 0, 0], [0, 1, 1], [0, 0, 0], [0, 1, 1]], dtype=f.dtype)
+    one = RowSpace(f, 3, rows)
+    assert one.dim == 1 and one.pivots == [1]
+    inc = RowSpace(f, 3)
+    assert [inc.add(r) for r in rows] == [False, True, False, False]
+    assert np.array_equal(inc.matrix(), one.matrix())
+    # a later pivot to the left is cleared from the earlier rows
+    assert inc.add(np.array([1, 1, 0], dtype=f.dtype))
+    assert inc.pivots == [1, 0]
+    assert np.array_equal(inc.matrix(), RowSpace(f, 3, [[1, 1, 0], [0, 1, 1]]).matrix())
+    assert inc.matrix()[0, 1] == 0

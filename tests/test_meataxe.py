@@ -3,13 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sttlab.exactfield import Matrix, _nullspace, _rref
+from sttlab.exactfield import Matrix, RowSpace, _nullspace, _rref
 from sttlab.grouprep import (
     direct_sum,
     hom_space,
     regular_rep,
     zero_rep,
-    _RowSpace,
 )
 from sttlab.meataxe import (
     add_compare,
@@ -196,7 +195,7 @@ def _radical_oracle(basis):
     conds = []
     prev = np.zeros((0, n), dtype=f.dtype)
     for Fl in flags:
-        space = _RowSpace(f, n)
+        space = RowSpace(f, n)
         for i in range(prev.shape[0]):
             space.add(prev[i])
         block = []
@@ -220,10 +219,10 @@ def _radical_oracle(basis):
 
 
 def _same_span(f, mats1, mats2, width):
-    s1 = _RowSpace(f, width)
+    s1 = RowSpace(f, width)
     for m in mats1:
         s1.add(np.asarray(m.a if isinstance(m, Matrix) else m).reshape(-1))
-    s2 = _RowSpace(f, width)
+    s2 = RowSpace(f, width)
     for m in mats2:
         s2.add(np.asarray(m.a if isinstance(m, Matrix) else m).reshape(-1))
     if s1.dim != s2.dim:
@@ -275,7 +274,7 @@ def test_algebra_radical_is_nilpotent_ideal(a4, f4):
     reg = regular_rep(a4, f4)
     basis = hom_space(reg, reg).basis
     J = algebra_radical(basis)
-    span = _RowSpace(f4, 144)
+    span = RowSpace(f4, 144)
     for m in J:
         span.add(m.a.reshape(-1))
     # two-sided ideal inside the algebra
@@ -306,7 +305,7 @@ def test_lift_idempotent(f4):
     assert (e @ e) == e
     assert e == eye
     diff = e - e0
-    span = _RowSpace(f4, 4)
+    span = RowSpace(f4, 4)
     for m in J:
         span.add(m.a.reshape(-1))
     assert span.contains(diff.a.reshape(-1))
@@ -336,3 +335,63 @@ def test_composition_factors_recursion_depth(a4, f4):
     factors = composition_factors(reg)
     assert len(factors) == 12
     assert all(F.dim == 1 for F in factors)
+
+
+# ---------------------------------------------------------------------------
+# deterministic rescue split off the semisimple quotient of End
+
+def _rescue_split(M):
+    import random
+
+    from sttlab.meataxe import _semisimple_quotient_split
+
+    basis = hom_space(M, M).basis
+    return _semisimple_quotient_split(M, basis, algebra_radical(basis),
+                                      random.Random(0))
+
+
+def test_semisimple_quotient_split_separates_k_plus_s(cast):
+    from sttlab.grouprep import is_invariant_subspace, is_isomorphic, sub_rep
+
+    M = direct_sum([cast.k, cast.S])
+    parts = _rescue_split(M)
+    assert sorted(part.rows for part in parts) == [1, 1]
+    assert all(is_invariant_subspace(M, part) for part in parts)
+    pieces = [sub_rep(M, part) for part in parts]
+    assert sum(bool(is_isomorphic(P, cast.k)) for P in pieces) == 1
+    assert sum(bool(is_isomorphic(P, cast.S)) for P in pieces) == 1
+
+
+def test_semisimple_quotient_split_works_modulo_the_radical(cast):
+    from sttlab.grouprep import is_invariant_subspace, is_isomorphic, sub_rep
+
+    # End(kS + k) has the map kS -> k -> k as its radical, and End/J = k x k
+    M = direct_sum([cast.kS, cast.k])
+    assert len(algebra_radical(hom_space(M, M).basis)) == 1
+    parts = _rescue_split(M)
+    assert sorted(part.rows for part in parts) == [1, 2]
+    assert all(is_invariant_subspace(M, part) for part in parts)
+    small, big = sorted(parts, key=lambda part: part.rows)
+    assert is_isomorphic(sub_rep(M, small), cast.k)
+    assert is_isomorphic(sub_rep(M, big), cast.kS)
+
+
+def test_semisimple_quotient_split_declines_local_endomorphisms(cast):
+    # kS is uniserial: End/J = k
+    assert _rescue_split(cast.kS) is None
+
+
+def test_semisimple_quotient_split_declines_matrix_quotient(cast):
+    # End(k + k) = M_2(k) is not commutative
+    assert _rescue_split(direct_sum([cast.k, cast.k])) is None
+
+
+def test_semisimple_quotient_split_declines_field_quotient(c3):
+    from sttlab.exactfield import field_make
+
+    # the 2-dimensional simple of C3 over GF(2) has End = GF(4)
+    f2 = field_make(2, 1)
+    two = [S for S in simples_of(c3, f2).simples if S.dim == 2]
+    assert len(two) == 1
+    assert hom_space(two[0], two[0]).dim == 2
+    assert _rescue_split(two[0]) is None
