@@ -29,6 +29,8 @@ from .exactfield import (
     minpoly,
     _matmul,
     _nullspace,
+    # not called here: perfbench/tests checks that tracing rebinds this name
+    _rref,  # noqa: F401
 )
 from .grouprep import (
     InconclusiveError,

@@ -376,6 +376,27 @@ def test_semisimple_quotient_split_works_modulo_the_radical(cast):
     assert is_isomorphic(sub_rep(M, big), cast.kS)
 
 
+@pytest.mark.parametrize("lead", ["radical", "shifted"])
+def test_semisimple_quotient_split_picks_representatives_mod_the_radical(cast, lead):
+    import random
+
+    from sttlab.grouprep import is_isomorphic, sub_rep
+    from sttlab.meataxe import _semisimple_quotient_split
+
+    # a basis that starts with J[0], or with basis[0] + J[0], spans End, but
+    # only its normal forms mod J tell which elements are new in End/J
+    M = direct_sum([cast.kS, cast.k])
+    basis = hom_space(M, M).basis
+    radical = algebra_radical(basis)
+    first = radical[0] if lead == "radical" else basis[0] + radical[0]
+    parts = _semisimple_quotient_split(M, [first] + basis, radical,
+                                       random.Random(0))
+    assert sorted(part.rows for part in parts) == [1, 2]
+    small, big = sorted(parts, key=lambda part: part.rows)
+    assert is_isomorphic(sub_rep(M, small), cast.k)
+    assert is_isomorphic(sub_rep(M, big), cast.kS)
+
+
 def test_semisimple_quotient_split_declines_local_endomorphisms(cast):
     # kS is uniserial: End/J = k
     assert _rescue_split(cast.kS) is None
