@@ -340,14 +340,20 @@ def test_composition_factors_recursion_depth(a4, f4):
 # ---------------------------------------------------------------------------
 # deterministic rescue split off the semisimple quotient of End
 
-def _rescue_split(M):
+def _rescue_split(M, lead=None):
     import random
 
     from sttlab.meataxe import _semisimple_quotient_split
 
     basis = hom_space(M, M).basis
-    return _semisimple_quotient_split(M, basis, algebra_radical(basis),
-                                      random.Random(0))
+    radical = algebra_radical(basis)
+    # a basis that starts with J[0], or with basis[0] + J[0], spans End, but
+    # only its normal forms mod J tell which elements are new in End/J
+    if lead == "radical":
+        basis = [radical[0]] + basis
+    elif lead == "shifted":
+        basis = [basis[0] + radical[0]] + basis
+    return _semisimple_quotient_split(M, basis, radical, random.Random(0))
 
 
 def test_semisimple_quotient_split_separates_k_plus_s(cast):
@@ -362,36 +368,16 @@ def test_semisimple_quotient_split_separates_k_plus_s(cast):
     assert sum(bool(is_isomorphic(P, cast.S)) for P in pieces) == 1
 
 
-def test_semisimple_quotient_split_works_modulo_the_radical(cast):
+@pytest.mark.parametrize("lead", [None, "radical", "shifted"])
+def test_semisimple_quotient_split_works_modulo_the_radical(cast, lead):
     from sttlab.grouprep import is_invariant_subspace, is_isomorphic, sub_rep
 
     # End(kS + k) has the map kS -> k -> k as its radical, and End/J = k x k
     M = direct_sum([cast.kS, cast.k])
     assert len(algebra_radical(hom_space(M, M).basis)) == 1
-    parts = _rescue_split(M)
+    parts = _rescue_split(M, lead)
     assert sorted(part.rows for part in parts) == [1, 2]
     assert all(is_invariant_subspace(M, part) for part in parts)
-    small, big = sorted(parts, key=lambda part: part.rows)
-    assert is_isomorphic(sub_rep(M, small), cast.k)
-    assert is_isomorphic(sub_rep(M, big), cast.kS)
-
-
-@pytest.mark.parametrize("lead", ["radical", "shifted"])
-def test_semisimple_quotient_split_picks_representatives_mod_the_radical(cast, lead):
-    import random
-
-    from sttlab.grouprep import is_isomorphic, sub_rep
-    from sttlab.meataxe import _semisimple_quotient_split
-
-    # a basis that starts with J[0], or with basis[0] + J[0], spans End, but
-    # only its normal forms mod J tell which elements are new in End/J
-    M = direct_sum([cast.kS, cast.k])
-    basis = hom_space(M, M).basis
-    radical = algebra_radical(basis)
-    first = radical[0] if lead == "radical" else basis[0] + radical[0]
-    parts = _semisimple_quotient_split(M, [first] + basis, radical,
-                                       random.Random(0))
-    assert sorted(part.rows for part in parts) == [1, 2]
     small, big = sorted(parts, key=lambda part: part.rows)
     assert is_isomorphic(sub_rep(M, small), cast.k)
     assert is_isomorphic(sub_rep(M, big), cast.kS)
