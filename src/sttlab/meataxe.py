@@ -3,10 +3,11 @@
 Irreducibility uses the Norton criterion (spin a nullspace vector of an
 irreducible factor of a random algebra element's minimal polynomial, then
 the dual criterion on the transposed module).  Direct-sum decompositions
-come from Fitting splits along random endomorphisms, with indecomposable
-leaves certified through the Jacobson radical of their endomorphism
-algebras.  Everything randomized takes a seed and a budget and raises
-InconclusiveError instead of ever guessing.
+come from Fitting splits along random endomorphisms.  An indecomposable
+leaf is certified by showing that its endomorphism algebra is k.1 + N with
+N a nilpotent ideal; only when that fails is the Jacobson radical computed,
+for the deterministic split off End/J.  Everything randomized takes a seed
+and a budget and raises InconclusiveError instead of ever guessing.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exactfield import (
     _rref,  # noqa: F401
 )
 from .grouprep import (
+    HomBasis,
     InconclusiveError,
     Rep,
     hom_space,
@@ -228,18 +230,17 @@ class RadicalTop:
     radical_rows: Matrix  # row basis of rad M inside M
     radical: Rep
     top: Rep
+    homs: list[HomBasis]  # hom_space(M, S) for each simple S, in table order
 
 
 def radical_top(M: Rep, table: SimpleTable) -> RadicalTop:
     """rad M as the joint kernel of all homs onto simples; top = M / rad M."""
     f = M.field
+    homs = [hom_space(M, S) for S in table.simples]
     if M.dim == 0:
         empty = Matrix.zeros(f, 0, 0)
-        return RadicalTop(empty, M, M)
-    rows = []
-    for S in table.simples:
-        for phi in hom_space(M, S).basis:
-            rows.append(phi.a)
+        return RadicalTop(empty, M, M, homs)
+    rows = [phi.a for H in homs for phi in H.basis]
     if rows:
         stacked = np.concatenate(rows, axis=0)
     else:  # no homs onto simples can only happen for the zero module
@@ -248,7 +249,7 @@ def radical_top(M: Rep, table: SimpleTable) -> RadicalTop:
     rad_rows = Matrix(f, RowSpace(f, M.dim, K.T).matrix())
     radical = sub_rep(M, rad_rows) if rad_rows.rows else sub_rep(M, Matrix.zeros(f, 0, M.dim))
     top = quotient_rep(M, rad_rows)
-    return RadicalTop(rad_rows, radical, top)
+    return RadicalTop(rad_rows, radical, top, homs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +332,13 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
             return recurse(parts)
-    # Quick random splits failed; certify locality through the radical or
-    # split deterministically off the semisimple quotient.
+    # Quick random splits failed: certify locality directly, else split
+    # deterministically off the semisimple quotient End/J.
+    if _is_split_local(end.basis):
+        return [(rows, rep)]
     J = algebra_radical(end.basis)
     if end.dim - len(J) == 1:
-        return [(rows, rep)]
+        raise AssertionError("End/J is k but the split-local certificate failed")
     split = _semisimple_quotient_split(rep, end.basis, J, rng)
     if split is not None:
         return recurse(split)
@@ -348,6 +351,55 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
         "decomposition stalled: endomorphism algebra is not local but no "
         "splitting element was found; extend the field or raise the budget"
     )
+
+
+def _products(f: Field, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Every product x @ y of a row x of X and a row y of Y, where each row
+    is an n x n matrix flattened, as rows in x-major order; one _matmul."""
+    left = X.reshape(-1, n)  # the x stacked
+    right = Y.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)  # the y side by side
+    prod = _matmul(f, left, right).reshape(X.shape[0], n, Y.shape[0], n)
+    return prod.transpose(0, 2, 1, 3).reshape(-1, n * n)
+
+
+def _is_split_local(basis: list[Matrix]) -> bool:
+    """Whether the unital algebra with this linearly independent basis is
+    local with residue field k, certified without its radical.
+
+    Each b gets the eigenvalue lambda_b it has if its characteristic
+    polynomial is (t - lambda)^n: with n = p^a m and p not dividing m, the
+    coefficient of t^(n - p^a) is -m lambda^(p^a).  With N the span of the
+    b - lambda_b, the algebra is k.1 + N with N a nilpotent ideal exactly
+    when dim N = d - 1, N.N lies in N and the powers of N reach 0 (then
+    every element of N is nilpotent, so 1 is not in N); N is then the
+    radical, of codimension 1.  Conversely, in a local algebra with residue
+    field k every b - lambda_b lies in the radical, so this decides what
+    dim - len(algebra_radical(basis)) == 1 decides.
+    """
+    f = basis[0].field
+    n = basis[0].rows
+    a, pa = 0, 1
+    while n % (pa * f.p) == 0:
+        a, pa = a + 1, pa * f.p
+    neg_inv_m = f.neg(f.inv(n // pa % f.p))
+    eye = np.eye(n, dtype=f.dtype)
+    shifted = []
+    for b in basis:
+        lam = f.frob(f.mul(neg_inv_m, charpoly(b).c[n - pa]), -a)
+        shifted.append(f.arr_sub(b.a, f.MUL[lam, eye]).reshape(-1))
+    nil = RowSpace(f, n * n, shifted)
+    if nil.dim != len(basis) - 1:
+        return False
+    power = RowSpace(f, n * n, _products(f, nil.rows, nil.rows, n))
+    if not nil.contains(power.rows):
+        return False
+    # N^(i+1) lies in N^i, so the chain reaches 0 unless a step stalls
+    while power.dim:
+        lower = RowSpace(f, n * n, _products(f, power.rows, nil.rows, n))
+        if lower.dim == power.dim:
+            return False
+        power = lower
+    return True
 
 
 def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
@@ -550,11 +602,17 @@ def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
         if dd == 0:
             break
         pk = f.p**i
-        cond = np.zeros((dd, dd), dtype=f.dtype)
-        for s in range(dd):
-            for j in range(dd):
-                val = sigma(_matmul(f, layer[s], layer[j]), pk)
-                cond[j, s] = f.frob(val, -i)
+        if i == 0:
+            # sigma_1(x y) is the trace of x y, the sum of the entries of x * y^T
+            stack = np.stack(layer)
+            cond = _matmul(f, stack.transpose(0, 2, 1).reshape(dd, n * n),
+                           stack.reshape(dd, n * n).T)
+        else:
+            cond = np.zeros((dd, dd), dtype=f.dtype)
+            for s in range(dd):
+                for j in range(dd):
+                    val = sigma(_matmul(f, layer[s], layer[j]), pk)
+                    cond[j, s] = f.frob(val, -i)
         null = _nullspace(f, cond)
         new_layer = []
         for kcol in range(null.shape[1]):

@@ -150,8 +150,8 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
     top_proj = quotient_projection(M, rt.radical_rows)  # dim top x dim M
     parts: list[Rep] = []
     columns: list[np.ndarray] = []
-    for i, (label, S, P) in enumerate(zip(simples.labels, simples.simples, pt.pims)):
-        c_i = hom_space(M, S).dim  # multiplicity of S in top(M)
+    for P, to_simple in zip(pt.pims, rt.homs):
+        c_i = to_simple.dim  # multiplicity of the simple S_i in top(M)
         if c_i == 0:
             continue
         H = hom_space(P, M)
@@ -180,7 +180,7 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
     # minimality and surjectivity certificates
     if rank(surj) != M.dim:
         raise AssertionError("projective cover map is not surjective")
-    if sum(S.dim * hom_space(M, S).dim for S in simples.simples) != rt.top.dim:
+    if sum(S.dim * H.dim for S, H in zip(simples.simples, rt.homs)) != rt.top.dim:
         raise AssertionError("projective cover is not minimal")
     null = _nullspace(f, surj.a)
     kernel_rows = Matrix(f, RowSpace(f, P_total.dim, null.T).matrix())

@@ -3,8 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sttlab.exactfield import Matrix, RowSpace, _nullspace, _rref
+from sttlab import meataxe
+from sttlab.exactfield import Matrix, RowSpace, field_make, _nullspace, _rref
 from sttlab.grouprep import (
+    Rep,
     direct_sum,
     hom_space,
     regular_rep,
@@ -20,6 +22,7 @@ from sttlab.meataxe import (
     lift_idempotent,
     radical_top,
     simples_of,
+    _is_split_local,
 )
 from sttlab.permgroup import group_close
 
@@ -402,3 +405,92 @@ def test_semisimple_quotient_split_declines_field_quotient(c3):
     assert len(two) == 1
     assert hom_space(two[0], two[0]).dim == 2
     assert _rescue_split(two[0]) is None
+
+
+# ---------------------------------------------------------------------------
+# split-local certificate: End = k.1 + N with N a nilpotent ideal
+
+def _shift_algebra(f, n, lam):
+    """k[X]/X^n on k^n, X the shift, with basis I and lam*I + X^j."""
+    eye = np.eye(n, dtype=f.dtype)
+    return [Matrix(f, eye)] + [
+        Matrix(f, f.arr_add(f.MUL[lam, eye], np.eye(n, k=j, dtype=f.dtype)))
+        for j in range(1, n)
+    ]
+
+
+def _units(f, n, pairs):
+    out = []
+    for i, j in pairs:
+        m = np.zeros((n, n), dtype=f.dtype)
+        m[i, j] = 1
+        out.append(Matrix(f, m))
+    return out
+
+
+# (p, m, basis builder, expected); over GF(4) the code 2 is a primitive
+# cube root of unity w and 3 is w^2
+SPLIT_LOCAL_CASES = {
+    "k[x]/x^3": (2, 2, lambda f: _shift_algebra(f, 3, 0), True),
+    "scalars": (2, 2, lambda f: [Matrix.identity(f, 3)], True),
+    "eigenvalue w^2, n = 3 over GF(4)": (2, 2, lambda f: _shift_algebra(f, 3, 3), True),
+    "eigenvalue w, n = 2 over GF(4)": (2, 2, lambda f: _shift_algebra(f, 2, 2), True),
+    "n = 4 over GF(2)": (2, 1, lambda f: _shift_algebra(f, 4, 1), True),
+    "n = 3 over GF(3)": (3, 1, lambda f: _shift_algebra(f, 3, 2), True),
+    "n = 6 over GF(3)": (3, 1, lambda f: _shift_algebra(f, 6, 2), True),
+    "upper triangular 2x2": (
+        2, 2, lambda f: _units(f, 2, [(0, 0), (1, 1), (0, 1)]), False),
+    "M_2(k)": (
+        2, 2, lambda f: _units(f, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]), False),
+    "GF(4) inside M_2(GF(2))": (
+        2, 1, lambda f: [Matrix.identity(f, 2), Matrix.from_rows(f, [[0, 1], [1, 1]])],
+        False),
+    # N = span(E11) is closed under products but not nilpotent
+    "k x k": (2, 2, lambda f: [Matrix.identity(f, 2)] + _units(f, 2, [(0, 0)]), False),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_LOCAL_CASES))
+def test_is_split_local_hand_built(name):
+    p, m, build, expected = SPLIT_LOCAL_CASES[name]
+    basis = build(field_make(p, m))
+    assert _is_split_local(basis) is expected
+    assert (len(basis) - len(algebra_radical(basis)) == 1) is expected
+
+
+def test_is_split_local_agrees_with_the_radical(a4, f4, cast):
+    named = (cast.k, cast.S, cast.T, cast.kS, cast.kT, cast.ST, cast.M,
+             cast.N1, cast.N2, direct_sum([cast.kS, cast.k]), regular_rep(a4, f4))
+    for M in named:
+        end = hom_space(M, M)
+        local = end.dim - len(algebra_radical(end.basis)) == 1
+        assert _is_split_local(end.basis) is local
+
+
+def test_decompose_rescues_when_quick_splits_fail(cast, monkeypatch):
+    kS_k = direct_sum([cast.kS, cast.k])
+    # without its block structure decompose has to split End itself
+    M = Rep(kS_k.group, kS_k.field, kS_k.gen_mats, dim=kS_k.dim)
+    calls = Counter()
+    fitting_split = meataxe._fitting_split
+    algebra_radical_ = meataxe.algebra_radical
+    rescue = meataxe._semisimple_quotient_split
+
+    def failing_quick_attempts(rep, theta, rng):
+        calls["fitting"] += 1
+        if rep.dim == 3 and calls["fitting"] <= 8:
+            return None
+        return fitting_split(rep, theta, rng)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(meataxe, "_fitting_split", failing_quick_attempts)
+    monkeypatch.setattr(meataxe, "algebra_radical", counted("radical", algebra_radical_))
+    monkeypatch.setattr(meataxe, "_semisimple_quotient_split", counted("rescue", rescue))
+    dec = decompose(M)
+    assert calls["radical"] == 1 and calls["rescue"] == 1
+    assert sorted(rows.rows for rows, _ in dec.pieces) == [1, 2]

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from sttlab.blockdec import covering_blocks
+from sttlab.exactfield import field_make
 from sttlab.grouprep import (
     direct_sum,
     induce,
@@ -13,6 +14,7 @@ from sttlab.grouprep import (
     zero_rep,
 )
 from sttlab.meataxe import add_compare
+from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import is_stt
 from sttlab.theoremlab import (
     PairLab,
@@ -130,6 +132,32 @@ def test_theorem1_universal_a4s4(a4s4, corpus_a4):
 def test_theorem1_universal_c3s3(c3s3, corpus_c3):
     for entry in corpus_c3:
         assert check_theorem1_classes(entry.classes, c3s3).agree
+
+
+V4 = (4, ["(0 1)(2 3)", "(0 2)(1 3)"])
+A4 = (4, ["(0 1 2)", "(0 1)(2 3)"])
+C3 = (3, ["(0 1 2)"])
+S3 = (3, ["(0 1)", "(0 1 2)"])
+
+
+@pytest.mark.parametrize("small, big, p, m, size", [
+    (V4, A4, 2, 2, 64),
+    (V4, A4, 3, 1, 15),
+    (C3, S3, 3, 1, 8),
+], ids=["v4a4-gf4", "v4a4-gf3", "c3s3-gf3"])
+def test_theorem1_universal_other_pairs(small, big, p, m, size):
+    """Theorem 1 beyond A4 in S4 and C3 in S3 at p = 2; over GF(4) the
+    projectives of V4 are local of dimension 4, divisible by p."""
+
+    def group(spec):
+        degree, cycles = spec
+        return group_close(degree, [parse_cycles(c, degree) for c in cycles])
+
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    corpus = build_corpus(lab)
+    assert len(corpus) == size
+    assert [e.name for e in corpus
+            if not check_theorem1_classes(e.classes, lab).agree] == []
 
 
 def test_mackey_universal(a4s4, corpus_a4):
