@@ -1,10 +1,27 @@
 """Modules over group algebras as matrix representations.
 
-A Rep assigns one invertible matrix per group generator; matrices for all
-elements are derived along the recorded generator words and the
-homomorphism law is certified at construction.  Column-vector convention:
-g sends v to act(g) @ v.  Subspaces are handled as row bases in reduced
-echelon form.
+A Rep assigns one matrix per group generator; matrices for all elements are
+derived along the recorded generator words.  The homomorphism law is
+certified at construction: each generator's matrix must equal the one its
+element's word gives (which catches an identity or repeated generator with
+a wrong matrix), and rho(g) rho(h) must equal rho(gh) for every generator
+g and element h.  Invertibility follows from rho(g) rho(g^-1) = rho(1) = I,
+so no rank is taken.  Column-vector convention: g sends v to act(g) @ v.
+Subspaces are handled as row bases in reduced echelon form.
+
+hom_space takes one of two exact regimes, chosen by the number of unknowns
+dim M * dim N alone.  Below _SPIN_MIN_UNKNOWNS it solves the Kronecker
+system on all entries of X.  From there up it spins M from standard basis
+vectors (Lux and Szoke, Exp. Math. 2003) and solves only for the images of
+the s spin seeds, s * dim N unknowns (s = 1 for a cyclic module such as
+kG).  Spinning costs a fixed few echelon forms per call, so it loses on
+small shapes: on the hom spaces of the benchmark workloads it was slower
+at every shape up to 28 unknowns and faster at every shape from 64 up.
+Both regimes return the same basis: the _kernel_from_rref basis of a
+kernel is its reduced row echelon form under reversed column order (each
+vector ends in a 1 at its free column, where every other basis vector is
+0), which depends on the kernel alone, so the spin regime brings its basis
+to that form.
 """
 
 from __future__ import annotations
@@ -46,6 +63,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CHECK_BOUND = 200
+# hom_space spins from dim M * dim N of this many unknowns up (module
+# docstring; measurements in README.md, "Hom spaces").
+_SPIN_MIN_UNKNOWNS = 64
 
 
 class InconclusiveError(RuntimeError):
@@ -99,9 +119,14 @@ class Rep:
         """
         G, f, d = self.group, self.field, self.dim
         n = G.order
-        for gi, M in enumerate(self.gen_mats):
-            if rank(M) != d:
-                raise ValueError(f"generator matrix {gi} is singular")
+        # element_mats reads each element off one word, so a generator that
+        # is the identity, repeats or is a product of earlier ones is
+        # checked against the matrix its word gives
+        for gi, a in enumerate(G.generators):
+            if not np.array_equal(self.gen_mats[gi].a, self.element_mats[G.index[a]]):
+                raise ValueError(
+                    f"generator matrix {gi} violates the group relations"
+                )
         if d == 0 or n == 1:
             return
         table = G.mult_table()
@@ -198,19 +223,36 @@ def rep_apply_algebra(M: Rep, coeffs) -> Matrix:
 def spin(mats, seed_rows: np.ndarray, field: Field) -> np.ndarray:
     """Smallest row space containing seed_rows and closed under every
     action matrix (rows transform as r -> r @ A.T)."""
-    d = seed_rows.shape[1]
-    space = RowSpace(field, d)
-    frontier = [seed_rows[i] for i in range(seed_rows.shape[0]) if space.add(seed_rows[i])]
-    while frontier:
-        new_frontier = []
-        for A in mats:
-            At = A.T.copy()
-            for r in frontier:
-                img = _matmul(field, r[None, :], At)[0]
-                if space.add(img):
-                    new_frontier.append(space.rows[-1])
-        frontier = new_frontier
+    space = RowSpace(field, seed_rows.shape[1])
+    _spin_tree(field, mats, seed_rows, space, [])
     return space.matrix()
+
+
+def _spin_tree(f: Field, mats, seed_rows: np.ndarray, space: RowSpace,
+               tree: list) -> None:
+    """Close space under every action matrix, from seed_rows, breadth first.
+
+    Each row that enlarges the space is appended to tree as (row, generator
+    index, parent position in tree), and a seed as (row, None, None), so
+    every other row is exactly its parent row acted on by one generator.
+    """
+    frontier = []
+    for r in seed_rows:
+        if space.add(r):
+            frontier.append(len(tree))
+            tree.append((r, None, None))
+    mats_t = [np.ascontiguousarray(A.T) for A in mats]
+    while frontier and space.dim < space.width:
+        rows = np.array([tree[k][0] for k in frontier])
+        new_frontier = []
+        for gi, At in enumerate(mats_t):
+            for k, img in zip(frontier, _matmul(f, rows, At)):
+                if space.add(img):
+                    new_frontier.append(len(tree))
+                    tree.append((img, gi, k))
+                    if space.dim == space.width:
+                        return
+        frontier = new_frontier
 
 
 def _row_space(M: Rep, rows) -> RowSpace:
@@ -292,19 +334,11 @@ def _kron(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
-def hom_space(M: Rep, N: Rep) -> HomBasis:
-    """Basis of the intertwiners X with X @ rho_M(g) == rho_N(g) @ X."""
-    if M.group is not N.group and (
-        M.group.elements != N.group.elements
-        or M.group.generators != N.group.generators
-    ):
-        raise ValueError("hom space requires a common group")
-    if M.field != N.field:
-        raise ValueError("hom space requires a common field")
+def _hom_kron(M: Rep, N: Rep) -> list[Matrix]:
+    """Small regime: the nullspace of rho_N(g) X - X rho_M(g) = 0 over all
+    dim M * dim N entries of X."""
     f = M.field
     dm, dn = M.dim, N.dim
-    if dm == 0 or dn == 0:
-        return HomBasis(M, N, [])
     eye_m = np.eye(dm, dtype=f.dtype)
     eye_n = np.eye(dn, dtype=f.dtype)
     rows = []
@@ -317,8 +351,84 @@ def hom_space(M: Rep, N: Rep) -> HomBasis:
     else:
         system = np.zeros((0, dn * dm), dtype=f.dtype)
     null = _nullspace(f, system)
-    basis = [Matrix(f, null[:, j].reshape(dn, dm).copy()) for j in range(null.shape[1])]
-    return HomBasis(M, N, basis)
+    return [Matrix(f, null[:, j].reshape(dn, dm).copy()) for j in range(null.shape[1])]
+
+
+def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
+    """Large regime: solve for the images of the spin seeds of M only.
+
+    M is spun from standard basis vectors into a basis b_k, each one a seed
+    or g b_parent.  For seed images y, X b_k = L_k y with L_k = rho_N(g)
+    L_parent, so the law X g b_k = rho_N(g) X b_k, with g b_k expanded in
+    the b_l, is one system in the s * dim N seed coordinates.  Its kernel is
+    mapped back to matrices X and brought to the basis _hom_kron returns.
+    """
+    f = M.field
+    dm, dn = M.dim, N.dim
+    gens = len(M.gen_mats)
+    Am = np.array([A.a for A in M.gen_mats], dtype=f.dtype).reshape(gens, dm, dm)
+    An = np.array([A.a for A in N.gen_mats], dtype=f.dtype).reshape(gens, dn, dn)
+    space, tree = RowSpace(f, dm), []
+    eye = np.eye(dm, dtype=f.dtype)
+    for j in range(dm):
+        if space.dim == dm:
+            break
+        _spin_tree(f, Am, eye[j:j + 1], space, tree)
+    # L_k is W_k in the block of the seed that b_k grew from, zero elsewhere
+    seed_of = np.empty(dm, dtype=np.intp)
+    W = np.empty((dm, dn, dn), dtype=f.dtype)
+    s = 0
+    for k, (_, gi, parent) in enumerate(tree):
+        if gi is None:
+            seed_of[k], s = s, s + 1
+            W[k] = np.eye(dn, dtype=f.dtype)
+        else:
+            seed_of[k] = seed_of[parent]
+            W[k] = _matmul(f, An[gi], W[parent])
+    L = np.zeros((dm, dn, s, dn), dtype=f.dtype)
+    L[np.arange(dm), :, seed_of, :] = W
+    L = L.reshape(dm, dn, s * dn)
+    B = np.array([row for row, _, _ in tree])  # row k is b_k
+    Q = Matrix(f, B).inverse().a  # v = (v @ Q) @ B
+    # the law holds on the tree edges by construction; impose it on the rest
+    tree_edges = {(gi, parent) for _, gi, parent in tree if gi is not None}
+    edges = [(gi, k) for gi in range(gens) for k in range(dm)
+             if (gi, k) not in tree_edges]
+    gs = [gi for gi, _ in edges]
+    ks = [k for _, k in edges]
+    imgs = _matmul(f, B, Am.transpose(2, 0, 1).reshape(dm, -1)).reshape(dm, gens, dm)
+    coords = _matmul(f, imgs[ks, gs], Q)  # g b_k = sum_l coords[e, l] b_l
+    # one product gives sum_l c_l L_l for every edge and, from Q, the map
+    # Psi with Psi_c y = X e_c, since X b_k = L_k y
+    both = _matmul(f, np.concatenate([coords, Q]), L.reshape(dm, -1))
+    moved, psi = both[:len(edges)], both[len(edges):]
+    acted = _matmul(f, An.reshape(-1, dn), L.transpose(1, 0, 2).reshape(dn, -1))
+    acted = acted.reshape(gens, dn, dm, s * dn)[gs, :, ks]
+    system = f.arr_sub(moved.reshape(-1, dn, s * dn), acted).reshape(-1, s * dn)
+    U = _nullspace(f, system[system.any(axis=1)])
+    r = U.shape[1]
+    if r == 0:
+        return []
+    X = _matmul(f, psi.reshape(dm * dn, s * dn), U)  # rows (c, a), columns j
+    X = np.ascontiguousarray(X.reshape(dm, dn, r).transpose(2, 1, 0)).reshape(r, -1)
+    # the _kernel_from_rref basis is the RREF under reversed column order
+    X = RowSpace(f, dn * dm, X[:, ::-1]).matrix()[::-1, ::-1]
+    return [Matrix(f, x.reshape(dn, dm).copy()) for x in X]
+
+
+def hom_space(M: Rep, N: Rep) -> HomBasis:
+    """Basis of the intertwiners X with X @ rho_M(g) == rho_N(g) @ X."""
+    if M.group is not N.group and (
+        M.group.elements != N.group.elements
+        or M.group.generators != N.group.generators
+    ):
+        raise ValueError("hom space requires a common group")
+    if M.field != N.field:
+        raise ValueError("hom space requires a common field")
+    if M.dim == 0 or N.dim == 0:
+        return HomBasis(M, N, [])
+    regime = _hom_spin if M.dim * N.dim >= _SPIN_MIN_UNKNOWNS else _hom_kron
+    return HomBasis(M, N, regime(M, N))
 
 
 def hom_dim(M: Rep, N: Rep) -> int:

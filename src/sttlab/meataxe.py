@@ -3,11 +3,12 @@
 Irreducibility uses the Norton criterion (spin a nullspace vector of an
 irreducible factor of a random algebra element's minimal polynomial, then
 the dual criterion on the transposed module).  Direct-sum decompositions
-come from Fitting splits along random endomorphisms.  An indecomposable
-leaf is certified by showing that its endomorphism algebra is k.1 + N with
-N a nilpotent ideal; only when that fails is the Jacobson radical computed,
-for the deterministic split off End/J.  Everything randomized takes a seed
-and a budget and raises InconclusiveError instead of ever guessing.
+come from Fitting splits along random endomorphisms.  Before any attempt,
+a piece is certified indecomposable if its endomorphism algebra is k.1 + N
+with N a nilpotent ideal; only when that and the Fitting attempts fail is
+the Jacobson radical computed, for the deterministic split off End/J.
+Everything randomized takes a seed and a budget and raises
+InconclusiveError instead of ever guessing.
 """
 
 from __future__ import annotations
@@ -326,16 +327,18 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
             out.extend(_decompose_rec(piece, lifted, seed, budget))
         return out
 
+    # A split local End has only primary minimal polynomials, so no Fitting
+    # split can succeed: certify locality before any random attempt.
+    if _is_split_local(end.basis):
+        return [(rows, rep)]
     rng = random.Random(seed)
     for _ in range(min(budget, 8)):
         theta = _random_combo(f, end.basis, rng)
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
             return recurse(parts)
-    # Quick random splits failed: certify locality directly, else split
-    # deterministically off the semisimple quotient End/J.
-    if _is_split_local(end.basis):
-        return [(rows, rep)]
+    # Quick random splits failed: split deterministically off the
+    # semisimple quotient End/J.
     J = algebra_radical(end.basis)
     if end.dim - len(J) == 1:
         raise AssertionError("End/J is k but the split-local certificate failed")
@@ -362,6 +365,15 @@ def _products(f: Field, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     return prod.transpose(0, 2, 1, 3).reshape(-1, n * n)
 
 
+def _is_nilpotent(f: Field, z: np.ndarray) -> bool:
+    """Whether z^(2^k) = 0 for 2^k >= n, after ceil(log2 n) squarings."""
+    n = z.shape[0]
+    while n > 1 and z.any():
+        z = _matmul(f, z, z)
+        n = (n + 1) // 2
+    return not z.any()
+
+
 def _is_split_local(basis: list[Matrix]) -> bool:
     """Whether the unital algebra with this linearly independent basis is
     local with residue field k, certified without its radical.
@@ -374,7 +386,8 @@ def _is_split_local(basis: list[Matrix]) -> bool:
     every element of N is nilpotent, so 1 is not in N); N is then the
     radical, of codimension 1.  Conversely, in a local algebra with residue
     field k every b - lambda_b lies in the radical, so this decides what
-    dim - len(algebra_radical(basis)) == 1 decides.
+    dim - len(algebra_radical(basis)) == 1 decides.  The answer is False as
+    soon as one b - lambda_b is not nilpotent, before N is built.
     """
     f = basis[0].field
     n = basis[0].rows
@@ -386,7 +399,10 @@ def _is_split_local(basis: list[Matrix]) -> bool:
     shifted = []
     for b in basis:
         lam = f.frob(f.mul(neg_inv_m, charpoly(b).c[n - pa]), -a)
-        shifted.append(f.arr_sub(b.a, f.MUL[lam, eye]).reshape(-1))
+        z = f.arr_sub(b.a, f.MUL[lam, eye])
+        if not _is_nilpotent(f, z):
+            return False
+        shifted.append(z.reshape(-1))
     nil = RowSpace(f, n * n, shifted)
     if nil.dim != len(basis) - 1:
         return False

@@ -82,6 +82,22 @@ def test_parse_rep_errors(workdir, tmp_path):
         parse_rep_file(str(singular))
 
 
+def test_parse_rep_rejects_matrices_that_contradict_the_group(tmp_path, capsys):
+    (tmp_path / "twice.grp").write_text("degree 2\n(0 1)\n(0 1)\n")
+    (tmp_path / "ident.grp").write_text("degree 2\n()\n")
+    cases = {
+        "twice.rep": "field 3 1\ngroup twice.grp\ndim 1\n2\n1\n",
+        "ident.rep": "field 3 1\ngroup ident.grp\ndim 1\n2\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(InputError) as e:
+            parse_rep_file(str(path))
+        assert "violates the group relations" in str(e.value)
+        assert main(["check-stt", "--module", str(path)]) == 2
+
+
 def test_rep_roundtrip(workdir, a4, s4, f4):
     T = transversal(s4, a4)
     k = trivial_rep(a4, f4)

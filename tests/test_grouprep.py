@@ -1,8 +1,14 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sttlab.exactfield import Matrix
+from sttlab.exactfield import Matrix, _nullspace, field_make
 from sttlab.grouprep import (
+    Rep,
+    _hom_kron,
+    _hom_spin,
     conjugate_rep,
     direct_sum,
     dual_rep,
@@ -20,7 +26,7 @@ from sttlab.grouprep import (
     trivial_rep,
     zero_rep,
 )
-from sttlab.permgroup import group_close, parse_cycles, transversal
+from sttlab.permgroup import Perm, group_close, parse_cycles, transversal
 from sttlab.taucalc import ext1
 
 
@@ -33,6 +39,31 @@ def test_rep_make_validates(a4, f4):
     bad = Matrix.from_rows(f4, [[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         rep_make(a4, f4, [bad, Matrix.identity(f4, 2)])
+    # singular generators: an idempotent, and a zero on the trivial group
+    c2 = group_close(2, [parse_cycles("(0 1)", 2)])
+    with pytest.raises(ValueError):
+        rep_make(c2, f4, [Matrix.from_rows(f4, [[1, 1], [0, 0]])])
+    with pytest.raises(ValueError):
+        rep_make(group_close(2, [Perm.identity(2)]), f4, [Matrix.zeros(f4, 1, 1)])
+
+
+def test_rep_make_rejects_matrices_that_contradict_the_group():
+    f3 = field_make(3, 1)
+    swap = parse_cycles("(0 1)", 2)
+    one = Matrix.identity(f3, 1)
+    minus = Matrix.from_rows(f3, [[2]])
+    # a repeated generator must get the same matrix both times
+    twice = group_close(2, [swap, swap])
+    with pytest.raises(ValueError):
+        rep_make(twice, f3, [minus, one])
+    assert rep_make(twice, f3, [minus, minus]).dim == 1
+    # the identity must act as the identity
+    ident = group_close(2, [Perm.identity(2)])
+    with pytest.raises(ValueError):
+        rep_make(ident, f3, [minus])
+    assert rep_make(ident, f3, [one]).dim == 1
+    with pytest.raises(ValueError):
+        rep_make(group_close(2, [swap, Perm.identity(2)]), f3, [minus, minus])
 
 
 def test_rep_homomorphism_all_pairs(a4, f4):
@@ -237,3 +268,133 @@ def test_hom_space_intertwines(cast):
     for X in H.basis:
         for Am, Bm in zip(cast.kS.gen_mats, cast.kT.gen_mats):
             assert (X @ Am) == (Bm @ X)
+
+
+# ---------------------------------------------------------------------------
+# hom_space: both regimes against a Kronecker oracle
+
+def kron_oracle(M, N):
+    """The hom basis as the nullspace of rho_N X - X rho_M = 0, one row per
+    entry (i, j) of each generator's equation, unknown X[a, b] at a*dm + b."""
+    f = M.field
+    dm, dn = M.dim, N.dim
+    if dm == 0 or dn == 0:
+        return []
+    rows = []
+    for Am, An in zip(M.gen_mats, N.gen_mats):
+        for i in range(dn):
+            for j in range(dm):
+                row = np.zeros(dn * dm, dtype=f.dtype)
+                row[np.arange(dn) * dm + j] = An.a[i, :]  # (rho_N X)[i, j]
+                at = i * dm + np.arange(dm)
+                row[at] = f.arr_sub(row[at], Am.a[:, j])  # (X rho_M)[i, j]
+                rows.append(row)
+    system = np.array(rows, dtype=f.dtype).reshape(-1, dn * dm)
+    null = _nullspace(f, system)
+    return [Matrix(f, null[:, j].reshape(dn, dm).copy()) for j in range(null.shape[1])]
+
+
+def assert_regimes_match_oracle(M, N):
+    want = kron_oracle(M, N)
+    assert hom_space(M, N).basis == want
+    if M.dim and N.dim:
+        assert _hom_kron(M, N) == want
+        assert _hom_spin(M, N) == want
+    for X in want:
+        for Am, An in zip(M.gen_mats, N.gen_mats):
+            assert (X @ Am) == (An @ X)
+
+
+ORACLE_FIELDS = [(2, 1), (2, 2), (3, 1)]
+C3 = group_close(3, [parse_cycles("(0 1 2)", 3)])
+S3 = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+A4 = group_close(4, [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])
+# group, a subgroup to induce from, and an element normalizing the group
+ORACLE_GROUPS = {
+    "C3": (C3, group_close(3, []), parse_cycles("(0 1)", 3)),
+    "S3": (S3, C3, parse_cycles("(1 2)", 3)),
+    "A4": (A4, group_close(4, [parse_cycles("(0 1 2)", 4)]), parse_cycles("(0 1)", 4)),
+}
+
+
+def _random_module(G, H, g, f, rng, depth):
+    """A module of G from trivial and regular ones by submodules,
+    quotients, induction from H, conjugation by g and direct sums."""
+    kinds = ["trivial", "regular", "sub", "quotient", "induced", "conjugated"]
+    if depth:
+        kinds += ["sum"] * 3
+    kind = rng.choice(kinds)
+    if kind == "trivial":
+        return trivial_rep(G, f)
+    if kind == "regular":
+        return regular_rep(G, f)
+    if kind in ("sub", "quotient"):
+        # kG (1 - h) for some h != 1: nonzero and proper
+        reg = regular_rep(G, f)
+        seed = np.zeros((1, G.order), dtype=f.dtype)
+        seed[0, 0], seed[0, rng.randrange(1, G.order)] = 1, f.neg(1)
+        W = Matrix(f, spin([m.a for m in reg.gen_mats], seed, f))
+        return sub_rep(reg, W) if kind == "sub" else quotient_rep(reg, W)
+    if kind == "induced":
+        small = regular_rep(H, f) if rng.random() < 0.5 else trivial_rep(H, f)
+        return induce(small, G, transversal(G, H))
+    if kind == "conjugated":
+        return conjugate_rep(_random_module(G, H, g, f, rng, 0), g)
+    return direct_sum([_random_module(G, H, g, f, rng, depth - 1) for _ in range(2)])
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ORACLE_FIELDS), st.sampled_from(sorted(ORACLE_GROUPS)),
+       st.integers(0, 2**32 - 1))
+def test_hom_space_regimes_match_kronecker_oracle(pm, group, seed):
+    f = field_make(*pm)
+    G, H, g = ORACLE_GROUPS[group]
+    rng = random.Random(seed)
+    M = _random_module(G, H, g, f, rng, 1)
+    N = _random_module(G, H, g, f, rng, 1)
+    assert_regimes_match_oracle(M, N)
+    assert_regimes_match_oracle(N, M)
+
+
+@pytest.mark.parametrize("pm", ORACLE_FIELDS)
+def test_hom_space_degenerate_groups_match_oracle(pm):
+    f = field_make(*pm)
+    # no generators: every matrix is a hom, on both sides of the crossover
+    none = group_close(3, [])
+    for dm, dn in [(2, 3), (9, 8)]:
+        assert_regimes_match_oracle(Rep(none, f, [], dim=dm), Rep(none, f, [], dim=dn))
+    # an identity generator
+    ident = group_close(3, [Perm.identity(3)])
+    eye = [Matrix.identity(f, d) for d in (2, 3, 8, 9)]
+    for i, j in [(0, 1), (3, 2)]:
+        assert_regimes_match_oracle(Rep(ident, f, [eye[i]]), Rep(ident, f, [eye[j]]))
+    # a repeated generator
+    c = parse_cycles("(0 1 2)", 3)
+    twice = group_close(3, [c, c])
+    reg, k = regular_rep(twice, f), trivial_rep(twice, f)
+    for M in (reg, k, direct_sum([reg, reg, k])):
+        for N in (reg, direct_sum([reg, reg, reg, k])):
+            assert_regimes_match_oracle(M, N)
+
+
+@pytest.mark.parametrize("pm", ORACLE_FIELDS)
+def test_hom_space_zero_and_seedful_modules_match_oracle(pm, a4):
+    f = field_make(*pm)
+    z, k, reg = zero_rep(a4, f), trivial_rep(a4, f), regular_rep(a4, f)
+    for M, N in [(z, reg), (reg, z), (z, z)]:
+        assert hom_space(M, N).basis == kron_oracle(M, N) == []
+    # a sum of trivial modules needs one spin seed per dimension
+    kk = direct_sum([k] * 9)
+    for M, N in [(kk, reg), (kk, kk), (reg, kk), (direct_sum([kk, reg]), kk)]:
+        assert_regimes_match_oracle(M, N)
+
+
+def test_hom_space_end_of_regular_s4xc2_matches_oracle():
+    f = field_make(2, 1)
+    G = group_close(6, [parse_cycles("(0 1)", 6), parse_cycles("(0 1 2 3)", 6),
+                        parse_cycles("(4 5)", 6)])
+    reg = regular_rep(G, f)
+    want = kron_oracle(reg, reg)
+    assert len(want) == 48
+    assert hom_space(reg, reg).basis == want
+    assert _hom_spin(reg, reg) == want
