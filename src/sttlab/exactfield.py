@@ -246,9 +246,6 @@ class Field:
             return np.bitwise_xor(x, y)
         return self.ADD[x, self.NEG[y]]
 
-    def arr_mul(self, x, y):
-        return self.MUL[x, y]
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)

@@ -1,13 +1,16 @@
 """Modules over group algebras as matrix representations.
 
-A Rep assigns one matrix per group generator; matrices for all elements are
-derived along the recorded generator words.  The homomorphism law is
-certified at construction: each generator's matrix must equal the one its
-element's word gives (which catches an identity or repeated generator with
-a wrong matrix), and rho(g) rho(h) must equal rho(gh) for every generator
-g and element h.  Invertibility follows from rho(g) rho(g^-1) = rho(1) = I,
-so no rank is taken.  Column-vector convention: g sends v to act(g) @ v.
-Subspaces are handled as row bases in reduced echelon form.
+A Rep assigns one matrix per group generator; the matrix of every element
+is derived along its recorded generator word, on first use.  Column-vector
+convention: g sends v to act(g) @ v.  Subspaces are handled as row bases in
+reduced echelon form.
+
+The homomorphism law is certified once, in rep_make, where matrices enter
+from outside (cli.parse_rep_file goes through it).  Rep(...) itself checks
+only shapes and fields: every other constructor here, and the slices and
+twisted modules of meataxe and taucalc, builds a module by theorem from
+modules that already are one, so it calls Rep directly.  Generator
+matrices must not be mutated once a Rep holds them.
 
 hom_space takes one of two exact regimes, chosen by the number of unknowns
 dim M * dim N alone.  Below _SPIN_MIN_UNKNOWNS it solves the Kronecker
@@ -62,7 +65,6 @@ __all__ = [
     "rep_apply_algebra",
 ]
 
-EXHAUSTIVE_CHECK_BOUND = 200
 # hom_space spins from dim M * dim N of this many unknowns up (module
 # docstring; measurements in README.md, "Hom spaces").
 _SPIN_MIN_UNKNOWNS = 64
@@ -73,12 +75,16 @@ class InconclusiveError(RuntimeError):
 
 
 class Rep:
-    """Matrix representation of a finite group over an exact field."""
+    """Matrix representation of a finite group over an exact field.
 
-    __slots__ = ("group", "field", "dim", "gen_mats", "element_mats", "block_dims")
+    Unchecked: the caller vouches that gen_mats obey the group's relations
+    (rep_make certifies them) and does not mutate them afterwards.
+    """
+
+    __slots__ = ("group", "field", "dim", "gen_mats", "block_dims", "_element_mats")
 
     def __init__(self, group: Group, field: Field, gen_mats: list[Matrix],
-                 dim: Optional[int] = None, block_dims=None, check: str = "gens"):
+                 dim: Optional[int] = None, block_dims=None):
         if dim is None:
             if not gen_mats:
                 raise ValueError("dimension required when there are no generators")
@@ -95,9 +101,15 @@ class Rep:
         self.dim = dim
         self.gen_mats = list(gen_mats)
         self.block_dims = tuple(block_dims) if block_dims else None
-        self.element_mats = self._build_element_mats()
-        if check != "none":
-            self._check_homomorphism(exhaustive=(check == "full"))
+        self._element_mats = None
+
+    @property
+    def element_mats(self) -> np.ndarray:
+        """All |G| element matrices, indexed like group.elements; built on
+        first read."""
+        if self._element_mats is None:
+            self._element_mats = self._build_element_mats()
+        return self._element_mats
 
     def _build_element_mats(self) -> np.ndarray:
         G, f, d = self.group, self.field, self.dim
@@ -109,46 +121,6 @@ class Rep:
             parent = G.index[self.group.generators[gi].inverse() * G.elements[i]]
             E[i] = _matmul(f, self.gen_mats[gi].a, E[parent])
         return E
-
-    def _check_homomorphism(self, exhaustive: bool):
-        """Certify rho(g) rho(h) == rho(gh).
-
-        The generator-against-all-elements check already implies the full
-        law by induction over word length; for small groups the all-pairs
-        check is run as well.
-        """
-        G, f, d = self.group, self.field, self.dim
-        n = G.order
-        # element_mats reads each element off one word, so a generator that
-        # is the identity, repeats or is a product of earlier ones is
-        # checked against the matrix its word gives
-        for gi, a in enumerate(G.generators):
-            if not np.array_equal(self.gen_mats[gi].a, self.element_mats[G.index[a]]):
-                raise ValueError(
-                    f"generator matrix {gi} violates the group relations"
-                )
-        if d == 0 or n == 1:
-            return
-        table = G.mult_table()
-        H = np.ascontiguousarray(self.element_mats.transpose(1, 0, 2)).reshape(d, n * d)
-        def rows_ok(indices):
-            for i in indices:
-                got = _matmul(f, self.element_mats[i], H)
-                expect = np.ascontiguousarray(
-                    self.element_mats[table[i]].transpose(1, 0, 2)
-                ).reshape(d, n * d)
-                if not np.array_equal(got, expect):
-                    raise ValueError(
-                        f"generator matrices violate the group relations (element {i})"
-                    )
-        gen_indices = sorted({G.index[a] for a in G.generators})
-        rows_ok(gen_indices)
-        if exhaustive:
-            if n <= EXHAUSTIVE_CHECK_BOUND:
-                rows_ok(range(n))
-            else:  # sampled check above the exhaustive bound
-                rng = random.Random(0)
-                rows_ok(sorted({rng.randrange(n) for _ in range(64)}))
 
     def act_idx(self, idx: int) -> Matrix:
         return Matrix(self.field, self.element_mats[idx].copy())
@@ -163,10 +135,41 @@ class Rep:
                 f"field {self.field})")
 
 
+def _check_homomorphism(M: Rep) -> None:
+    """Certify rho(g) rho(h) == rho(gh) for all g, h; ValueError if not.
+
+    element_mats reads each element off one word, so first each generator's
+    matrix must equal the one its word gives (which catches an identity,
+    repeated or redundant generator with a wrong matrix).  Then rho(g) rho(h)
+    == rho(gh) for every generator g and element h; with rho(1) = I this
+    gives the full law by induction on word length, and invertibility from
+    rho(g) rho(g^-1) = rho(1), so no rank is taken.
+    """
+    G, f, d = M.group, M.field, M.dim
+    n = G.order
+    E = M.element_mats
+    for gi, a in enumerate(G.generators):
+        if not np.array_equal(M.gen_mats[gi].a, E[G.index[a]]):
+            raise ValueError(f"generator matrix {gi} violates the group relations")
+    if d == 0 or n == 1:
+        return
+    table = G.mult_table()
+    H = np.ascontiguousarray(E.transpose(1, 0, 2)).reshape(d, n * d)
+    for i in sorted({G.index[a] for a in G.generators}):
+        expect = np.ascontiguousarray(E[table[i]].transpose(1, 0, 2)).reshape(d, n * d)
+        if not np.array_equal(_matmul(f, E[i], H), expect):
+            raise ValueError(
+                f"generator matrices violate the group relations (element {i})"
+            )
+
+
 def rep_make(group: Group, field: Field, gen_matrices: list[Matrix],
              dim: Optional[int] = None) -> Rep:
-    """Validated representation; homomorphism law checked exhaustively."""
-    return Rep(group, field, gen_matrices, dim=dim, check="full")
+    """Representation from matrices given from outside, with the
+    homomorphism law certified (ValueError when it fails)."""
+    M = Rep(group, field, gen_matrices, dim=dim)
+    _check_homomorphism(M)
+    return M
 
 
 def act(M: Rep, g) -> Matrix:
@@ -174,13 +177,13 @@ def act(M: Rep, g) -> Matrix:
 
 
 def zero_rep(group: Group, field: Field) -> Rep:
-    return Rep(group, field, [Matrix.zeros(field, 0, 0)] * len(group.generators),
-               dim=0, check="none")
+    zero = Matrix.zeros(field, 0, 0)
+    return Rep(group, field, [zero] * len(group.generators), dim=0)
 
 
 def trivial_rep(group: Group, field: Field) -> Rep:
     one = Matrix.identity(field, 1)
-    return Rep(group, field, [one] * len(group.generators), dim=1, check="none")
+    return Rep(group, field, [one] * len(group.generators), dim=1)
 
 
 def regular_rep(group: Group, field: Field) -> Rep:
@@ -192,7 +195,7 @@ def regular_rep(group: Group, field: Field) -> Rep:
         for j, h in enumerate(group.elements):
             arr[group.index[a * h], j] = 1
         mats.append(Matrix(field, arr))
-    return Rep(group, field, mats, dim=n, check="gens")
+    return Rep(group, field, mats, dim=n)
 
 
 def right_mult_matrix(group: Group, field: Field, g: Perm) -> Matrix:
@@ -271,7 +274,7 @@ def sub_rep(M: Rep, rows) -> Rep:
             raise ValueError("row space is not invariant under the action")
         C = img[:, piv]  # coefficients in the RREF basis
         mats.append(Matrix(f, C.T.copy()))
-    return Rep(M.group, f, mats, dim=space.dim, check="gens")
+    return Rep(M.group, f, mats, dim=space.dim)
 
 
 def quotient_rep(M: Rep, rows) -> Rep:
@@ -289,7 +292,7 @@ def quotient_rep(M: Rep, rows) -> Rep:
             corr = _matmul(f, W[:, comp].T.copy(), B[piv, :])
             red = f.arr_sub(red, corr)
         mats.append(Matrix(f, red.copy()))
-    return Rep(M.group, f, mats, dim=len(comp), check="gens")
+    return Rep(M.group, f, mats, dim=len(comp))
 
 
 def quotient_projection(M: Rep, rows) -> Matrix:
@@ -556,7 +559,7 @@ def direct_sum(Ms: list[Rep], *, group: Group = None, field: Field = None) -> Re
             blocks.extend(M.block_dims)
         elif M.dim:
             blocks.append(M.dim)
-    return Rep(group, field, mats, dim=dim, block_dims=blocks, check="gens")
+    return Rep(group, field, mats, dim=dim, block_dims=blocks)
 
 
 def restrict(M: Rep, G: Group) -> Rep:
@@ -564,7 +567,7 @@ def restrict(M: Rep, G: Group) -> Rep:
     if not G.is_subgroup_of(M.group):
         raise ValueError("restriction target is not a subgroup")
     mats = [M.act(a) for a in G.generators]
-    return Rep(G, M.field, mats, dim=M.dim, block_dims=M.block_dims, check="gens")
+    return Rep(G, M.field, mats, dim=M.dim, block_dims=M.block_dims)
 
 
 def induce(M: Rep, big: Group, T: Transversal) -> Rep:
@@ -587,7 +590,7 @@ def induce(M: Rep, big: Group, T: Transversal) -> Rep:
                 raise ValueError("transversal inconsistent with the subgroup")
             arr[j * d:(j + 1) * d, i * d:(i + 1) * d] = M.act(h).a
         mats.append(Matrix(f, arr))
-    return Rep(big, f, mats, dim=D, check="gens")
+    return Rep(big, f, mats, dim=D)
 
 
 def conjugate_rep(M: Rep, gtilde: Perm) -> Rep:
@@ -598,14 +601,13 @@ def conjugate_rep(M: Rep, gtilde: Perm) -> Rep:
         if ginv * a * gtilde not in G.index:
             raise ValueError("element does not normalize the group")
     mats = [M.act(ginv * a * gtilde) for a in G.generators]
-    return Rep(G, M.field, mats, dim=M.dim, block_dims=M.block_dims, check="gens")
+    return Rep(G, M.field, mats, dim=M.dim, block_dims=M.block_dims)
 
 
 def dual_rep(M: Rep) -> Rep:
     """Contragredient module: g acts by act(g^-1) transposed."""
     mats = [M.act(a.inverse()).T for a in M.group.generators]
-    return Rep(M.group, M.field, mats, dim=M.dim, block_dims=M.block_dims,
-               check="gens")
+    return Rep(M.group, M.field, mats, dim=M.dim, block_dims=M.block_dims)
 
 
 # ---------------------------------------------------------------------------

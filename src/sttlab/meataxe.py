@@ -263,10 +263,6 @@ class Decomposition:
     pieces: list[tuple[Matrix, int]]          # (row basis in M coords, class idx)
     witness: Matrix                           # conjugates M into the block form
 
-    @property
-    def class_count(self) -> int:
-        return len(self.summands)
-
     def class_reps(self) -> list[Rep]:
         return [rep for rep, _ in self.summands]
 
@@ -274,7 +270,7 @@ class Decomposition:
 def _coordinate_slice(M: Rep, lo: int, hi: int) -> Rep:
     f = M.field
     mats = [Matrix(f, g.a[lo:hi, lo:hi].copy()) for g in M.gen_mats]
-    return Rep(M.group, f, mats, dim=hi - lo, check="gens")
+    return Rep(M.group, f, mats, dim=hi - lo)
 
 
 def _fitting_split(rep: Rep, theta: Matrix, rng):

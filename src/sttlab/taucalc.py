@@ -246,7 +246,7 @@ def _twisted_hom_to_regular(P: Rep, tables: Tables) -> tuple[Rep, list[Matrix]]:
                 raise AssertionError("twisted action left the hom space")
             cols.append(sol.particular.a[:, 0])
         gen_mats.append(Matrix(f, np.stack(cols, axis=1)))
-    return Rep(G, f, gen_mats, dim=h, check="gens"), basis
+    return Rep(G, f, gen_mats, dim=h), basis
 
 
 def _tau_dtr(M: Rep, tables: Tables) -> Rep:
