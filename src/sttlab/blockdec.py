@@ -1,11 +1,14 @@
 """Block decomposition of group algebras in characteristic p.
 
-The center is carried on the class-sum basis.  Primitive central
-idempotents are found by a fully deterministic Fitting recursion: on each
-current block the Frobenius-fixed subspace of the semisimple quotient is
-computed; a fixed element independent of the block identity has a minimal
-polynomial with at least two distinct roots and CRT then splits the
-identity exactly.  No character theory and no randomness anywhere.
+The center Z is carried on the class-sum basis, with one multiplication
+matrix per class sum.  Primitive central idempotents are found by a fully
+deterministic recursion: for the current block idempotent e, the algebra
+eZ and its radical e.rad(Z) go to meataxe.frobenius_fixed_element as
+multiplication matrices.  A Frobenius-fixed element z off k.e + e.rad(Z)
+has at least two eigenvalues, and e is the sum of the identities of z's
+Fitting kernels on eZ, found with one linsolve.  When there is no such
+z, eZ/e.rad(Z) is a field and e is primitive.  No character theory and
+no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, Poly, RowSpace, factor, linsolve, minpoly, \
-    _nullspace
+from .exactfield import Field, Matrix, RowSpace, linsolve, _matmul
 from .grouprep import Rep, induce, rep_apply_algebra, sub_rep, zero_rep
-from .meataxe import SimpleTable, algebra_radical, simples_of
+from .meataxe import SimpleTable, algebra_radical, fitting_kernels, \
+    frobenius_fixed_element, simples_of
 from .permgroup import Group, Perm, Transversal, class_sums, group_close, transversal
 
 __all__ = [
@@ -97,199 +100,95 @@ class Block:
 
 
 class _Center:
-    """The center of kG on the class-sum basis, with exact arithmetic."""
+    """The center Z of kG on the class-sum basis c_0 = 1, c_1, ..., with
+    exact arithmetic.  R[i] is the matrix of multiplication by c_i:
+    R[i][k, j] is the coefficient of c_k in c_i c_j."""
 
     def __init__(self, group: Group, field: Field):
-        self.group = group
         self.field = field
-        self.classes = class_sums(group)
-        s = len(self.classes)
+        classes = class_sums(group)
+        s = len(classes)
         self.s = s
-        f = field
-        basis = np.zeros((s, group.order), dtype=f.dtype)
-        for i, cls in enumerate(self.classes):
+        basis = np.zeros((s, group.order), dtype=field.dtype)
+        for i, cls in enumerate(classes):
             basis[i, cls] = 1
         self.basis = basis  # rows: class indicator vectors
-        self.class_of = np.zeros(group.order, dtype=np.int64)
-        for i, cls in enumerate(self.classes):
-            self.class_of[cls] = i
-        # structure constants: c_i c_j = sum_k st[i][j][k] c_k
-        self.st = np.zeros((s, s, s), dtype=f.dtype)
+        # class functions are constant on classes: read each product off at
+        # the first element of every class
+        firsts = [cls[0] for cls in classes]
+        self.R = np.zeros((s, s, s), dtype=field.dtype)
         for i in range(s):
             for j in range(s):
-                prod = ga_mul(group, f, basis[i], basis[j])
-                # class functions are constant on classes: read off at the
-                # first element of every class
-                for k, cls in enumerate(self.classes):
-                    self.st[i, j, k] = prod[cls[0]]
+                self.R[i, :, j] = ga_mul(group, field, basis[i], basis[j])[firsts]
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        f = self.field
-        out = np.zeros(self.s, dtype=f.dtype)
-        for i in np.nonzero(u)[0]:
-            for j in np.nonzero(v)[0]:
-                c = f.mul(int(u[i]), int(v[j]))
-                if c:
-                    out = f.arr_add(out, f.MUL[c, self.st[i, j]])
-        return out
+        """The product u v: the coefficients u_i v_j against the R[i][:, j]."""
+        f, s = self.field, self.s
+        uv = f.MUL[u[:, None], v[None, :]].reshape(1, s * s)
+        return _matmul(f, uv, self.R.transpose(0, 2, 1).reshape(s * s, s))[0]
 
-    def pow_q(self, v: np.ndarray) -> np.ndarray:
-        """q-power map, additive and q-linear on the commutative center."""
-        f = self.field
-        out = v
-        for _ in range(f.m):
-            acc = out
-            for _ in range(f.p - 1):
-                acc = self.mul(acc, out)
-            out = acc
-        return out
+    def operators(self, V: np.ndarray) -> np.ndarray:
+        """The multiplication matrices of the rows of V, stacked."""
+        s = self.s
+        return _matmul(self.field, V, self.R.reshape(s, s * s)).reshape(-1, s, s)
 
     def identity_vec(self) -> np.ndarray:
         out = np.zeros(self.s, dtype=self.field.dtype)
         out[0] = 1  # the identity element is a singleton class, listed first
         return out
 
-    def mult_operator(self, v: np.ndarray) -> Matrix:
-        f = self.field
-        cols = [self.mul(v, np.eye(self.s, dtype=f.dtype)[j]) for j in range(self.s)]
-        return Matrix(f, np.stack(cols, axis=1))
-
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Class coordinates to a kG coefficient vector."""
-        f = self.field
-        out = np.zeros(self.group.order, dtype=f.dtype)
-        for i in np.nonzero(v)[0]:
-            out = f.arr_add(out, f.MUL[int(v[i]), self.basis[i]])
-        return out
+        return _matmul(self.field, v[None, :], self.basis)[0]
 
     def radical_rows(self) -> np.ndarray:
-        """Row basis of rad(Z) in class coordinates."""
-        f = self.field
-        regs = [self.mult_operator(np.eye(self.s, dtype=f.dtype)[j])
-                for j in range(self.s)]
-        rad_mats = algebra_radical(regs)
+        """Rows spanning rad(Z), in class coordinates."""
+        f, s = self.field, self.s
+        rad_mats = algebra_radical([Matrix(f, R) for R in self.R])
         if not rad_mats:
-            return np.zeros((0, self.s), dtype=f.dtype)
-        flat = np.stack([R.a.reshape(-1) for R in regs])
-        A = Matrix(f, flat.T.copy())
-        rows = []
-        for R in rad_mats:
-            sol = linsolve(A, Matrix(f, R.a.reshape(-1)[:, None].copy()))
-            if sol.particular is None:
-                raise AssertionError("radical element outside the center")
-            rows.append(sol.particular.a[:, 0])
-        return RowSpace(f, self.s, rows).matrix()
+            return np.zeros((0, s), dtype=f.dtype)
+        sol = linsolve(Matrix(f, self.R.reshape(s, s * s).T.copy()),
+                       Matrix(f, np.stack([J.a.reshape(-1) for J in rad_mats], axis=1)))
+        if sol.particular is None:
+            raise AssertionError("radical element outside the center")
+        return sol.particular.a.T
 
 
 def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
     """Recursively split the central idempotent e into primitive ones."""
     f = center.field
-    s = center.s
-    # basis of eZ
-    Me = center.mult_operator(e)
-    ez = RowSpace(f, s, Me.a.T)
-    ez_rows = ez.matrix()
-    # radical of eZ is e * rad(Z)
-    ej_space = RowSpace(f, s, [center.mul(e, jrows[i]) for i in range(jrows.shape[0])])
-    # complement representatives of eZ / eJ: a row is new exactly when its
-    # normal form mod eJ is new
-    reduced = ej_space.reduce(ez_rows)
-    quotient = RowSpace(f, s)
-    picked = [i for i in range(ez.dim) if quotient.add(reduced[i])]
-    comp = [ez_rows[i] for i in picked]
-    qdim = len(comp)
-    if qdim == 0:
-        raise AssertionError("idempotent block collapsed into the radical")
-    if qdim == 1:
-        return [e]
-    A = Matrix(f, reduced[picked].T.copy())
-
-    def comp_coords(v: np.ndarray) -> np.ndarray:
-        b = Matrix(f, ej_space.reduce(v)[:, None].copy())
-        sol = linsolve(A, b)
-        if sol.particular is None:
-            raise AssertionError("element outside the block algebra")
-        return sol.particular.a[:, 0]
-
-    F = np.zeros((qdim, qdim), dtype=f.dtype)
-    for i, c in enumerate(comp):
-        F[:, i] = comp_coords(center.pow_q(c))
-    fixed = _nullspace(f, f.arr_sub(F, np.eye(qdim, dtype=f.dtype)))
-    if fixed.shape[1] <= 1:
-        return [e]  # semisimple quotient is a field: e is primitive
-    probe = RowSpace(f, qdim)
-    probe.add(comp_coords(e))
-    z_coords = None
-    for j in range(fixed.shape[1]):
-        if probe.add(fixed[:, j]):
-            z_coords = fixed[:, j]
-            break
-    if z_coords is None:
-        raise AssertionError("fixed space cannot lie inside the identity line")
-    z = np.zeros(s, dtype=f.dtype)
-    for i, c in enumerate(comp):
-        if z_coords[i]:
-            z = f.arr_add(z, f.MUL[z_coords[i], c])
-    z = center.mul(e, z)
-    # minimal polynomial of z inside unital algebra (eZ, identity e)
-    Mz = center.mult_operator(z)
-    ez_basis = Matrix(f, ez_rows)
-    # restrict mult-by-z to eZ in the ez_rows coordinates
-    img = (ez_basis @ Mz.T).a
-    restr = Matrix(f, img[:, ez.pivots].T.copy())
-    mp = minpoly(restr)
-    facs = factor(mp, random.Random(0))
-    if len(facs) < 2:
+    Le = center.operators(e[None, :])[0]
+    ez = RowSpace(f, center.s, Le.T)  # eZ is spanned by the e c_j
+    # eZ and its radical e rad(Z), as multiplication matrices
+    ops = center.operators(np.concatenate([ez.rows, _matmul(f, jrows, Le.T)]))
+    Lz = frobenius_fixed_element(f, ops[:ez.dim], ops[ez.dim:], Le)
+    if Lz is None:
+        return [e]  # eZ/e.rad(Z) is a field: e is primitive
+    # multiplication by z on eZ, in the coordinates of the rows of ez
+    restr = Matrix(f, _matmul(f, ez.rows, Lz.T)[:, ez.pivots].T.copy())
+    kernels = fitting_kernels(restr, random.Random(0))
+    if kernels is None:
         raise AssertionError("Frobenius-fixed element failed to split the block")
-    out = []
-    total = np.zeros(s, dtype=f.dtype)
-    for poly, mult in facs:
-        power = poly
-        for _ in range(mult - 1):
-            power = power * poly
-        rest = mp // power
-        # u * rest == 1 mod power gives the CRT idempotent (u * rest)(z)
-        g, u, _v = _poly_xgcd(rest, power)
-        if g.degree != 0:
-            raise AssertionError("CRT factors are not coprime")
-        u = u.scale(f.inv(g.c[0]))
-        idem_poly = (u * rest) % mp
-        e_i = _eval_poly_in_unital(center, idem_poly, z, e)
+    # eZ is the direct sum of the Fitting kernels of z, which are ideals, so
+    # e is the sum of their identities
+    parts = [_matmul(f, null.T, ez.rows) for null in kernels]
+    K = np.concatenate(parts)
+    sol = linsolve(Matrix(f, K.T.copy()), Matrix(f, e[:, None].copy()))
+    if len(K) != ez.dim or sol.rank != ez.dim or sol.particular is None:
+        raise AssertionError("Fitting kernels do not split the block")
+    coords = np.split(sol.particular.a[:, 0], np.cumsum([len(P) for P in parts])[:-1])
+    out = [_matmul(f, c[None, :], P)[0] for c, P in zip(coords, parts)]
+    total = np.zeros(center.s, dtype=f.dtype)
+    for e_i in out:
         if not np.array_equal(center.mul(e_i, e_i), e_i):
-            raise AssertionError("CRT split not idempotent")
-        out.append(e_i)
+            raise AssertionError("Fitting split not idempotent")
         total = f.arr_add(total, e_i)
     if not np.array_equal(total, e):
-        raise AssertionError("CRT split does not sum to the block")
+        raise AssertionError("Fitting split does not sum to the block")
     result = []
     for e_i in out:
         result.extend(_split_primitive(center, e_i, jrows))
     return result
-
-
-def _poly_xgcd(a, b):
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def _eval_poly_in_unital(center: _Center, poly, z: np.ndarray,
-                         e: np.ndarray) -> np.ndarray:
-    """Evaluate poly at z inside the unital algebra (eZ, identity e)."""
-    f = center.field
-    acc = np.zeros(center.s, dtype=f.dtype)
-    for coef in reversed(poly.c):
-        acc = center.mul(acc, z)
-        if coef:
-            acc = f.arr_add(acc, f.MUL[int(coef), e])
-    return acc
 
 
 def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,

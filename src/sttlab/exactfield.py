@@ -483,7 +483,9 @@ def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if r * m * (p - 1) ** 2 >= _EXACT_FLOAT:
         raise ValueError(f"inner dimension {r} too large for an exact product over {f}")
     if m == 1:
-        return np.fmod(A.astype(np.float64) @ B.astype(np.float64), p).astype(f.dtype)
+        prod = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        prod %= p  # an integer % costs less than np.fmod on float64
+        return prod.astype(f.dtype)
     digits = _digits(f)
     place = p ** np.arange(m)  # p^a is both the code of x^a and a place value
     # A B = sum_a A_a (x^a B), where A_a is coefficient plane a of A: one
@@ -492,6 +494,7 @@ def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Ap = np.moveaxis(digits[A], 2, 1).reshape(n, m * r)
     Bp = digits[f.MUL[place[:, None, None], B]].reshape(m * r, k * m)
     planes = Ap @ Bp
+    # in place: an integer copy of the planes would raise the peak memory
     np.fmod(planes, p, out=planes)
     return (planes.reshape(n, k, m) @ place).astype(f.dtype)
 

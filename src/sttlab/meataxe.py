@@ -61,6 +61,8 @@ __all__ = [
     "radical_top",
     "decompose",
     "algebra_radical",
+    "fitting_kernels",
+    "frobenius_fixed_element",
     "add_compare",
     "lift_idempotent",
 ]
@@ -273,26 +275,32 @@ def _coordinate_slice(M: Rep, lo: int, hi: int) -> Rep:
     return Rep(M.group, f, mats, dim=hi - lo)
 
 
-def _fitting_split(rep: Rep, theta: Matrix, rng):
-    """Split along ker f_i^{e_i}(theta) for the distinct irreducible factors
-    of theta's minimal polynomial; None when the minpoly is primary."""
-    f = rep.field
-    mp = minpoly(theta)
-    facs = factor(mp, rng)
+def fitting_kernels(theta: Matrix, rng) -> Optional[list[np.ndarray]]:
+    """Column bases of the kernels of f_i^{e_i}(theta), one for each
+    primary factor f_i^{e_i} of theta's minimal polynomial; None when that
+    polynomial is primary.  The kernels are theta's Fitting components, so
+    their direct sum is the whole space."""
+    f = theta.field
+    facs = factor(minpoly(theta), rng)
     if len(facs) < 2:
         return None
-    parts = []
-    total = 0
+    kernels = []
     for poly, mult in facs:
         power = Poly.one(f)
         for _ in range(mult):
             power = power * poly
-        img = power.eval_matrix(theta)
-        null = _nullspace(f, img.a)
-        rows = Matrix(f, RowSpace(f, rep.dim, null.T).matrix())
-        parts.append(rows)
-        total += rows.rows
-    if total != rep.dim:
+        kernels.append(_nullspace(f, power.eval_matrix(theta).a))
+    return kernels
+
+
+def _fitting_split(rep: Rep, theta: Matrix, rng):
+    """Split along theta's Fitting kernels; None when its minpoly is primary."""
+    f = rep.field
+    kernels = fitting_kernels(theta, rng)
+    if kernels is None:
+        return None
+    parts = [Matrix(f, RowSpace(f, rep.dim, null.T).matrix()) for null in kernels]
+    if sum(rows.rows for rows in parts) != rep.dim:
         raise AssertionError("Fitting split does not fill the module")
     return parts
 
@@ -414,27 +422,31 @@ def _is_split_local(basis: list[Matrix]) -> bool:
     return True
 
 
-def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
-                               radical: list[Matrix], rng):
-    """Deterministic rescue split via Frobenius-fixed elements of End/J.
+def frobenius_fixed_element(f: Field, basis, radical,
+                            one: np.ndarray) -> Optional[np.ndarray]:
+    """An element z of the algebra A spanned by the n x n matrices in basis,
+    fixed by x -> x^q modulo J and outside k.one + J; None when A/J is
+    noncommutative or a field (k included).
 
-    When End/J is commutative its Frobenius-fixed subspace is spanned by the
-    primitive idempotents; any fixed element independent of the identity has
-    a squarefree minpoly with at least two distinct factors, so it splits
-    the module through Fitting.  Returns None when no such element exists
-    (division algebra quotient, or a noncommutative End/J where the random
-    search already failed).
+    radical spans J = rad A, and one is the identity of A, which need not
+    be I.  A commutative A/J is a product of fields, and its Frobenius-fixed
+    elements are the k-combinations of its primitive idempotents (Ronyai,
+    "Computing the structure of finite algebras", J. Symb. Comput. 1990).
+    So the fixed space is k.one exactly when A/J is a field, and otherwise
+    the minimal polynomial of z has at least two distinct roots, all in k.
     """
-    f = rep.field
-    jspace = RowSpace(f, rep.dim * rep.dim, [J.a.reshape(-1) for J in radical])
-    # coset representatives of End/J picked from the endomorphism basis: b
-    # is new exactly when its normal form mod J is new
-    reduced = jspace.reduce([b.a.reshape(-1) for b in end_basis])
-    quotient = RowSpace(f, rep.dim * rep.dim)
-    picked = [i for i in range(len(end_basis)) if quotient.add(reduced[i])]
-    comp = [end_basis[i].a for i in picked]
+    n = one.shape[0]
+    jspace = RowSpace(f, n * n, [J.reshape(-1) for J in radical])
+    # coset representatives of A/J picked from the basis: b is new exactly
+    # when its normal form mod J is new
+    reduced = jspace.reduce([b.reshape(-1) for b in basis])
+    quotient = RowSpace(f, n * n)
+    picked = [i for i in range(len(basis)) if quotient.add(reduced[i])]
+    comp = [basis[i] for i in picked]
     q_dim = len(comp)
-    if q_dim <= 1:
+    if q_dim == 0:
+        raise AssertionError("algebra lies inside its radical")
+    if q_dim == 1:
         return None
     for i, a in enumerate(comp):
         for b in comp[:i]:
@@ -448,10 +460,10 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
         b = Matrix(f, jspace.reduce(mat.reshape(-1))[:, None].copy())
         sol = linsolve(A, b)
         if sol.particular is None:
-            raise AssertionError("element not in the endomorphism algebra")
+            raise AssertionError("element outside the algebra")
         return sol.particular.a[:, 0]
 
-    # Frobenius x -> x^q on End/J in the comp coordinates (q-linear)
+    # Frobenius x -> x^q on A/J in the comp coordinates (q-linear)
     F = np.zeros((q_dim, q_dim), dtype=f.dtype)
     for i, c in enumerate(comp):
         w = c.copy()
@@ -463,10 +475,9 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
         F[:, i] = comp_coords(w)
     fixed = _nullspace(f, f.arr_sub(F, np.eye(q_dim, dtype=f.dtype)))
     if fixed.shape[1] <= 1:
-        return None  # End/J is a field: indecomposable, but not split over k
-    id_coords = comp_coords(np.eye(rep.dim, dtype=f.dtype))
+        return None  # A/J is a field
     probe = RowSpace(f, q_dim)
-    probe.add(id_coords)
+    probe.add(comp_coords(one))
     z = None
     for j in range(fixed.shape[1]):
         if probe.add(fixed[:, j]):
@@ -474,11 +485,29 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
             break
     if z is None:
         raise AssertionError("fixed space cannot lie inside the identity line")
-    zmat = np.zeros((rep.dim, rep.dim), dtype=f.dtype)
+    zmat = np.zeros((n, n), dtype=f.dtype)
     for i, c in enumerate(comp):
         if z[i]:
             zmat = f.arr_add(zmat, f.MUL[z[i], c])
-    return _fitting_split(rep, Matrix(f, zmat), random.Random(0))
+    return zmat
+
+
+def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
+                               radical: list[Matrix], rng):
+    """Deterministic rescue split along a Frobenius-fixed element of End/J.
+
+    Such an element off k.1 + J has a minpoly with at least two distinct
+    factors, so it splits the module through Fitting.  Returns None when
+    there is none (End/J noncommutative, where the random search already
+    failed, or a field, where the module is indecomposable but End is not
+    split over k).
+    """
+    f = rep.field
+    z = frobenius_fixed_element(f, [b.a for b in end_basis], [J.a for J in radical],
+                                np.eye(rep.dim, dtype=f.dtype))
+    if z is None:
+        return None
+    return _fitting_split(rep, Matrix(f, z), random.Random(0))
 
 
 def decompose(M: Rep, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Decomposition:

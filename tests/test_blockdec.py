@@ -204,3 +204,44 @@ def test_conjugation_permutes_blocks(c3, s3, f4, c3_blocks):
         for i in np.nonzero(conj)[0]:
             back[c3.idx(s3.elements[i])] = conj[i]
         assert back.tobytes() in coeff_set
+
+
+# Primitive central idempotents and simple labels of blocks(), as recorded
+# before the block split moved onto meataxe.frobenius_fixed_element.  Each
+# idempotent is written as its coefficient codes over the element list.
+# C3 and C7 over GF(2) and A5 over GF(2) do not split: their centres have
+# blocks whose eZ/eJ is a proper extension field of k.  The centres of A4
+# and S4 over GF(3) have a nonzero radical.
+PINNED_BLOCKS = {
+    ("C3", 2): [("111", ("S1",)), ("011", ("S2",))],
+    ("C7", 2): [("1111111", ("S1",)), ("1001011", ("S2",)), ("1110100", ("S3",))],
+    ("A5", 2): [
+        ("011111110010111111111111111110111011011111111111100000000110", ("S1",)),
+        ("111111110010111111111111111110111011011111111111100000000110", ("S2", "S3")),
+    ],
+    ("A4", 3): [("002000000022", ("S1",)), ("101000000011", ("S2",))],
+    ("S4", 3): [
+        ("012001222220100011111001", ("S1",)),
+        ("021001111110100022222001", ("S2",)),
+        ("100001000000100000000001", ("S3", "S4")),
+    ],
+}
+PINNED_GROUPS = {
+    "C3": (3, ["(0 1 2)"]),
+    "C7": (7, ["(0 1 2 3 4 5 6)"]),
+    "A5": (5, ["(0 1 2 3 4)", "(0 1 2)"]),
+    "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
+    "S4": (4, ["(0 1)", "(0 1 2 3)"]),
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_BLOCKS))
+def test_blocks_match_pinned_idempotents(name, p):
+    from sttlab.exactfield import field_make
+    from sttlab.permgroup import group_close, parse_cycles
+
+    degree, gens = PINNED_GROUPS[name]
+    group = group_close(degree, [parse_cycles(c, degree) for c in gens])
+    got = [("".join(str(int(c)) for c in b.coeffs), b.simple_labels)
+           for b in blocks(group, field_make(p, 1))]
+    assert got == PINNED_BLOCKS[(name, p)]
