@@ -87,10 +87,6 @@ class Block:
     simple_labels: tuple[str, ...]
     index: int
 
-    @property
-    def idempotent(self) -> Matrix:
-        return Matrix(self.field, self.coeffs[None, :].copy())
-
     def is_principal(self, simples: SimpleTable) -> bool:
         return simples.trivial_label() in self.simple_labels
 
@@ -246,7 +242,7 @@ def module_in_block(M: Rep, block: Block) -> bool:
     return action == Matrix.identity(M.field, M.dim)
 
 
-def block_of_module(M: Rep, block_list: list[Block], strict: bool = True):
+def block_of_module(M: Rep, block_list: list[Block]) -> Block:
     """The unique block acting as the identity on M."""
     if M.dim == 0:
         raise ValueError("the zero module lies in every block")
@@ -258,24 +254,19 @@ def block_of_module(M: Rep, block_list: list[Block], strict: bool = True):
                 raise AssertionError("two blocks act as identity")
             owner = b
         elif not action.is_zero():
-            if strict:
-                raise ValueError("module is spread over several blocks")
-            return None
-    if owner is None and strict:
+            raise ValueError("module is spread over several blocks")
+    if owner is None:
         raise ValueError("no block acts as the identity on the module")
     return owner
 
 
-def covering_blocks(B: Block, big: Group,
-                    big_blocks: Optional[list[Block]] = None,
-                    simples_big: Optional[SimpleTable] = None) -> list[Block]:
-    """Blocks of k(big) whose idempotent does not kill 1_B."""
+def covering_blocks(B: Block, big: Group, big_blocks: list[Block]) -> list[Block]:
+    """Blocks among big_blocks, the blocks of k(big), whose idempotent does
+    not kill 1_B."""
     T = transversal(big, B.group)
     if not T.normal:
         raise ValueError("covering requires a normal subgroup")
     f = B.field
-    if big_blocks is None:
-        big_blocks = blocks(big, f, simples=simples_big)
     eB = embed_subgroup_vector(B.group, big, f, B.coeffs)
     out = []
     for Bt in big_blocks:
@@ -300,19 +291,14 @@ def inertial_group(B: Block, big: Group) -> Group:
     return group_close(big.degree, gens)
 
 
-def fong_reynolds_block(B: Block, Btilde: Block,
-                        inertial: Optional[Group] = None,
-                        inertial_blocks: Optional[list[Block]] = None) -> Block:
+def fong_reynolds_block(B: Block, Btilde: Block) -> Block:
     """The block beta of k I(B) with 1_{Btilde} = sum_x x 1_beta x^-1 over
     a transversal of the inertial group, verified exactly."""
     big = Btilde.group
     f = B.field
-    if inertial is None:
-        inertial = inertial_group(B, big)
+    inertial = inertial_group(B, big)
     Tbig = transversal(big, inertial)
-    if inertial_blocks is None:
-        inertial_blocks = blocks(inertial, f)
-    candidates = covering_blocks(B, inertial, big_blocks=inertial_blocks)
+    candidates = covering_blocks(B, inertial, blocks(inertial, f))
     matches = []
     for beta in candidates:
         e_beta = embed_subgroup_vector(inertial, big, f, beta.coeffs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .blockdec import blocks
-from .exactfield import Field, Matrix, field_make
+from .exactfield import Field, Matrix, Scalar, field_make
 from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, ext_module, \
     induce, is_isomorphic, rep_make, trivial_rep
 from .meataxe import add_compare, simples_of
@@ -86,14 +86,6 @@ def _parse_scalar(tok: str, field: Field, where: str) -> int:
             raise InputError(f"{where}: coefficient {v} out of range for GF({field.p})")
         coeffs.append(v)
     return field.scalar(tuple(coeffs)).code
-
-
-def _format_scalar(code: int, field: Field) -> str:
-    c, rest = [], code
-    for _ in range(field.m):
-        c.append(rest % field.p)
-        rest //= field.p
-    return ":".join(str(x) for x in c)
 
 
 def parse_rep_file(path: str) -> tuple[Rep, Group, str]:
@@ -164,7 +156,7 @@ def write_rep_file(M: Rep, path: str, group_path: str):
         fh.write(f"dim {M.dim}\n")
         for mat in M.gen_mats:
             for r in range(M.dim):
-                fh.write(",".join(_format_scalar(int(v), f) for v in mat.a[r]) + "\n")
+                fh.write(",".join(str(Scalar(f, v)) for v in mat.a[r]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +324,17 @@ def cmd_induce(args, report: Report) -> int:
     return 0
 
 
-def cmd_mackey(args, report: Report) -> int:
+def _load_pair(args, report: Report) -> tuple[Rep, PairLab]:
+    """The module of --module and the PairLab of its group in --big."""
     M, G, _ = parse_rep_file(args.module)
     big = parse_group_file(args.big)
     report.add_input(args.module)
     report.add_input(args.big)
-    lab = PairLab(G, big, M.field, seed=args.seed)
+    return M, PairLab(G, big, M.field, seed=args.seed)
+
+
+def cmd_mackey(args, report: Report) -> int:
+    M, lab = _load_pair(args, report)
     ok = mackey_check(M, lab)
     report.verdict("mackey_res_ind_is_orbit", ok)
     return 0 if ok else 1
@@ -357,11 +354,7 @@ def cmd_blocks(args, report: Report) -> int:
 
 
 def cmd_thm1(args, report: Report) -> int:
-    M, G, _ = parse_rep_file(args.module)
-    big = parse_group_file(args.big)
-    report.add_input(args.module)
-    report.add_input(args.big)
-    lab = PairLab(G, big, M.field, seed=args.seed)
+    M, lab = _load_pair(args, report)
     v = check_theorem1(M, lab)
     report.verdict("lhs_ind_stt", v.lhs)
     report.verdict("rhs_rigid_and_orbit_stt", v.rhs)
@@ -372,11 +365,7 @@ def cmd_thm1(args, report: Report) -> int:
 
 
 def cmd_thm2(args, report: Report) -> int:
-    M, G, _ = parse_rep_file(args.module)
-    big = parse_group_file(args.big)
-    report.add_input(args.module)
-    report.add_input(args.big)
-    lab = PairLab(G, big, M.field, seed=args.seed)
+    M, lab = _load_pair(args, report)
     small_blocks = lab.side_blocks("small")
     big_blocks = lab.side_blocks("big")
     if not 0 <= args.block < len(small_blocks):
@@ -393,11 +382,7 @@ def cmd_thm2(args, report: Report) -> int:
 
 
 def cmd_remark(args, report: Report) -> int:
-    M, G, _ = parse_rep_file(args.module)
-    big = parse_group_file(args.big)
-    report.add_input(args.module)
-    report.add_input(args.big)
-    lab = PairLab(G, big, M.field, seed=args.seed)
+    M, lab = _load_pair(args, report)
     flags = remark_classify(M, lab)
     for key, val in flags.as_dict().items():
         report.verdict(f"in_{key}", val)

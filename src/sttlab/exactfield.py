@@ -573,7 +573,9 @@ def _kernel_from_rref(f: Field, R: np.ndarray, pivots: list[int]) -> np.ndarray:
     """Columns form a basis of ker(R) for R in reduced row echelon form."""
     ncols = R.shape[1]
     piv = np.asarray(pivots, dtype=np.intp)
-    free = np.setdiff1d(np.arange(ncols), piv)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     N = np.zeros((ncols, free.size), dtype=f.dtype)
     N[free, np.arange(free.size)] = 1
     N[piv] = f.NEG[R[: piv.size][:, free]]

@@ -277,39 +277,33 @@ def sub_rep(M: Rep, rows) -> Rep:
     return Rep(M.group, f, mats, dim=space.dim)
 
 
-def quotient_rep(M: Rep, rows) -> Rep:
-    """Action induced on the quotient by an invariant row space."""
-    f = M.field
-    space = _row_space(M, rows)
-    W, piv = space.matrix(), space.pivots
-    piv_set = set(piv)
-    comp = [c for c in range(M.dim) if c not in piv_set]
-    mats = []
-    for A in M.gen_mats:
-        B = A.a[:, comp]  # images of the complement basis vectors
-        red = B[comp, :]
-        if piv:
-            corr = _matmul(f, W[:, comp].T.copy(), B[piv, :])
-            red = f.arr_sub(red, corr)
-        mats.append(Matrix(f, red.copy()))
-    return Rep(M.group, f, mats, dim=len(comp))
-
-
-def quotient_projection(M: Rep, rows) -> Matrix:
-    """Matrix of the projection onto the quotient coordinates of quotient_rep."""
+def _projection(M: Rep, rows) -> tuple[np.ndarray, list[int]]:
+    """The projection P of M onto its quotient by an invariant row space W,
+    with the non-pivot columns of W, whose standard basis vectors map to
+    the quotient basis."""
     f = M.field
     space = _row_space(M, rows)
     W, piv = space.matrix(), space.pivots
     piv_set = set(piv)
     comp = [c for c in range(M.dim) if c not in piv_set]
     P = np.zeros((len(comp), M.dim), dtype=f.dtype)
-    for i, c in enumerate(comp):
-        P[i, c] = 1
-    if piv:
-        corr = np.zeros((len(comp), M.dim), dtype=f.dtype)
-        corr[:, piv] = W[:, comp].T
-        P = f.arr_sub(P, corr)
-    return Matrix(f, P)
+    P[np.arange(len(comp)), comp] = 1
+    # mod W, e_p is minus the non-pivot part of the row of W with pivot p
+    P[:, piv] = f.NEG[W[:, comp].T]
+    return P, comp
+
+
+def quotient_rep(M: Rep, rows) -> Rep:
+    """Action induced on the quotient by an invariant row space."""
+    f = M.field
+    P, comp = _projection(M, rows)
+    mats = [Matrix(f, _matmul(f, P, A.a[:, comp])) for A in M.gen_mats]
+    return Rep(M.group, f, mats, dim=len(comp))
+
+
+def quotient_projection(M: Rep, rows) -> Matrix:
+    """Matrix of the projection onto the quotient coordinates of quotient_rep."""
+    return Matrix(M.field, _projection(M, rows)[0])
 
 
 def is_invariant_subspace(M: Rep, rows) -> bool:
@@ -419,15 +413,20 @@ def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
     return [Matrix(f, x.reshape(dn, dm).copy()) for x in X]
 
 
-def hom_space(M: Rep, N: Rep) -> HomBasis:
-    """Basis of the intertwiners X with X @ rho_M(g) == rho_N(g) @ X."""
+def _check_common(M: Rep, N: Rep) -> None:
+    """ValueError unless M and N are modules over one group and one field."""
     if M.group is not N.group and (
         M.group.elements != N.group.elements
         or M.group.generators != N.group.generators
     ):
-        raise ValueError("hom space requires a common group")
+        raise ValueError("modules over different groups")
     if M.field != N.field:
-        raise ValueError("hom space requires a common field")
+        raise ValueError("modules over different fields")
+
+
+def hom_space(M: Rep, N: Rep) -> HomBasis:
+    """Basis of the intertwiners X with X @ rho_M(g) == rho_N(g) @ X."""
+    _check_common(M, N)
     if M.dim == 0 or N.dim == 0:
         return HomBasis(M, N, [])
     regime = _hom_spin if M.dim * N.dim >= _SPIN_MIN_UNKNOWNS else _hom_kron
@@ -486,6 +485,20 @@ def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:
     return IsoResult(False)
 
 
+def iso_class(M: Rep, reps: list[Rep]) -> Optional[tuple[int, Matrix]]:
+    """The first i with reps[i] isomorphic to M, with the witness X of
+    iso_indecomposable(M, reps[i]), or None; M and the reps must be
+    indecomposable.  Modules of another dimension are skipped before any
+    isomorphism test.  Kept out of __all__, the names perfbench/tracing.py
+    wraps, so its isomorphism tests are traced under its caller's span."""
+    for i, R in enumerate(reps):
+        if R.dim == M.dim:
+            iso = iso_indecomposable(M, R)
+            if iso:
+                return i, iso.witness
+    return None
+
+
 def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
     """Isomorphism test with an exactly verified witness on success.
 
@@ -493,13 +506,7 @@ def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
     verdict is settled through the Krull-Schmidt decompositions, so a
     negative answer is certified rather than guessed.
     """
-    if M.group is not N.group and (
-        M.group.elements != N.group.elements
-        or M.group.generators != N.group.generators
-    ):
-        raise ValueError("isomorphism test requires a common group")
-    if M.field != N.field:
-        raise ValueError("isomorphism test requires a common field")
+    _check_common(M, N)
     if M.dim != N.dim:
         return IsoResult(False)
     if M.dim == 0:

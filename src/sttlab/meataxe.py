@@ -7,8 +7,8 @@ come from Fitting splits along random endomorphisms.  Before any attempt,
 a piece is certified indecomposable if its endomorphism algebra is k.1 + N
 with N a nilpotent ideal; only when that and the Fitting attempts fail is
 the Jacobson radical computed, for the deterministic split off End/J.
-Everything randomized takes a seed and a budget and raises
-InconclusiveError instead of ever guessing.
+Everything randomized takes a seed, runs on the fixed budget BUDGET (not a
+parameter) and raises InconclusiveError instead of ever guessing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .grouprep import (
     InconclusiveError,
     Rep,
     hom_space,
-    iso_indecomposable,
+    iso_class,
     quotient_rep,
     regular_rep,
     spin,
@@ -67,8 +67,8 @@ __all__ = [
     "lift_idempotent",
 ]
 
-DEFAULT_BUDGET = 64
-DEFAULT_WORD_LEN = 12
+BUDGET = 64  # random attempts per irreducibility test or decomposition
+WORD_LEN = 12  # longest generator word in a random algebra element
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +145,29 @@ def _is_irreducible_raw(f: Field, mats, dim: int, seed: int, budget: int,
                     return False, W
             # every kernel vector spins to the whole space but the nullity
             # is too big for Norton's converse; try another element
-    raise InconclusiveError(
-        "irreducibility test exhausted its randomization budget; "
-        "raise the budget or the word length"
-    )
+    raise InconclusiveError("irreducibility test exhausted its randomization budget")
 
 
-def is_irreducible(M: Rep, seed: int = 0, budget: int = DEFAULT_BUDGET,
-                   max_word: int = DEFAULT_WORD_LEN) -> IrredResult:
+def is_irreducible(M: Rep, seed: int = 0) -> IrredResult:
     mats = [g.a for g in M.gen_mats]
-    ok, rows = _is_irreducible_raw(M.field, mats, M.dim, seed, budget, max_word)
+    ok, rows = _is_irreducible_raw(M.field, mats, M.dim, seed, BUDGET, WORD_LEN)
     return IrredResult(ok, None if rows is None else Matrix(M.field, rows))
 
 
 # ---------------------------------------------------------------------------
 # composition series
 
-def composition_factors(M: Rep, seed: int = 0, budget: int = DEFAULT_BUDGET) -> list[Rep]:
+def composition_factors(M: Rep, seed: int = 0) -> list[Rep]:
     """Irreducible subquotients of M, socle side first within each split."""
     if M.dim == 0:
         return []
-    res = is_irreducible(M, seed=seed, budget=budget)
+    res = is_irreducible(M, seed=seed)
     if res.irreducible:
         return [M]
     W = res.submodule
     inner = sub_rep(M, W)
     outer = quotient_rep(M, W)
-    return composition_factors(inner, seed, budget) + composition_factors(outer, seed, budget)
+    return composition_factors(inner, seed) + composition_factors(outer, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +185,10 @@ class SimpleTable:
         return len(self.simples)
 
     def label_of(self, S: Rep) -> str:
-        for T, lab in zip(self.simples, self.labels):
-            if T.dim == S.dim and iso_indecomposable(S, T):
-                return lab
-        raise ValueError("module does not match any simple in the table")
+        hit = iso_class(S, self.simples)
+        if hit is None:
+            raise ValueError("module does not match any simple in the table")
+        return self.labels[hit[0]]
 
     def trivial_label(self) -> str:
         for S, lab in zip(self.simples, self.labels):
@@ -201,26 +197,22 @@ class SimpleTable:
         raise ValueError("no trivial module in the table")  # pragma: no cover
 
 
-def simples_of(group: Group, field: Field, seed: int = 0,
-               budget: int = DEFAULT_BUDGET) -> SimpleTable:
+def simples_of(group: Group, field: Field, seed: int = 0) -> SimpleTable:
     """All simple modules, found as composition factors of the regular
     module and labelled in discovery order."""
     reg = regular_rep(group, field)
     found: list[Rep] = []
-    for F in composition_factors(reg, seed=seed, budget=budget):
-        if not any(F.dim == S.dim and iso_indecomposable(F, S) for S in found):
+    for F in composition_factors(reg, seed=seed):
+        if iso_class(F, found) is None:
             found.append(F)
     labels = [f"S{i + 1}" for i in range(len(found))]
     return SimpleTable(group=group, field=field, simples=found, labels=labels)
 
 
-def chop(M: Rep, table: Optional[SimpleTable] = None, seed: int = 0,
-         budget: int = DEFAULT_BUDGET) -> Counter:
+def chop(M: Rep, table: SimpleTable, seed: int = 0) -> Counter:
     """Composition factor multiset of M as a Counter over simple labels."""
-    if table is None:
-        table = simples_of(M.group, M.field, seed=seed, budget=budget)
     out: Counter = Counter()
-    for F in composition_factors(M, seed=seed, budget=budget):
+    for F in composition_factors(M, seed=seed):
         out[table.label_of(F)] += 1
     return out
 
@@ -265,9 +257,6 @@ class Decomposition:
     pieces: list[tuple[Matrix, int]]          # (row basis in M coords, class idx)
     witness: Matrix                           # conjugates M into the block form
 
-    def class_reps(self) -> list[Rep]:
-        return [rep for rep, _ in self.summands]
-
 
 def _coordinate_slice(M: Rep, lo: int, hi: int) -> Rep:
     f = M.field
@@ -305,7 +294,7 @@ def _fitting_split(rep: Rep, theta: Matrix, rng):
     return parts
 
 
-def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
+def _decompose_rec(rep: Rep, rows: Matrix, seed: int):
     """Returns a list of (rows in the original module, indecomposable Rep)."""
     f = rep.field
     if rep.dim == 0:
@@ -316,7 +305,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
         for d in rep.block_dims:
             piece = _coordinate_slice(rep, off, off + d)
             sel = Matrix(f, rows.a[off:off + d].copy())
-            out.extend(_decompose_rec(piece, sel, seed, budget))
+            out.extend(_decompose_rec(piece, sel, seed))
             off += d
         return out
     end = hom_space(rep, rep)
@@ -328,7 +317,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
         for part in parts:
             piece = sub_rep(rep, part)
             lifted = Matrix(f, (part @ rows).a)
-            out.extend(_decompose_rec(piece, lifted, seed, budget))
+            out.extend(_decompose_rec(piece, lifted, seed))
         return out
 
     # A split local End has only primary minimal polynomials, so no Fitting
@@ -336,7 +325,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
     if _is_split_local(end.basis):
         return [(rows, rep)]
     rng = random.Random(seed)
-    for _ in range(min(budget, 8)):
+    for _ in range(8):
         theta = _random_combo(f, end.basis, rng)
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
@@ -349,14 +338,14 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int, budget: int):
     split = _semisimple_quotient_split(rep, end.basis, J, rng)
     if split is not None:
         return recurse(split)
-    for _ in range(budget):
+    for _ in range(BUDGET):
         theta = _random_combo(f, end.basis, rng)
         parts = _fitting_split(rep, theta, rng)
         if parts is not None:
             return recurse(parts)
     raise InconclusiveError(
         "decomposition stalled: endomorphism algebra is not local but no "
-        "splitting element was found; extend the field or raise the budget"
+        "splitting element was found; extend the field"
     )
 
 
@@ -507,34 +496,28 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
                                 np.eye(rep.dim, dtype=f.dtype))
     if z is None:
         return None
-    return _fitting_split(rep, Matrix(f, z), random.Random(0))
+    return _fitting_split(rep, Matrix(f, z), rng)
 
 
-def decompose(M: Rep, seed: int = 0, budget: int = DEFAULT_BUDGET) -> Decomposition:
+def decompose(M: Rep, seed: int = 0) -> Decomposition:
     """Full Krull-Schmidt decomposition with a verified change of basis."""
     f = M.field
-    leaves = _decompose_rec(M, Matrix.identity(f, M.dim), seed, budget)
+    leaves = _decompose_rec(M, Matrix.identity(f, M.dim), seed)
     class_reps: list[Rep] = []
-    grouped: list[list[tuple[Matrix, Rep]]] = []
+    grouped: list[list[Matrix]] = []
     for rows, leaf in leaves:
-        placed = False
-        for ci, rep0 in enumerate(class_reps):
-            if rep0.dim == leaf.dim:
-                iso = iso_indecomposable(leaf, rep0)
-                if iso:
-                    X = iso.witness
-                    adj = Matrix(f, (X.inverse().T @ Matrix(f, rows.a)).a)
-                    grouped[ci].append((adj, rep0))
-                    placed = True
-                    break
-        if not placed:
+        hit = iso_class(leaf, class_reps)
+        if hit is None:
             class_reps.append(leaf)
-            grouped.append([(rows, leaf)])
+            grouped.append([rows])
+        else:
+            ci, X = hit
+            grouped[ci].append(X.inverse().T @ rows)
     summands = [(rep0, len(group)) for rep0, group in zip(class_reps, grouped)]
     pieces: list[tuple[Matrix, int]] = []
     stack = []
     for ci, group in enumerate(grouped):
-        for rows, _rep in group:
+        for rows in group:
             pieces.append((rows, ci))
             stack.append(rows.a)
     if stack:
@@ -552,21 +535,15 @@ def match_decompositions(dm: Decomposition, dn: Decomposition):
         return None
     if len(dm.summands) != len(dn.summands):
         return None
-    used = [False] * len(dn.summands)
+    # the classes of dn are pairwise non-isomorphic, so each class of dm
+    # matches at most one of them, and distinct classes distinct ones
+    reps_n = [rep_n for rep_n, _ in dn.summands]
     matching = []
     for i, (rep_m, mult_m) in enumerate(dm.summands):
-        found = False
-        for j, (rep_n, mult_n) in enumerate(dn.summands):
-            if used[j] or mult_m != mult_n or rep_m.dim != rep_n.dim:
-                continue
-            iso = iso_indecomposable(rep_m, rep_n)
-            if iso:
-                used[j] = True
-                matching.append((i, j, iso.witness))
-                found = True
-                break
-        if not found:
+        hit = iso_class(rep_m, reps_n)
+        if hit is None or dn.summands[hit[0]][1] != mult_m:
             return None
+        matching.append((i, *hit))
     return matching
 
 
@@ -714,12 +691,7 @@ def add_compare(M: Rep, N: Rep, seed: int = 0) -> AddCompare:
     dn = decompose(N, seed=seed)
 
     def classes_contained(a: Decomposition, b: Decomposition) -> bool:
-        for rep_a, _ in a.summands:
-            if not any(
-                rep_a.dim == rep_b.dim and iso_indecomposable(rep_a, rep_b)
-                for rep_b, _ in b.summands
-            ):
-                return False
-        return True
+        reps_b = [rep_b for rep_b, _ in b.summands]
+        return all(iso_class(rep_a, reps_b) is not None for rep_a, _ in a.summands)
 
     return AddCompare(leq=classes_contained(dm, dn), geq=classes_contained(dn, dm))

@@ -23,7 +23,7 @@ from .grouprep import (
     direct_sum,
     dual_rep,
     hom_space,
-    iso_indecomposable,
+    iso_class,
     quotient_projection,
     quotient_rep,
     regular_rep,
@@ -63,10 +63,6 @@ class PimTable:
     pims: list[Rep]            # aligned with simples.labels
     cover_maps: list[Matrix]   # surjection P_i -> S_i
 
-    @property
-    def count(self) -> int:
-        return len(self.pims)
-
 
 class Tables:
     """Shared simple-module and projective data for one (group, field)."""
@@ -101,16 +97,15 @@ def pims(group: Group, field: Field, seed: int = 0,
     cover_by_label: dict[str, Matrix] = {}
     for P, mult in dec.summands:
         rt = radical_top(P, simples)
-        top = rt.top
-        label = simples.label_of(top)
+        hit = iso_class(rt.top, simples.simples)
+        if hit is None:
+            raise AssertionError("top of a projective matches no simple")
+        label = simples.labels[hit[0]]
         if label in pim_by_label:
             raise AssertionError("two projective classes share a top")
         # surjection P -> S_i: top projection followed by the matching iso
-        iso = iso_indecomposable(top, simples.simples[simples.labels.index(label)])
-        if not iso:
-            raise AssertionError("top does not match its own label")
         proj = quotient_projection(P, rt.radical_rows)
-        cover_by_label[label] = iso.witness @ proj
+        cover_by_label[label] = hit[1] @ proj
         pim_by_label[label] = P
         mult_by_label[label] = mult
     if set(pim_by_label) != set(simples.labels):
@@ -343,9 +338,9 @@ class SttCertificate:
 
 
 def is_tau_rigid(M: Rep, tables: Tables, seed: int = 0) -> SttCertificate:
-    """Partial certificate carrying the rigidity verdict only."""
-    return _certify(M, tables, scope=tuple(tables.simples.labels), seed=seed,
-                    want_stt=False)
+    """The support tau-tilting certificate over all simples, read for its
+    rigidity verdict."""
+    return is_stt(M, tables, seed=seed)
 
 
 def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
@@ -353,40 +348,25 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
     m + z = n over the scope (all simples, or one block's simples)."""
     if block is not None:
         scope = tuple(block.simple_labels)
-        if M.dim > 0:
-            if not blockdec.module_in_block(M, block):
-                raise ValueError("module does not lie in the given block")
+        if not blockdec.module_in_block(M, block):
+            raise ValueError("module does not lie in the given block")
     else:
         scope = tuple(tables.simples.labels)
-    return _certify(M, tables, scope=scope, seed=seed, want_stt=True)
-
-
-def _certify(M: Rep, tables: Tables, scope: tuple[str, ...], seed: int,
-             want_stt: bool) -> SttCertificate:
-    f = M.field
     dec = decompose(M, seed=seed)
     class_taus = [tau(rep, tables) for rep, _ in dec.summands]
-    rigid = True
-    for rep_i, _ in dec.summands:
-        for t_j in class_taus:
-            if t_j.dim and rep_i.dim and hom_space(rep_i, t_j).dim:
-                rigid = False
-                break
-        if not rigid:
-            break
+    rigid = not any(t_j.dim and rep_i.dim and hom_space(rep_i, t_j).dim
+                    for rep_i, _ in dec.summands for t_j in class_taus)
     tau_parts = []
     for (rep_j, mult), t_j in zip(dec.summands, class_taus):
         if t_j.dim:
             tau_parts.extend([t_j] * mult)
-    tau_M = direct_sum(tau_parts, group=M.group, field=f)
+    tau_M = direct_sum(tau_parts, group=M.group, field=M.field)
     support = set()
     for rep_j, _ in dec.summands:
         support.update(tables.chop(rep_j).keys())
     cosupport = tuple(lab for lab in scope if lab not in support)
     m = len(dec.summands)
-    z = len(cosupport)
-    n = len(scope)
-    stt = rigid and (m + z == n)
+    stt = rigid and (m + len(cosupport) == len(scope))
     return SttCertificate(
         module=M,
         tau=tau_M,

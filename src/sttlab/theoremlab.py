@@ -19,7 +19,7 @@ from .blockdec import Block, block_of_module, blocks, covering_blocks, \
     inertial_group, module_in_block
 from .exactfield import Field
 from .grouprep import Rep, conjugate_rep, direct_sum, ext_module, hom_space, induce, \
-    iso_indecomposable, restrict
+    iso_class, restrict
 from .meataxe import decompose
 from .permgroup import Group, Transversal, transversal
 from .taucalc import Tables, ext1, syzygy, tau
@@ -81,6 +81,18 @@ class RemarkFlags:
         }
 
 
+def _push(classes: Counter, image) -> Counter:
+    """The class multiset sum of mult * image(cid) over classes, where
+    image maps a class id to a Counter.  Keys come in order of first
+    appearance, class id outermost: stt_counts and new registrations
+    depend on that order."""
+    out: Counter = Counter()
+    for cid, mult in classes.items():
+        for cj, mj in image(cid).items():
+            out[cj] += mult * mj
+    return out
+
+
 class PairLab:
     """Shared context for one pair G normal in Gtilde over one field."""
 
@@ -112,9 +124,9 @@ class PairLab:
 
     def register(self, rep: Rep, side: str) -> int:
         """Class id of an indecomposable module, adding it when new."""
-        for cid, R in enumerate(self._classes[side]):
-            if R.dim == rep.dim and iso_indecomposable(rep, R):
-                return cid
+        hit = iso_class(rep, self._classes[side])
+        if hit is not None:
+            return hit[0]
         self._classes[side].append(rep)
         return len(self._classes[side]) - 1
 
@@ -184,13 +196,9 @@ class PairLab:
                       rep_indices: Optional[list[int]] = None) -> Counter:
         """Classes of the direct sum of conjugates over coset representatives."""
         if rep_indices is None:
-            rep_indices = list(range(len(self.trans.reps)))
-        out: Counter = Counter()
-        for cid, mult in counter.items():
-            for ri in rep_indices:
-                for cj, mj in self.conj_classes(cid, ri).items():
-                    out[cj] += mult * mj
-        return out
+            rep_indices = range(len(self.trans.reps))
+        return _push(counter, lambda cid: sum(
+            (self.conj_classes(cid, ri) for ri in rep_indices), Counter()))
 
     # -- blocks -------------------------------------------------------------
     def side_blocks(self, side: str) -> list[Block]:
@@ -237,17 +245,8 @@ class PairLab:
         if scope is None:
             scope = tuple(tables.simples.labels)
         m = len(counter)
-        rigid = True
-        for ci in counter:
-            for cj in counter:
-                for ct in self.tau_classes(side, cj):
-                    if self.homdim(side, ci, ct):
-                        rigid = False
-                        break
-                if not rigid:
-                    break
-            if not rigid:
-                break
+        rigid = not any(self.homdim(side, ci, ct) for ci in counter
+                        for cj in counter for ct in self.tau_classes(side, cj))
         support = set()
         for cid in counter:
             support.update(self.chop_class(side, cid).keys())
@@ -272,34 +271,19 @@ def orbit_module(M: Rep, big: Group, T: Optional[Transversal] = None) -> Rep:
 def is_invariant(M: Rep, lab: PairLab) -> bool:
     """True when every conjugate by a coset representative is isomorphic to M."""
     classes = lab.classes_of(M, "small")
-    for ri in range(1, len(lab.trans.reps)):
-        conj: Counter = Counter()
-        for cid, mult in classes.items():
-            for cj, mj in lab.conj_classes(cid, ri).items():
-                conj[cj] += mult * mj
-        if conj != classes:
-            return False
-    return True
+    return all(lab.orbit_classes(classes, [ri]) == classes
+               for ri in range(1, len(lab.trans.reps)))
 
 
 def mackey_check(M: Rep, lab: PairLab) -> bool:
     """Res Ind M isomorphic to the orbit sum of M (always expected true)."""
     classes = lab.classes_of(M, "small")
-    lhs: Counter = Counter()
-    for cid, mult in classes.items():
-        for cj, mj in lab.res_ind_classes(cid).items():
-            lhs[cj] += mult * mj
-    rhs = lab.orbit_classes(classes)
-    return lhs == rhs
+    return _push(classes, lab.res_ind_classes) == lab.orbit_classes(classes)
 
 
 def check_theorem1_classes(classes: Counter, lab: PairLab) -> TheoremVerdict:
     """check_theorem1 on a Krull-Schmidt class multiset."""
-    ind: Counter = Counter()
-    for cid, mult in classes.items():
-        for cj, mj in lab.ind_classes(cid).items():
-            ind[cj] += mult * mj
-    lhs_counts = lab.stt_counts(ind, "big")
+    lhs_counts = lab.stt_counts(_push(classes, lab.ind_classes), "big")
     rigid_counts = lab.stt_counts(classes, "small")
     orbit_counts = lab.stt_counts(lab.orbit_classes(classes), "small")
     rhs = rigid_counts.rigid and orbit_counts.stt
@@ -323,16 +307,13 @@ def check_theorem1(M: Rep, lab: PairLab) -> TheoremVerdict:
 def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
                            lab: PairLab) -> TheoremVerdict:
     """check_theorem2 on a Krull-Schmidt class multiset inside block B."""
-    cover = covering_blocks(B, lab.big, big_blocks=lab.side_blocks("big"))
+    cover = covering_blocks(B, lab.big, lab.side_blocks("big"))
     if Btilde.index not in [b.index for b in cover]:
         raise ValueError("the big block does not cover the small block")
     for cid in classes:
         if lab.class_block("small", cid) != B.index:
             raise ValueError("module does not lie in the given block")
-    ind: Counter = Counter()
-    for cid, mult in classes.items():
-        for cj, mj in lab.ind_classes(cid).items():
-            ind[cj] += mult * mj
+    ind = _push(classes, lab.ind_classes)
     cut = Counter({cj: mj for cj, mj in ind.items()
                    if lab.class_block("big", cj) == Btilde.index})
     lhs_counts = lab.stt_counts(cut, "big", scope=Btilde.simple_labels)
@@ -360,27 +341,20 @@ def check_theorem2(M: Rep, B: Block, Btilde: Block, lab: PairLab) -> TheoremVerd
     return check_theorem2_classes(lab.classes_of(M, "small"), B, Btilde, lab)
 
 
-def remark_classify(M: Rep, lab: PairLab, B: Optional[Block] = None,
-                    Btilde: Optional[Block] = None) -> RemarkFlags:
+def remark_classify(M: Rep, lab: PairLab) -> RemarkFlags:
     """Membership flags for the four separation sets (rigid/stt at group
-    and block level); containment of the stt sets in the rigid sets is
-    enforced as a hard error."""
+    level, and at the level of the block of M); containment of the stt
+    sets in the rigid sets is enforced as a hard error."""
     classes = lab.classes_of(M, "small")
     counts = lab.stt_counts(classes, "small")
     rigid, stt_self = counts.rigid, counts.stt
     orbit_ok = lab.stt_counts(lab.orbit_classes(classes), "small").stt
     in_rig_group = rigid and orbit_ok
     in_sta_group = stt_self and orbit_ok
-    if B is None:
-        if M.dim == 0:
-            B = lab.side_blocks("small")[0]
-        else:
-            B = block_of_module(M, lab.side_blocks("small"))
-    if Btilde is None:
-        cover = covering_blocks(B, lab.big, big_blocks=lab.side_blocks("big"))
-        if len(cover) != 1:
-            raise ValueError("covering block is ambiguous; pass it explicitly")
-        Btilde = cover[0]
+    if M.dim == 0:
+        B = lab.side_blocks("small")[0]
+    else:
+        B = block_of_module(M, lab.side_blocks("small"))
     rep_indices = lab.inertial_rep_indices(B)
     orbit_b = lab.orbit_classes(classes, rep_indices)
     scope_b = B.simple_labels
@@ -409,10 +383,10 @@ class CorpusEntry:
     classes: Counter
 
 
-def build_corpus(lab: PairLab, max_sum: int = 3) -> list[CorpusEntry]:
+def build_corpus(lab: PairLab) -> list[CorpusEntry]:
     """Deterministic module corpus: every indecomposable class discovered
     from simples, projectives, double syzygies, stacked extensions and
-    their orbit sums, then all direct sums of up to max_sum distinct
+    their orbit sums, then all direct sums of up to three distinct
     classes (the zero module is the empty sum)."""
     tables = lab.tables["small"]
     pool: list[int] = []
@@ -444,7 +418,7 @@ def build_corpus(lab: PairLab, max_sum: int = 3) -> list[CorpusEntry]:
         note(lab.orbit_classes(Counter({cid: 1})))
     pool.sort()
     out = [CorpusEntry(name="0", classes=Counter())]
-    for r in range(1, max_sum + 1):
+    for r in range(1, 4):
         for combo in itertools.combinations(pool, r):
             name = "+".join(f"C{c}" for c in combo)
             out.append(CorpusEntry(name=name, classes=Counter(combo)))

@@ -252,3 +252,15 @@ def test_example_a4s4_deterministic():
     _, out1 = run_cli(["example-a4s4", "--format", "json"])
     _, out2 = run_cli(["example-a4s4", "--format", "json"])
     assert out1 == out2
+
+
+def test_cmd_remark_with_several_covering_blocks(tmp_path):
+    """kC2 has one block, covered by all three blocks of kC6 over GF(4)."""
+    (tmp_path / "c2.grp").write_text("degree 5\n(0 1)\n")
+    (tmp_path / "c6.grp").write_text("degree 5\n(0 1)\n(2 3 4)\n")
+    rep = tmp_path / "k_c2.rep"
+    rep.write_text("field 2 2\ngroup c2.grp\ndim 1\n1:0\n")
+    status, out = run_cli(["remark", "--module", str(rep),
+                           "--big", str(tmp_path / "c6.grp")])
+    assert status == 0
+    assert "in_rig_group = False" in out and "in_sta_block = False" in out

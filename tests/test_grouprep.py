@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttlab.exactfield import Matrix, _nullspace, field_make
+from sttlab import grouprep
+from sttlab.exactfield import Matrix, _nullspace, field_make, rank
 from sttlab.grouprep import (
     Rep,
     _hom_kron,
@@ -17,6 +18,7 @@ from sttlab.grouprep import (
     hom_space,
     induce,
     is_isomorphic,
+    iso_class,
     regular_rep,
     rep_make,
     restrict,
@@ -398,3 +400,51 @@ def test_hom_space_end_of_regular_s4xc2_matches_oracle():
     assert len(want) == 48
     assert hom_space(reg, reg).basis == want
     assert _hom_spin(reg, reg) == want
+
+
+# ---------------------------------------------------------------------------
+# the class lookup
+
+
+def _conjugated(M, P):
+    """The module isomorphic to M by the change of basis P."""
+    mats = [P @ A @ P.inverse() for A in M.gen_mats]
+    return Rep(M.group, M.field, mats, dim=M.dim)
+
+
+def test_iso_class_returns_index_and_intertwiner(cast, a4_tables, f4):
+    M = _conjugated(cast.kS, Matrix.from_rows(f4, [[1, 1], [0, 1]]))
+    reps = a4_tables.simples.simples + [cast.kS]
+    i, X = iso_class(M, reps)
+    assert i == len(reps) - 1
+    assert rank(X) == X.rows == M.dim
+    for Am, Ar in zip(M.gen_mats, reps[i].gen_mats):
+        assert (X @ Am) == (Ar @ X)
+    assert iso_class(cast.k, reps)[0] == a4_tables.simples.labels.index(cast.k_label)
+
+
+def test_iso_class_returns_first_match(cast, f4):
+    twin = _conjugated(cast.kS, Matrix.from_rows(f4, [[0, 1], [1, 0]]))
+    reps = [cast.S, cast.T, cast.kS, twin]
+    assert iso_class(cast.kS, reps)[0] == 2
+    assert iso_class(twin, reps)[0] == 2
+
+
+def test_iso_class_none_without_match(cast, a4_tables):
+    assert iso_class(cast.kT, a4_tables.simples.simples + [cast.kS]) is None
+    assert iso_class(cast.k, []) is None
+
+
+def test_iso_class_skips_other_dimensions(cast, monkeypatch):
+    calls = []
+    real = grouprep.iso_indecomposable
+
+    def counted(M, N):
+        calls.append((M.dim, N.dim))
+        return real(M, N)
+
+    monkeypatch.setattr(grouprep, "iso_indecomposable", counted)
+    assert iso_class(cast.kS, [cast.k, cast.S, cast.T]) is None
+    assert calls == []
+    assert iso_class(cast.S, [cast.kS, cast.k, cast.kT, cast.T]) is None
+    assert calls == [(1, 1), (1, 1)]

@@ -287,3 +287,19 @@ def test_pair_lab_requires_normal(a4, f4):
     c2 = group_close(4, [parse_cycles("(0 1)", 4)])
     with pytest.raises(ValueError):
         PairLab(c2, s4, f4)
+
+
+def test_remark_classify_with_several_covering_blocks():
+    """C2 = <(0 1)> is normal in C6 = <(0 1), (2 3 4)>; over GF(4) kC2 has
+    one block and all three blocks of kC6 cover it.  The trivial module is
+    its own tau (Omega k = k over kC2), so it is not tau-rigid and every
+    flag is False."""
+    f4 = field_make(2, 2)
+    c2 = group_close(5, [parse_cycles("(0 1)", 5)])
+    c6 = group_close(5, [parse_cycles("(0 1)", 5), parse_cycles("(2 3 4)", 5)])
+    lab = PairLab(c2, c6, f4)
+    (B,) = lab.side_blocks("small")
+    assert len(covering_blocks(B, c6, lab.side_blocks("big"))) == 3
+    flags = remark_classify(trivial_rep(c2, f4), lab)
+    assert flags.as_dict() == {"rig_group": False, "sta_group": False,
+                               "rig_block": False, "sta_block": False}
