@@ -452,10 +452,11 @@ class Matrix:
 # raw ndarray kernels
 #
 # Products take one of two exact regimes, chosen by field and shape alone.
-# Over characteristic 2 a product of at most _GATHER_LIMIT scalar products
-# is one table gather followed by an XOR reduction (adding codes is XOR).
-# Everything else runs on base-p coefficient planes in float64 BLAS, which
-# is exact while every accumulated sum stays below 2^53.
+# Over GF(2^m) with m > 1 a product of at most _GATHER_LIMIT scalar
+# products is one table gather followed by an XOR reduction (adding codes is
+# XOR).  Everything else, GF(2) at every shape included, runs on base-p
+# coefficient planes in float64 BLAS, which is exact while every accumulated
+# sum stays below 2^53.
 
 _GATHER_LIMIT = 1 << 15
 _EXACT_FLOAT = 1 << 53
@@ -477,7 +478,7 @@ def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError("matmul dimension mismatch")
     if n == 0 or k == 0 or r == 0:
         return np.zeros((n, k), dtype=f.dtype)
-    if f.p == 2 and n * r * k <= _GATHER_LIMIT:
+    if f.p == 2 and f.m > 1 and n * r * k <= _GATHER_LIMIT:
         return np.bitwise_xor.reduce(f.MUL[A[:, :, None], B[None, :, :]], axis=1)
     p, m = f.p, f.m
     if r * m * (p - 1) ** 2 >= _EXACT_FLOAT:
@@ -511,7 +512,7 @@ def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -520,7 +521,7 @@ def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pv = int(R[r, c])
         if pv != 1:
             R[r, c:] = MUL[INV[pv], R[r, c:]]
-        rows = np.flatnonzero(R[:, c])
+        rows = R[:, c].nonzero()[0]
         rows = rows[rows != r]
         if rows.size:
             if f.p == 2:
@@ -546,7 +547,7 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
             break
         w, bit = divmod(c, 64)
         col = (W[:, w] >> np.uint64(bit)) & np.uint64(1)
-        nz = np.flatnonzero(col[r:])
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -554,7 +555,7 @@ def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
             W[[r, piv]] = W[[piv, r]]
             col[[r, piv]] = col[[piv, r]]
         col[r] = 0
-        rows = np.flatnonzero(col)
+        rows = col.nonzero()[0]
         if rows.size:
             W[rows, w:] ^= W[r, w:]
         pivots.append(c)
@@ -686,46 +687,6 @@ class RowSpace:
         return self.rows[np.argsort(self.pivots)]
 
 
-class _EchelonTracker:
-    """Echelonised row collection that reports dependencies with coefficients.
-
-    add(v) returns None when v enlarges the span, else the coefficient vector
-    expressing v in terms of the previously added (original) rows.
-    """
-
-    def __init__(self, field: Field):
-        self.f = field
-        self.rows: list[np.ndarray] = []
-        self.combos: list[np.ndarray] = []
-        self.pivots: list[int] = []
-        self.count = 0
-
-    def add(self, v: np.ndarray):
-        f = self.f
-        r = v.astype(f.dtype).copy()
-        combo = np.zeros(self.count + 1, dtype=f.dtype)
-        combo[self.count] = 1
-        for row, crow, p in zip(self.rows, self.combos, self.pivots):
-            c = int(r[p])
-            if c:
-                r = f.arr_sub(r, f.MUL[c, row])
-                combo[: len(crow)] = f.arr_sub(combo[: len(crow)], f.MUL[c, crow])
-        self.count += 1
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return combo
-        p = int(nz[0])
-        pc = int(r[p])
-        if pc != 1:
-            inv = f.inv(pc)
-            r = f.MUL[inv, r]
-            combo = f.MUL[inv, combo]
-        self.rows.append(r)
-        self.combos.append(combo)
-        self.pivots.append(p)
-        return None
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over the field (codes, little-endian)
 
@@ -843,11 +804,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def lcm(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        return ((self * other) // self.gcd(other)).monic()
-
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         result = Poly.one(self.field)
         base = self % mod
@@ -877,13 +833,15 @@ class Poly:
         return Poly(f, out)
 
     def eval_matrix(self, A: Matrix) -> Matrix:
+        """The matrix self(A), by Horner's rule."""
         f = self.field
-        n = A.rows
-        acc = Matrix.zeros(f, n, n)
-        eye = Matrix.identity(f, n)
-        for coef in reversed(self.c):
-            acc = (acc @ A) + eye.scale(coef)
-        return acc
+        acc = np.zeros(A.shape, dtype=f.dtype)
+        d = np.arange(A.rows)
+        for i, coef in enumerate(reversed(self.c)):
+            if i:
+                acc = _matmul(f, acc, A.a)
+            acc[d, d] = f.ADD[acc[d, d], coef]
+        return Matrix(f, acc)
 
     def __repr__(self):
         if self.is_zero():
@@ -984,70 +942,109 @@ def factor(f: Poly, rng) -> list[tuple[Poly, int]]:
 # ---------------------------------------------------------------------------
 
 def charpoly(A: Matrix) -> Poly:
-    """Monic characteristic polynomial, as the product of the relative
-    minimal polynomials along a cyclic Krylov chain decomposition."""
+    """Monic characteristic polynomial.
+
+    A is conjugated to an upper Hessenberg matrix H whose subdiagonal entries
+    are 0 or 1, one elimination step per column, and det(t - H) is read off
+    the recurrence on its leading principal minors (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2.4): p_0 = 1 and
+        p_m = t p_(m-1) - sum_(i<=m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1),
+    where the products are 1 back to the last zero on the subdiagonal.
+    Certificate: the coefficient of t^(n-1) is -trace(A), read off A itself.
+    """
     if not A.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     f = A.field
     n = A.rows
-    if n == 0:
-        return Poly.one(f)
-    tracker = _EchelonTracker(f)
-    total = Poly.one(f)
-    for start in range(n):
-        e = np.zeros(n, dtype=f.dtype)
-        e[start] = 1
-        chain_base = tracker.count
-        v = e
-        chain_len = 0
-        while True:
-            dep = tracker.add(v.copy())
-            if dep is not None:
-                if chain_len == 0:
-                    break  # start vector already covered
-                rel = [int(dep[chain_base + j]) for j in range(chain_len)] + [1]
-                total = total * Poly(f, rel)
-                break
-            chain_len += 1
-            v = _matmul(f, A.a, v[:, None])[:, 0]
-        if total.degree == n:
-            break
-    if total.degree != n:
-        raise AssertionError("characteristic polynomial has the wrong degree")
+    H = A.a.copy()
+    for j in range(n - 1):
+        nz = H[j + 1:, j].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = j + 1 + int(nz[0])
+        if i != j + 1:  # conjugate by the transposition of i and j + 1
+            H[[i, j + 1]] = H[[j + 1, i]]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        h = int(H[j + 1, j])
+        if h != 1:  # conjugate by the diagonal matrix with h at j + 1
+            H[j + 1] = f.MUL[f.inv(h), H[j + 1]]
+            H[:, j + 1] = f.MUL[h, H[:, j + 1]]
+        if nz.size > 1:
+            # conjugate by I + sum_i u_i E_(i, j+1): the rows clear column j
+            # below the subdiagonal, the columns fold back into column j + 1
+            u = H[j + 2:, j].copy()
+            H[j + 2:, j:] = f.arr_sub(H[j + 2:, j:], f.MUL[u[:, None], H[j + 1, j:]])
+            H[:, j + 1] = f.arr_add(H[:, j + 1], _matmul(f, H[:, j + 2:], u[:, None])[:, 0])
+    P = np.zeros((n + 1, n + 1), dtype=f.dtype)  # row m: coefficients of p_m
+    P[0, 0] = 1
+    lo = 0
+    for m in range(n):
+        if m and not H[m, m - 1]:
+            lo = m
+        s = _matmul(f, H[lo:m + 1, m][None, :], P[lo:m + 1])[0]
+        P[m + 1, 1:] = P[m, :-1]  # t p_m
+        P[m + 1] = f.arr_sub(P[m + 1], s)
+    total = Poly(f, P[n])
+    trace = 0
+    for c in np.diagonal(A.a).tolist():
+        trace = f.add(trace, c)
+    if n and total.c[n - 1] != f.neg(trace):
+        raise AssertionError("characteristic polynomial fails the trace check")
     return total
 
 
 def minpoly(A: Matrix) -> Poly:
-    """Monic minimal polynomial of a square matrix."""
+    """Monic minimal polynomial: the first linear dependency among the
+    powers I, A, A^2, ..., which annihilates A.
+
+    The first dependency among the columns c in cols of those powers is the
+    minimal polynomial of A on the sum of the Krylov spaces of the e_c, so no
+    polynomial of lower degree annihilates A.  Their Krylov chains double in
+    rounds (Keller-Gehrig): with A^0 .. A^(2^i) applied to them, one product
+    by A^(2^i) gives A^(2^i + 1) .. A^(2^(i+1)), and one rank profile finds
+    the first dependency so far.  While the candidate leaves a column of A
+    nonzero, that column joins cols.
+    """
     if not A.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     f = A.field
     n = A.rows
     if n == 0:
         return Poly.one(f)
-    total = Poly.one(f)
-    covered = _EchelonTracker(f)
-    for start in range(n):
-        e = np.zeros(n, dtype=f.dtype)
-        e[start] = 1
-        if covered.add(e.copy()) is not None:
+    squares = [A.a]  # A^(2^i), squared on first need
+
+    def double(chain, limit):
+        """Extend the chains v, Av, .., A^K' v, K' = 2^i, of the columns v of
+        chain[0] up to A^(2K') v, with at most limit terms."""
+        K, _, w = chain.shape
+        i = (K - 1).bit_length() - 1
+        if i == len(squares):
+            squares.append(_matmul(f, squares[-1], squares[-1]))
+        take = min(K - 1, limit - K)
+        right = chain[1:take + 1].transpose(1, 0, 2).reshape(n, take * w)
+        new = _matmul(f, squares[i], right).reshape(n, take, w)
+        return np.concatenate([chain, new.transpose(1, 0, 2)])
+
+    eye = np.eye(n, dtype=f.dtype)
+    cols = [0]
+    chain = double(np.stack([eye[:, :1], A.a[:, :1]]), n + 1)  # A^j e_c, c in cols
+    while True:
+        K = len(chain)
+        R, piv = _rref(f, chain.reshape(K, -1).T)
+        k = next((j for j, c in enumerate(piv) if c != j), len(piv))
+        if k == K:  # none yet; by Cayley-Hamilton there is one once K = n + 1
+            chain = double(chain, n + 1)
             continue
-        tracker = _EchelonTracker(f)
-        v = e
-        local = None
-        while True:
-            dep = tracker.add(v.copy())
-            if dep is not None:
-                # The tracker invariant is 0 = sum_j dep[j] A^j e with
-                # dep[k] = 1, so the local minimal polynomial is x^k +
-                # sum_{j<k} dep[j] x^j.
-                local = Poly(f, list(dep))
-                break
-            v = _matmul(f, A.a, v[:, None])[:, 0]
-            covered.add(v.copy())
-        total = total.lcm(local)
-        if total.degree == n:
-            break
-    if not total.eval_matrix(A).is_zero():
-        raise AssertionError("minimal polynomial failed to annihilate")
-    return total
+        # column k of R expresses A^k e_c through the pivot powers A^0 .. A^(k-1)
+        total = Poly(f, np.append(f.NEG[R[:k, k]], f.dtype(1)))
+        missed = total.eval_matrix(A).a.any(axis=0).nonzero()[0]
+        if missed.size == 0:
+            return total
+        c = int(missed[0])
+        if c in cols:  # the chains say total(A) e_c = 0
+            raise AssertionError("minimal polynomial failed to annihilate")
+        cols.append(c)
+        new = np.stack([eye[:, c:c + 1], A.a[:, c:c + 1]])
+        while len(new) < K:
+            new = double(new, K)
+        chain = np.concatenate([chain, new], axis=2)

@@ -1,9 +1,10 @@
 """Property tests of the raw field kernels against two independent references.
 
-The reference implementations below are the per-column product and the
-unpacked column-by-column elimination that the vectorised kernels replaced;
-the kernels must agree with them bit for bit, dtype included.  Over prime
-fields both are also checked against sympy's DomainMatrix over GF(p).
+The reference implementations below are the per-column product, the
+unpacked column-by-column elimination and the vector-by-vector Krylov
+polynomials that the vectorised kernels replaced; the kernels must agree
+with them bit for bit, dtype included.  Over prime fields they are also
+checked against sympy's DomainMatrix over GF(p).
 """
 
 import numpy as np
@@ -14,12 +15,15 @@ from sympy.polys.matrices import DomainMatrix
 
 from sttlab.exactfield import (
     Matrix,
+    Poly,
     RowSpace,
     _matmul,
     _nullspace,
     _rref,
+    charpoly,
     field_make,
     linsolve,
+    minpoly,
 )
 
 # GF(2), GF(4), GF(3), GF(9), GF(16) and GF(2^9), whose codes need uint16.
@@ -145,6 +149,107 @@ class RefRowSpace:
             return np.zeros((0, self.width), dtype=self.f.dtype)
         order = np.argsort(self.pivots)
         return np.array([self.rows[i] for i in order], dtype=self.f.dtype)
+
+
+class RefEchelonTracker:
+    """Echelonised row collection that reports dependencies with coefficients.
+
+    add(v) returns None when v enlarges the span, else the coefficient vector
+    expressing v in terms of the previously added (original) rows.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.rows = []
+        self.combos = []
+        self.pivots = []
+        self.count = 0
+
+    def add(self, v):
+        f = self.f
+        r = v.astype(f.dtype).copy()
+        combo = np.zeros(self.count + 1, dtype=f.dtype)
+        combo[self.count] = 1
+        for row, crow, p in zip(self.rows, self.combos, self.pivots):
+            c = int(r[p])
+            if c:
+                r = f.arr_sub(r, f.MUL[c, row])
+                combo[: len(crow)] = f.arr_sub(combo[: len(crow)], f.MUL[c, crow])
+        self.count += 1
+        nz = np.nonzero(r)[0]
+        if nz.size == 0:
+            return combo
+        p = int(nz[0])
+        pc = int(r[p])
+        if pc != 1:
+            inv = f.inv(pc)
+            r = f.MUL[inv, r]
+            combo = f.MUL[inv, combo]
+        self.rows.append(r)
+        self.combos.append(combo)
+        self.pivots.append(p)
+        return None
+
+
+def ref_charpoly(f, A):
+    """Product of the relative minimal polynomials along a cyclic Krylov
+    chain decomposition, one vector at a time."""
+    n = A.shape[0]
+    tracker = RefEchelonTracker(f)
+    total = Poly.one(f)
+    for start in range(n):
+        v = np.zeros(n, dtype=f.dtype)
+        v[start] = 1
+        chain_base = tracker.count
+        chain_len = 0
+        while True:
+            dep = tracker.add(v)
+            if dep is not None:
+                if chain_len:
+                    rel = [int(dep[chain_base + j]) for j in range(chain_len)] + [1]
+                    total = total * Poly(f, rel)
+                break
+            chain_len += 1
+            v = ref_matmul(f, A, v[:, None])[:, 0]
+        if total.degree == n:
+            break
+    return total
+
+
+def ref_minpoly(f, A):
+    """Least common multiple of the minimal polynomials of the unit vectors
+    that the Krylov chains so far do not cover, one vector at a time."""
+    n = A.shape[0]
+    total = Poly.one(f)
+    covered = RefEchelonTracker(f)
+    for start in range(n):
+        e = np.zeros(n, dtype=f.dtype)
+        e[start] = 1
+        if covered.add(e) is not None:
+            continue
+        tracker = RefEchelonTracker(f)
+        v = e
+        while True:
+            dep = tracker.add(v)
+            if dep is not None:
+                local = Poly(f, list(dep))
+                break
+            v = ref_matmul(f, A, v[:, None])[:, 0]
+            covered.add(v)
+        total = ((total * local) // total.gcd(local)).monic()
+        if total.degree == n:
+            break
+    return total
+
+
+def ref_eval_matrix(f, poly, A):
+    """poly(A) by Horner's rule on whole matrices."""
+    n = A.shape[0]
+    acc = np.zeros((n, n), dtype=f.dtype)
+    eye = np.eye(n, dtype=f.dtype)
+    for coef in reversed(poly.c):
+        acc = f.ADD[ref_matmul(f, acc, A), f.MUL[coef, eye]]
+    return acc
 
 
 def sympy_matrix(f, A):
@@ -453,3 +558,99 @@ def test_rowspace_edge_cases(p, m):
     assert inc.pivots == [1, 0]
     assert np.array_equal(inc.matrix(), RowSpace(f, 3, [[1, 1, 0], [0, 1, 1]]).matrix())
     assert inc.matrix()[0, 1] == 0
+
+
+# ---------------------------------------------------------------------------
+# minpoly and charpoly
+
+# GF(2), GF(4), GF(3) and GF(9): both characteristics, prime and not.
+POLY_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2)]
+KINDS = ["dense", "scalar", "jordan", "repeated", "conjugated"]
+
+
+def square_matrix(f, rng, n, kind):
+    """An n x n matrix of one of KINDS: uniform codes; lambda I; Jordan blocks
+    of random sizes whose eigenvalues repeat; one small random block repeated
+    down the diagonal; or P (lambda I + N) P^-1 with N strictly upper
+    triangular, so that the minimal polynomial is a power of t - lambda."""
+    lam = int(rng.integers(0, f.q))
+    eye = np.eye(n, dtype=f.dtype)
+    if kind == "dense":
+        return random_matrix(f, rng, n, n)
+    if kind == "scalar":
+        return f.MUL[lam, eye]
+    A = np.zeros((n, n), dtype=f.dtype)
+    if kind == "jordan":
+        eigen = rng.integers(0, f.q, 2)
+        i = 0
+        while i < n:
+            size = int(rng.integers(1, n - i + 1))
+            block = slice(i, i + size)
+            A[block, block] = f.MUL[int(rng.choice(eigen)), np.eye(size, dtype=f.dtype)]
+            A[np.arange(i, i + size - 1), np.arange(i + 1, i + size)] = 1
+            i += size
+        return A
+    if kind == "repeated":
+        b = int(rng.integers(1, 4))
+        B = random_matrix(f, rng, b, b)
+        for i in range(0, n - n % b, b):
+            A[i:i + b, i:i + b] = B
+        A[n - n % b:, n - n % b:] = f.MUL[lam, np.eye(n % b, dtype=f.dtype)]
+        return A
+    base = f.ADD[f.MUL[lam, eye], np.triu(random_matrix(f, rng, n, n), 1)]
+    while True:
+        P = random_matrix(f, rng, n, n)
+        if len(ref_rref(f, P)[1]) == n:
+            break
+    Pinv = linsolve(Matrix(f, P), Matrix(f, eye)).particular.a
+    return ref_matmul(f, ref_matmul(f, P, base), Pinv)
+
+
+@st.composite
+def square_matrices(draw):
+    f = field_make(*draw(st.sampled_from(POLY_FIELDS)))
+    n = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(KINDS))
+    return f, square_matrix(f, np.random.default_rng(draw(seeds)), n, kind)
+
+
+@settings(max_examples=120)
+@given(square_matrices())
+def test_minpoly_and_charpoly_match_reference(case):
+    f, A = case
+    A0 = A.copy()
+    M = Matrix(f, A)
+    cp, mp = charpoly(M), minpoly(M)
+    assert np.array_equal(A, A0)
+    assert cp == ref_charpoly(f, A)
+    assert mp == ref_minpoly(f, A)
+    assert cp.degree == A.shape[0] and (cp % mp).is_zero()
+
+
+@pytest.mark.parametrize("p,m", POLY_FIELDS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 24])
+def test_minpoly_and_charpoly_every_kind_and_size(p, m, kind, n):
+    f = field_make(p, m)
+    A = square_matrix(f, np.random.default_rng(100 * n + KINDS.index(kind)), n, kind)
+    assert charpoly(Matrix(f, A)) == ref_charpoly(f, A)
+    assert minpoly(Matrix(f, A)) == ref_minpoly(f, A)
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([2, 3]), st.integers(0, 24), st.sampled_from(KINDS), seeds)
+def test_charpoly_matches_sympy_over_prime_fields(p, n, kind, seed):
+    f = field_make(p, 1)
+    A = square_matrix(f, np.random.default_rng(seed), n, kind)
+    expected = [int(c) for c in sympy_matrix(f, A).charpoly()]
+    assert charpoly(Matrix(f, A)).c == tuple(reversed(expected))
+
+
+@settings(max_examples=60)
+@given(square_matrices(), st.lists(st.integers(0, 8), max_size=6))
+def test_eval_matrix_matches_reference(case, codes):
+    f, A = case
+    poly = Poly(f, [c % f.q for c in codes])
+    out = poly.eval_matrix(Matrix(f, A)).a
+    assert out.dtype == f.dtype
+    assert np.array_equal(out, ref_eval_matrix(f, poly, A))
