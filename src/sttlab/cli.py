@@ -133,7 +133,9 @@ def parse_rep_file(path: str) -> tuple[Rep, Group, str]:
         for r in range(dim):
             lineno, line = body[at]
             at += 1
-            toks = [t for t in line.split(",") if t.strip() != ""]
+            toks = line.split(",")
+            if any(t.strip() == "" for t in toks):
+                raise InputError(f"{path}:{lineno}: empty entry in {line!r}")
             if len(toks) != dim:
                 raise InputError(
                     f"{path}:{lineno}: expected {dim} entries, found {len(toks)}"
@@ -484,75 +486,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("simples", parents=[common],
-                        help="simple modules of a group algebra")
+    def add(name, handler, help):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = add("simples", cmd_simples, "simple modules of a group algebra")
     sp.add_argument("--group", required=True)
-    sp = sub.add_parser("pims", parents=[common],
-                        help="indecomposable projectives")
+    sp = add("pims", cmd_pims, "indecomposable projectives")
     sp.add_argument("--group", required=True)
-    sp = sub.add_parser("tau", parents=[common],
-                        help="Auslander-Reiten translate of a module")
+    sp = add("tau", cmd_tau, "Auslander-Reiten translate of a module")
     sp.add_argument("--module", required=True)
     sp.add_argument("--method", choices=["omega2", "dtr"], default="omega2")
-    sp = sub.add_parser("check-rigid", parents=[common],
-                        help="tau-rigidity certificate")
+    sp = add("check-rigid", cmd_check_rigid, "tau-rigidity certificate")
     sp.add_argument("--module", required=True)
-    sp = sub.add_parser("check-stt", parents=[common],
-                        help="support tau-tilting certificate")
+    sp = add("check-stt", cmd_check_stt, "support tau-tilting certificate")
     sp.add_argument("--module", required=True)
     sp.add_argument("--block", type=int, default=None)
-    sp = sub.add_parser("induce", parents=[common],
-                        help="induce a module to a bigger group")
+    sp = add("induce", cmd_induce, "induce a module to a bigger group")
     sp.add_argument("--module", required=True)
     sp.add_argument("--big", required=True)
     sp.add_argument("--out", default=None)
-    sp = sub.add_parser("mackey", parents=[common],
-                        help="Res Ind against the orbit sum")
+    sp = add("mackey", cmd_mackey, "Res Ind against the orbit sum")
     sp.add_argument("--module", required=True)
     sp.add_argument("--big", required=True)
-    sp = sub.add_parser("blocks", parents=[common],
-                        help="block decomposition of a group algebra")
+    sp = add("blocks", cmd_blocks, "block decomposition of a group algebra")
     sp.add_argument("--group", required=True)
-    sp = sub.add_parser("thm1", parents=[common],
-                        help="induced support tau-tilting criterion")
+    sp = add("thm1", cmd_thm1, "induced support tau-tilting criterion")
     sp.add_argument("--module", required=True)
     sp.add_argument("--big", required=True)
-    sp = sub.add_parser("thm2", parents=[common],
-                        help="block version of the criterion")
+    sp = add("thm2", cmd_thm2, "block version of the criterion")
     sp.add_argument("--module", required=True)
     sp.add_argument("--big", required=True)
     sp.add_argument("--block", type=int, required=True)
     sp.add_argument("--cover", type=int, required=True)
-    sp = sub.add_parser("remark", parents=[common],
-                        help="four-set membership flags")
+    sp = add("remark", cmd_remark, "four-set membership flags")
     sp.add_argument("--module", required=True)
     sp.add_argument("--big", required=True)
-    sub.add_parser("example-a4s4", parents=[common],
-                   help="built-in worked example at p = 2")
+    add("example-a4s4", cmd_example_a4s4, "built-in worked example at p = 2")
     return ap
-
-
-_HANDLERS = {
-    "simples": cmd_simples,
-    "pims": cmd_pims,
-    "tau": cmd_tau,
-    "check-rigid": cmd_check_rigid,
-    "check-stt": cmd_check_stt,
-    "induce": cmd_induce,
-    "mackey": cmd_mackey,
-    "blocks": cmd_blocks,
-    "thm1": cmd_thm1,
-    "thm2": cmd_thm2,
-    "remark": cmd_remark,
-    "example-a4s4": cmd_example_a4s4,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = Report(args.subcommand, args)
     try:
-        status = _HANDLERS[args.subcommand](args, report)
+        status = args.handler(args, report)
     except InconclusiveError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3

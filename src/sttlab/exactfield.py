@@ -1,10 +1,13 @@
 """Exact arithmetic in GF(p^m) and dense linear algebra over it.
 
 A field element with coefficient vector (c0, ..., c_{m-1}) over GF(p) is
-stored as the integer code sum(c_i * p^i).  All arithmetic goes through
-precomputed q x q tables, so whole-array operations are single numpy
-fancy-index gathers.  For p = 2 the codes are bit masks and addition is
-a plain XOR.
+stored as the integer code sum(c_i * p^i).  Scalar and elementwise
+arithmetic goes through precomputed q x q tables, so whole-array operations
+are single numpy fancy-index gathers.  For p = 2 the codes are bit masks and
+addition is a plain XOR.  Matrix products run on exact float64 BLAS, over
+the codes of a prime field or over the base-p coefficient planes of
+GF(p^m), except small products over GF(2^m), which are one table gather and
+an XOR reduction (see _matmul).
 """
 
 from __future__ import annotations
@@ -45,58 +48,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomials over GF(p) with plain int coefficients, used only to find the
-# field modulus (everything else runs on codes through Poly below)
-
-def _gfp_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def _gfp_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(_gfp_trim(a)) - 1 >= db:
-        a = _gfp_trim(a)
-        shift = len(a) - 1 - db
-        coef = (a[-1] * inv_lb) % p
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
-    return q, _gfp_trim(a)
-
-
-def _gfp_irreducible(c, p):
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(c) - 1
-    for e in range(1, deg // 2 + 1):
-        for tail in range(p**e):
-            d, rest = [], tail
-            for _ in range(e):
-                d.append(rest % p)
-                rest //= p
-            d.append(1)
-            _, r = _gfp_divmod(c, d, p)
-            if not r:
-                return False
-    return True
-
-
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) with the least low-coefficient
-    code sum(c_i p^i); degree 1 yields the polynomial x."""
+    code sum(c_i p^i); degree 1 yields the polynomial x.
+
+    Ben-Or's test: g of degree m is irreducible exactly when
+    gcd(g, x^(p^i) - x) = 1 for every i <= m/2."""
+    if m == 1:
+        return (0, 1)
+    k = field_make(p, 1)
+    x = Poly.x(k)
     for code in range(p**m):
-        coeffs, rest = [], code
-        for _ in range(m):
-            coeffs.append(rest % p)
-            rest //= p
-        coeffs.append(1)
-        if _gfp_irreducible(coeffs, p):
-            return tuple(coeffs)
+        g = Poly(k, [code // p**i % p for i in range(m)] + [1])
+        h = x
+        for _ in range(m // 2):
+            h = h.pow_mod(p, g)
+            if not g.gcd(h - x).is_one():
+                break
+        else:
+            return g.c
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -119,59 +89,35 @@ class Field:
         self.q = q
         self.modulus = _least_irreducible(p, m)
         self.dtype = np.uint8 if q <= 256 else np.uint16
-
-        mod_low = self.modulus[:m]  # x^m = -mod_low as coefficient vectors
-        def decode(code):
-            c, rest = [0] * m, code
-            for i in range(m):
-                c[i] = rest % p
-                rest //= p
-            return c
-
-        def encode(c):
-            code = 0
-            for i in reversed(range(m)):
-                code = code * p + c[i]
-            return code
-
-        add = np.zeros((q, q), dtype=self.dtype)
-        mul = np.zeros((q, q), dtype=self.dtype)
-        for a in range(q):
-            ca = decode(a)
-            for b in range(a, q):
-                cb = decode(b)
-                s = encode([(x + y) % p for x, y in zip(ca, cb)])
-                add[a, b] = s
-                add[b, a] = s
-            for b in range(a, q):
-                cb = decode(b)
-                prod = [0] * (2 * m - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                for k in range(2 * m - 2, m - 1, -1):  # reduce x^k via modulus
-                    coef = prod[k]
-                    if coef:
-                        prod[k] = 0
-                        for i, mc in enumerate(mod_low):
-                            prod[k - m + i] = (prod[k - m + i] - coef * mc) % p
-                v = encode(prod[:m])
-                mul[a, b] = v
-                mul[b, a] = v
-        self.ADD = add
-        self.MUL = mul
-        neg = np.zeros(q, dtype=self.dtype)
-        for a in range(q):
-            ca = decode(a)
-            neg[a] = encode([(-x) % p for x in ca])
-        self.NEG = neg
-        inv = np.zeros(q, dtype=self.dtype)
-        for a in range(1, q):
-            b = int(np.nonzero(mul[a] == 1)[0][0])
-            inv[a] = b
-        self.INV = inv
         self._digits = None
+
+        # Every row comes from earlier ones.  With P = p^i the top place of a
+        # code a: a + b = (a - P) + (b + P), where b + P raises digit i of b by
+        # one mod p, and a b = (a - P) b + P b.  Row P = x^i is x times row
+        # P/p: the codes shift up one place and the top digit t folds back
+        # through the modulus as t x^m = -t (c_0 + ... + c_(m-1) x^(m-1)).
+        codes = np.arange(q)
+        self.ADD = add = np.empty((q, q), dtype=self.dtype)
+        self.MUL = mul = np.zeros((q, q), dtype=self.dtype)
+        add[0] = codes
+        for i in range(m):
+            P = p**i
+            raised = np.where(codes // P % p == p - 1, codes - (p - 1) * P, codes + P)
+            for d in range(1, p):
+                add[d * P:(d + 1) * P] = add[(d - 1) * P:d * P][:, raised]
+        top = p ** (m - 1)
+        fold = np.array([sum(-t * c % p * p**j for j, c in enumerate(self.modulus[:m]))
+                         for t in range(p)])
+        mul[1] = codes
+        for i in range(m):
+            P = p**i
+            if i:
+                prev = mul[P // p]
+                mul[P] = add[prev % top * p, fold[prev // top]]
+            for d in range(1, p):  # row P itself is 0 + row P
+                mul[d * P:(d + 1) * P] = self.arr_add(mul[(d - 1) * P:d * P], mul[P])
+        self.NEG = (add == 0).argmax(axis=1).astype(self.dtype)
+        self.INV = (mul == 1).argmax(axis=1).astype(self.dtype)
 
     # -- scalar helpers on raw codes -------------------------------------
     def add(self, a: int, b: int) -> int:

@@ -213,11 +213,8 @@ def rep_apply_algebra(M: Rep, coeffs) -> Matrix:
     coeffs = np.asarray(coeffs, dtype=f.dtype)
     if coeffs.shape != (M.group.order,):
         raise ValueError("coefficient vector length must equal the group order")
-    out = np.zeros((M.dim, M.dim), dtype=f.dtype)
-    for i in np.nonzero(coeffs)[0]:
-        term = f.MUL[coeffs[i], M.element_mats[i]]
-        out = f.arr_add(out, term)
-    return Matrix(f, out)
+    E = M.element_mats.reshape(M.group.order, M.dim * M.dim)
+    return Matrix(f, _matmul(f, coeffs[None, :], E).reshape(M.dim, M.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +456,9 @@ def _verify_witness(M: Rep, N: Rep, X: Matrix) -> Matrix:
 
 
 def _random_combo(f: Field, basis: list[Matrix], rng) -> Matrix:
-    out = np.zeros(basis[0].shape, dtype=f.dtype)
-    for B in basis:
-        c = rng.randrange(f.q)
-        if c:
-            out = f.arr_add(out, f.MUL[c, B.a])
-    return Matrix(f, out)
+    coeffs = np.array([[rng.randrange(f.q) for _ in basis]], dtype=f.dtype)
+    stack = np.stack([B.a.reshape(-1) for B in basis])
+    return Matrix(f, _matmul(f, coeffs, stack).reshape(basis[0].shape))
 
 
 def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:

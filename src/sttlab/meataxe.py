@@ -474,11 +474,7 @@ def frobenius_fixed_element(f: Field, basis, radical,
             break
     if z is None:
         raise AssertionError("fixed space cannot lie inside the identity line")
-    zmat = np.zeros((n, n), dtype=f.dtype)
-    for i, c in enumerate(comp):
-        if z[i]:
-            zmat = f.arr_add(zmat, f.MUL[z[i], c])
-    return zmat
+    return _matmul(f, z[None, :], np.stack(comp).reshape(q_dim, n * n)).reshape(n, n)
 
 
 def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
@@ -613,18 +609,17 @@ def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
         coeff = cp.c[n - k] if n - k < len(cp.c) else 0
         return f.mul(f.pow(f.neg(1), k), int(coeff))
 
-    layer = [b.a for b in basis]
+    layer = np.stack([b.a for b in basis])
     i = 0
     while f.p**i <= n:
         dd = len(layer)
         if dd == 0:
             break
         pk = f.p**i
+        flat = layer.reshape(dd, n * n)
         if i == 0:
             # sigma_1(x y) is the trace of x y, the sum of the entries of x * y^T
-            stack = np.stack(layer)
-            cond = _matmul(f, stack.transpose(0, 2, 1).reshape(dd, n * n),
-                           stack.reshape(dd, n * n).T)
+            cond = _matmul(f, layer.transpose(0, 2, 1).reshape(dd, n * n), flat.T)
         else:
             cond = np.zeros((dd, dd), dtype=f.dtype)
             for s in range(dd):
@@ -632,15 +627,7 @@ def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
                     val = sigma(_matmul(f, layer[s], layer[j]), pk)
                     cond[j, s] = f.frob(val, -i)
         null = _nullspace(f, cond)
-        new_layer = []
-        for kcol in range(null.shape[1]):
-            mat = np.zeros((n, n), dtype=f.dtype)
-            for s in range(dd):
-                c = int(null[s, kcol])
-                if c:
-                    mat = f.arr_add(mat, f.MUL[c, layer[s]])
-            new_layer.append(mat)
-        layer = new_layer
+        layer = _matmul(f, null.T, flat).reshape(null.shape[1], n, n)
         i += 1
     return [Matrix(f, m) for m in layer]
 

@@ -264,3 +264,20 @@ def test_cmd_remark_with_several_covering_blocks(tmp_path):
                            "--big", str(tmp_path / "c6.grp")])
     assert status == 0
     assert "in_rig_group = False" in out and "in_sta_block = False" in out
+
+
+@pytest.mark.parametrize("rows,bad_line", [("0,,1\n1,1\n", 4), ("0,1\n1,1,,\n", 5),
+                                            ("0,1\n,1,1\n", 5)],
+                         ids=["inner", "trailing", "leading"])
+def test_rep_rows_with_empty_entries_are_rejected(workdir, capsys, rows, bad_line):
+    """An empty entry is an input error naming its line, not a dropped token:
+    "0,,1" is not the row "0,1"."""
+    rep = workdir / "gaps_c3.rep"
+    rep.write_text("field 2 1\ngroup c3.grp\ndim 2\n" + rows)
+    with pytest.raises(InputError) as e:
+        parse_rep_file(str(rep))
+    assert f"gaps_c3.rep:{bad_line}:" in str(e.value)
+    assert "empty entry" in str(e.value)
+    status = main(["check-stt", "--module", str(rep)])
+    assert status == 2
+    assert f"gaps_c3.rep:{bad_line}:" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from sympy import Poly as SymPoly, symbols
 
 from sttlab.exactfield import (
     Matrix,
@@ -225,3 +226,152 @@ def test_nullspace_zero_rows(f4):
     N = nullspace(A)
     assert N.shape == (3, 3)
     assert rank(Matrix(f4, N.a.T.copy())) == 3
+
+
+# ---------------------------------------------------------------------------
+# field construction against a reference builder: trial division for the
+# modulus and schoolbook arithmetic on coefficient vectors for every pair
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c = c[:-1]
+    return c
+
+
+def _ref_divmod(a, b, p):
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv_lb = pow(lb, p - 2, p)
+    q = [0] * max(0, len(a) - db)
+    while len(_ref_trim(a)) - 1 >= db:
+        a = _ref_trim(a)
+        shift = len(a) - 1 - db
+        coef = (a[-1] * inv_lb) % p
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * bc) % p
+    return q, _ref_trim(a)
+
+
+def _ref_irreducible(c, p):
+    """Trial division by every monic polynomial of degree 1..deg/2."""
+    deg = len(c) - 1
+    for e in range(1, deg // 2 + 1):
+        for tail in range(p**e):
+            d, rest = [], tail
+            for _ in range(e):
+                d.append(rest % p)
+                rest //= p
+            d.append(1)
+            _, r = _ref_divmod(c, d, p)
+            if not r:
+                return False
+    return True
+
+
+def _ref_least_irreducible(p, m):
+    for code in range(p**m):
+        coeffs, rest = [], code
+        for _ in range(m):
+            coeffs.append(rest % p)
+            rest //= p
+        coeffs.append(1)
+        if _ref_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def ref_field_tables(p, m):
+    """(modulus, ADD, MUL, NEG, INV, dtype) of GF(p^m), one pair of codes at
+    a time."""
+    q = p**m
+    modulus = _ref_least_irreducible(p, m)
+    dtype = np.uint8 if q <= 256 else np.uint16
+    mod_low = modulus[:m]
+
+    def decode(code):
+        c, rest = [0] * m, code
+        for i in range(m):
+            c[i] = rest % p
+            rest //= p
+        return c
+
+    def encode(c):
+        code = 0
+        for i in reversed(range(m)):
+            code = code * p + c[i]
+        return code
+
+    add = np.zeros((q, q), dtype=dtype)
+    mul = np.zeros((q, q), dtype=dtype)
+    for a in range(q):
+        ca = decode(a)
+        for b in range(a, q):
+            cb = decode(b)
+            s = encode([(x + y) % p for x, y in zip(ca, cb)])
+            add[a, b] = s
+            add[b, a] = s
+        for b in range(a, q):
+            cb = decode(b)
+            prod = [0] * (2 * m - 1)
+            for i, x in enumerate(ca):
+                if x:
+                    for j, y in enumerate(cb):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+            for k in range(2 * m - 2, m - 1, -1):  # reduce x^k via modulus
+                coef = prod[k]
+                if coef:
+                    prod[k] = 0
+                    for i, mc in enumerate(mod_low):
+                        prod[k - m + i] = (prod[k - m + i] - coef * mc) % p
+            v = encode(prod[:m])
+            mul[a, b] = v
+            mul[b, a] = v
+    neg = np.zeros(q, dtype=dtype)
+    for a in range(q):
+        neg[a] = encode([(-x) % p for x in decode(a)])
+    inv = np.zeros(q, dtype=dtype)
+    for a in range(1, q):
+        inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
+    return modulus, add, mul, neg, inv, dtype
+
+
+_SMALL_PRIME_POWERS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
+                       if p**m <= 256]
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.mark.parametrize("p,m", _SMALL_PRIME_POWERS + [(p, 1) for p in _SMALL_PRIMES])
+def test_field_tables_match_reference_builder(p, m):
+    f = field_make(p, m)
+    modulus, add, mul, neg, inv, dtype = ref_field_tables(p, m)
+    assert f.modulus == modulus
+    assert f.dtype is dtype
+    for got, want in ((f.ADD, add), (f.MUL, mul), (f.NEG, neg), (f.INV, inv)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,m", [(2, 10), (2, 12), (3, 7), (5, 5), (7, 4)])
+def test_large_field_modulus_and_axioms(p, m):
+    t = symbols("t")
+    f = field_make(p, m)
+    q = f.q
+    assert f.dtype is np.uint16 and f.ADD.shape == f.MUL.shape == (q, q)
+
+    def sym(coeffs):  # low degree first
+        return SymPoly(list(reversed(coeffs)), t, modulus=p)
+
+    assert len(f.modulus) == m + 1 and f.modulus[m] == 1
+    assert sym(f.modulus).is_irreducible
+    least = sum(c * p**i for i, c in enumerate(f.modulus[:m]))
+    for code in range(least):  # the modulus is the least irreducible code
+        low = [code // p**i % p for i in range(m)]
+        assert not sym(low + [1]).is_irreducible
+    codes = np.arange(q)
+    assert not f.ADD[codes, f.NEG].any()
+    assert np.all(f.MUL[codes[1:], f.INV[1:]] == 1)
+    rng = np.random.default_rng(0)
+    a, b, c = rng.integers(0, q, size=(3, 20000))
+    assert np.array_equal(f.MUL[a, f.ADD[b, c]], f.ADD[f.MUL[a, b], f.MUL[a, c]])
+    assert np.array_equal(f.MUL[f.MUL[a, b], c], f.MUL[a, f.MUL[b, c]])
