@@ -7,6 +7,8 @@ come from Fitting splits along random endomorphisms.  Before any attempt,
 a piece is certified indecomposable if its endomorphism algebra is k.1 + N
 with N a nilpotent ideal; only when that and the Fitting attempts fail is
 the Jacobson radical computed, for the deterministic split off End/J.
+Both walks are lazy streams, so the simple and PIM tables stop at their
+certificates: l(G) simples (Brauer's count of p-regular classes), one PIM each.
 Everything randomized takes a seed, runs on the fixed budget BUDGET (not a
 parameter) and raises InconclusiveError instead of ever guessing.
 """
@@ -46,7 +48,7 @@ from .grouprep import (
     sub_rep,
     _random_combo,
 )
-from .permgroup import Group
+from .permgroup import Group, p_regular_class_count
 
 __all__ = [
     "SimpleTable",
@@ -157,17 +159,22 @@ def is_irreducible(M: Rep, seed: int = 0) -> IrredResult:
 # ---------------------------------------------------------------------------
 # composition series
 
-def composition_factors(M: Rep, seed: int = 0) -> list[Rep]:
-    """Irreducible subquotients of M, socle side first within each split."""
+def _composition_stream(M: Rep, seed: int):
+    """composition_factors(M, seed) as a lazy stream, in the same order."""
     if M.dim == 0:
-        return []
+        return
     res = is_irreducible(M, seed=seed)
     if res.irreducible:
-        return [M]
+        yield M
+        return
     W = res.submodule
-    inner = sub_rep(M, W)
-    outer = quotient_rep(M, W)
-    return composition_factors(inner, seed) + composition_factors(outer, seed)
+    yield from _composition_stream(sub_rep(M, W), seed)
+    yield from _composition_stream(quotient_rep(M, W), seed)
+
+
+def composition_factors(M: Rep, seed: int = 0) -> list[Rep]:
+    """Irreducible subquotients of M, socle side first within each split."""
+    return list(_composition_stream(M, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +206,23 @@ class SimpleTable:
 
 def simples_of(group: Group, field: Field, seed: int = 0) -> SimpleTable:
     """All simple modules, found as composition factors of the regular
-    module and labelled in discovery order."""
-    reg = regular_rep(group, field)
+    module and labelled in discovery order.  The chop stops once l(G)
+    simples are found, as no field of characteristic p has more; over a
+    field that does not split G there are fewer, so it runs to the end."""
+    bound = p_regular_class_count(group, field.p)
     found: list[Rep] = []
-    for F in composition_factors(reg, seed=seed):
+    for F in _composition_stream(regular_rep(group, field), seed):
         if iso_class(F, found) is None:
             found.append(F)
-    labels = [f"S{i + 1}" for i in range(len(found))]
-    return SimpleTable(group=group, field=field, simples=found, labels=labels)
+            if len(found) == bound:
+                break
+    return SimpleTable(group=group, field=field, simples=found,
+                       labels=[f"S{i + 1}" for i in range(len(found))])
 
 
 def chop(M: Rep, table: SimpleTable, seed: int = 0) -> Counter:
     """Composition factor multiset of M as a Counter over simple labels."""
-    out: Counter = Counter()
-    for F in composition_factors(M, seed=seed):
-        out[table.label_of(F)] += 1
-    return out
+    return Counter(table.label_of(F) for F in _composition_stream(M, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +250,7 @@ def radical_top(M: Rep, table: SimpleTable) -> RadicalTop:
         stacked = np.zeros((0, M.dim), dtype=f.dtype)
     K = _nullspace(f, stacked)
     rad_rows = Matrix(f, RowSpace(f, M.dim, K.T).matrix())
-    radical = sub_rep(M, rad_rows) if rad_rows.rows else sub_rep(M, Matrix.zeros(f, 0, M.dim))
+    radical = sub_rep(M, rad_rows)
     top = quotient_rep(M, rad_rows)
     return RadicalTop(rad_rows, radical, top, homs)
 
@@ -295,41 +303,35 @@ def _fitting_split(rep: Rep, theta: Matrix, rng):
 
 
 def _decompose_rec(rep: Rep, rows: Matrix, seed: int):
-    """Returns a list of (rows in the original module, indecomposable Rep)."""
+    """Yields (rows in the original module, indecomposable Rep) pairs."""
     f = rep.field
     if rep.dim == 0:
-        return []
+        return
     if rep.block_dims and len(rep.block_dims) > 1:
-        out = []
         off = 0
         for d in rep.block_dims:
-            piece = _coordinate_slice(rep, off, off + d)
-            sel = Matrix(f, rows.a[off:off + d].copy())
-            out.extend(_decompose_rec(piece, sel, seed))
+            yield from _decompose_rec(_coordinate_slice(rep, off, off + d),
+                                      Matrix(f, rows.a[off:off + d].copy()), seed)
             off += d
-        return out
+        return
     end = hom_space(rep, rep)
-    if end.dim == 1:
-        return [(rows, rep)]
-
-    def recurse(parts):
-        out = []
-        for part in parts:
-            piece = sub_rep(rep, part)
-            lifted = Matrix(f, (part @ rows).a)
-            out.extend(_decompose_rec(piece, lifted, seed))
-        return out
-
     # A split local End has only primary minimal polynomials, so no Fitting
     # split can succeed: certify locality before any random attempt.
-    if _is_split_local(end.basis):
-        return [(rows, rep)]
+    if end.dim == 1 or _is_split_local(end.basis):
+        yield rows, rep
+        return
+    for part in _proper_split(rep, end, seed):
+        yield from _decompose_rec(sub_rep(rep, part), Matrix(f, (part @ rows).a), seed)
+
+
+def _proper_split(rep: Rep, end: HomBasis, seed: int) -> list[Matrix]:
+    """Row bases of a proper direct-sum splitting of rep; End is not split local."""
+    f = rep.field
     rng = random.Random(seed)
     for _ in range(8):
-        theta = _random_combo(f, end.basis, rng)
-        parts = _fitting_split(rep, theta, rng)
+        parts = _fitting_split(rep, _random_combo(f, end.basis, rng), rng)
         if parts is not None:
-            return recurse(parts)
+            return parts
     # Quick random splits failed: split deterministically off the
     # semisimple quotient End/J.
     J = algebra_radical(end.basis)
@@ -337,12 +339,11 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int):
         raise AssertionError("End/J is k but the split-local certificate failed")
     split = _semisimple_quotient_split(rep, end.basis, J, rng)
     if split is not None:
-        return recurse(split)
+        return split
     for _ in range(BUDGET):
-        theta = _random_combo(f, end.basis, rng)
-        parts = _fitting_split(rep, theta, rng)
+        parts = _fitting_split(rep, _random_combo(f, end.basis, rng), rng)
         if parts is not None:
-            return recurse(parts)
+            return parts
     raise InconclusiveError(
         "decomposition stalled: endomorphism algebra is not local but no "
         "splitting element was found; extend the field"
@@ -495,13 +496,19 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
     return _fitting_split(rep, Matrix(f, z), rng)
 
 
+def summand_stream(M: Rep, seed: int = 0):
+    """Indecomposable summands of M as (row basis in M, Rep) pairs, yielded
+    lazily in decompose's order.  Kept out of __all__, the names
+    perfbench/tracing.py wraps, whose spans would close before any work."""
+    return _decompose_rec(M, Matrix.identity(M.field, M.dim), seed)
+
+
 def decompose(M: Rep, seed: int = 0) -> Decomposition:
     """Full Krull-Schmidt decomposition with a verified change of basis."""
     f = M.field
-    leaves = _decompose_rec(M, Matrix.identity(f, M.dim), seed)
     class_reps: list[Rep] = []
     grouped: list[list[Matrix]] = []
-    for rows, leaf in leaves:
+    for rows, leaf in summand_stream(M, seed):
         hit = iso_class(leaf, class_reps)
         if hit is None:
             class_reps.append(leaf)
@@ -510,18 +517,10 @@ def decompose(M: Rep, seed: int = 0) -> Decomposition:
             ci, X = hit
             grouped[ci].append(X.inverse().T @ rows)
     summands = [(rep0, len(group)) for rep0, group in zip(class_reps, grouped)]
-    pieces: list[tuple[Matrix, int]] = []
-    stack = []
-    for ci, group in enumerate(grouped):
-        for rows in group:
-            pieces.append((rows, ci))
-            stack.append(rows.a)
-    if stack:
-        B = np.concatenate(stack, axis=0)
-    else:
-        B = np.zeros((0, 0), dtype=f.dtype)
-    Bm = Matrix(f, B)
-    witness = Bm.inverse().T if M.dim else Bm
+    pieces = [(rows, ci) for ci, group in enumerate(grouped) for rows in group]
+    if not pieces:
+        return Decomposition(M, [], [], Matrix.zeros(f, 0, 0))
+    witness = Matrix(f, np.concatenate([rows.a for rows, _ in pieces])).inverse().T
     return Decomposition(module=M, summands=summands, pieces=pieces, witness=witness)
 
 
@@ -642,7 +641,6 @@ def lift_idempotent(e0: Matrix, algebra_basis: list[Matrix],
     if not jspace.contains(delta.a.reshape(-1)):
         raise ValueError("e0 is not idempotent modulo the radical")
     e = e0
-    bound = 1
     steps = 0
     while f.p**steps <= max(len(algebra_basis), e0.rows) + 1:
         steps += 1

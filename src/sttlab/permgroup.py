@@ -20,6 +20,7 @@ __all__ = [
     "group_close",
     "transversal",
     "class_sums",
+    "p_regular_class_count",
     "parse_cycles",
 ]
 
@@ -297,3 +298,10 @@ def class_sums(G: Group) -> list[list[int]]:
         classes.append(sorted(orbit))
     classes.sort(key=lambda cls: (len(cls), cls[0]))
     return classes
+
+
+def p_regular_class_count(G: Group, p: int) -> int:
+    """Brauer's l(G), the number of classes of p-regular elements (no cycle
+    length divisible by p), which no field of characteristic p exceeds."""
+    return sum(1 for cls in class_sums(G)
+               if all(len(c) % p for c in G.elements[cls[0]].cycles()))

@@ -37,6 +37,7 @@ from .meataxe import (
     decompose,
     radical_top,
     simples_of,
+    summand_stream,
 )
 from .permgroup import Group
 
@@ -87,41 +88,36 @@ class Tables:
 def pims(group: Group, field: Field, seed: int = 0,
          simples: Optional[SimpleTable] = None) -> PimTable:
     """Indecomposable projectives as summands of the regular module, each
-    labelled by its simple top."""
+    labelled by its simple top, drawn until every simple has one; certified
+    complete by sum_S (dim S / dim End S) * dim P(S) = |G|."""
     if simples is None:
         simples = simples_of(group, field, seed=seed)
-    reg = regular_rep(group, field)
-    dec = decompose(reg, seed=seed)
-    pim_by_label: dict[str, Rep] = {}
-    mult_by_label: dict[str, int] = {}
-    cover_by_label: dict[str, Matrix] = {}
-    for P, mult in dec.summands:
+    found: dict[str, tuple[Rep, Matrix]] = {}  # label -> (P, surjection P -> S)
+    for _rows, P in summand_stream(regular_rep(group, field), seed):
+        if iso_class(P, [Q for Q, _ in found.values()]) is not None:
+            continue
         rt = radical_top(P, simples)
         hit = iso_class(rt.top, simples.simples)
         if hit is None:
             raise AssertionError("top of a projective matches no simple")
         label = simples.labels[hit[0]]
-        if label in pim_by_label:
+        if label in found:
             raise AssertionError("two projective classes share a top")
-        # surjection P -> S_i: top projection followed by the matching iso
-        proj = quotient_projection(P, rt.radical_rows)
-        cover_by_label[label] = hit[1] @ proj
-        pim_by_label[label] = P
-        mult_by_label[label] = mult
-    if set(pim_by_label) != set(simples.labels):
+        # the surjection: top projection followed by the matching iso
+        found[label] = (P, hit[1] @ quotient_projection(P, rt.radical_rows))
+        if len(found) == simples.count:
+            break
+    if len(found) != simples.count:
         raise AssertionError("projective classes do not match the simples")
-    for label, S in zip(simples.labels, simples.simples):
-        if mult_by_label[label] != S.dim:
-            raise AssertionError(
-                "multiplicity of a projective in the regular module must "
-                "equal the dimension of its top"
-            )
+    if group.order != sum(S.dim // hom_space(S, S).dim * found[lab][0].dim
+                          for lab, S in zip(simples.labels, simples.simples)):
+        raise AssertionError("the PIMs, dim S / dim End S times each, do not fill kG")
     return PimTable(
         group=group,
         field=field,
         simples=simples,
-        pims=[pim_by_label[lab] for lab in simples.labels],
-        cover_maps=[cover_by_label[lab] for lab in simples.labels],
+        pims=[found[lab][0] for lab in simples.labels],
+        cover_maps=[found[lab][1] for lab in simples.labels],
     )
 
 

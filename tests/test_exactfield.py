@@ -90,10 +90,10 @@ def test_field_axioms_exhaustive(p, m):
     for g in range(1, q):
         order = 1
         x = g
-        while x != 1:
+        while x != 1 and order < q:  # bounded: a zero divisor never reaches 1
             x = f.mul(x, g)
             order += 1
-        assert (q - 1) % order == 0
+        assert x == 1 and (q - 1) % order == 0
 
 
 def test_linsolve_identity(f4):

@@ -9,6 +9,7 @@ from sttlab.grouprep import (
     Rep,
     direct_sum,
     hom_space,
+    iso_class,
     regular_rep,
     zero_rep,
 )
@@ -24,7 +25,7 @@ from sttlab.meataxe import (
     simples_of,
     _is_split_local,
 )
-from sttlab.permgroup import group_close
+from sttlab.permgroup import group_close, parse_cycles
 
 
 def test_is_irreducible_dim1(cast):
@@ -544,3 +545,61 @@ def test_decompose_rescues_when_quick_splits_fail(cast, monkeypatch):
     dec = decompose(M)
     assert calls["radical"] == 1 and calls["rescue"] == 1
     assert sorted(rows.rows for rows, _ in dec.pieces) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the simple table stops at l(G) simples and still equals the full chop
+
+REFERENCE_GROUPS = {
+    "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
+    "S4": (4, ["(0 1)", "(0 1 2 3)"]),
+    "S4xC2": (6, ["(0 1)", "(0 1 2 3)", "(4 5)"]),
+    "V4": (4, ["(0 1)(2 3)", "(0 2)(1 3)"]),
+    "S3": (3, ["(0 1)", "(0 1 2)"]),
+    "C3": (3, ["(0 1 2)"]),
+}
+
+
+def full_chop_simples(group, field, seed):
+    """simples_of before it stopped early: every composition factor of the
+    regular module is read."""
+    found = []
+    for F in composition_factors(regular_rep(group, field), seed=seed):
+        if iso_class(F, found) is None:
+            found.append(F)
+    return found
+
+
+@pytest.mark.parametrize("fq", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_simples_of_equals_full_chop(name, fq):
+    degree, cycles = REFERENCE_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(*fq)
+    for seed in range(6):
+        ref = full_chop_simples(G, f, seed)
+        table = simples_of(G, f, seed=seed)
+        assert table.labels == [f"S{i + 1}" for i in range(len(ref))]
+        assert len(table.simples) == len(ref)
+        for S, R in zip(table.simples, ref):
+            assert len(S.gen_mats) == len(R.gen_mats)
+            assert all(np.array_equal(a.a, b.a) for a, b in zip(S.gen_mats, R.gen_mats))
+
+
+def test_simples_of_stops_at_brauer_count(monkeypatch):
+    degree, cycles = REFERENCE_GROUPS["S4xC2"]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f2 = field_make(2, 1)
+    calls = Counter()
+    irreducible = meataxe.is_irreducible
+
+    def counted(M, seed=0):
+        calls[mode] += 1
+        return irreducible(M, seed=seed)
+
+    monkeypatch.setattr(meataxe, "is_irreducible", counted)
+    mode = "full"
+    assert len(composition_factors(regular_rep(G, f2))) == 32
+    mode = "table"
+    assert simples_of(G, f2).count == 2  # l(S4 x C2) at p = 2
+    assert calls["table"] < calls["full"]

@@ -4,6 +4,7 @@ from sttlab.permgroup import (
     Perm,
     class_sums,
     group_close,
+    p_regular_class_count,
     parse_cycles,
     transversal,
 )
@@ -103,3 +104,40 @@ def test_coset_index_consistency(a4, s4):
         i = T.coset_of(g)
         # g lies in reps[i] * A4
         assert (T.reps[i].inverse() * g) in a4.index
+
+
+# Brauer's l(G) for p-regular classes.  PSL(2,7) and PGL(2,7) act on the
+# projective line over GF(7), with infinity as point 7: x -> x + 1, x -> 2x
+# (PSL) or 3x (PGL), and x -> -1/x.
+BRAUER_GROUPS = {
+    "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
+    "S4": (4, ["(0 1)", "(0 1 2 3)"]),
+    "S4xC2": (6, ["(0 1)", "(0 1 2 3)", "(4 5)"]),
+    "A5": (5, ["(0 1 2 3 4)", "(0 1 2)"]),
+    "PSL27": (8, ["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)", "(0 7)(1 6)(2 3)(4 5)"]),
+    "PGL27": (8, ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 7)(1 6)(2 3)(4 5)"]),
+    "A6": (6, ["(0 1 2)", "(1 2 3 4 5)"]),
+}
+BRAUER_NUMBERS = [
+    ("A4", 2, 3), ("S4", 2, 2), ("S4xC2", 2, 2), ("A5", 2, 4), ("PSL27", 2, 4),
+    ("PGL27", 2, 3), ("A6", 2, 5), ("A5", 5, 3), ("S4", 3, 4), ("PSL27", 7, 4),
+]
+
+
+@pytest.mark.parametrize("name,p,count", BRAUER_NUMBERS)
+def test_p_regular_class_count(name, p, count):
+    degree, cycles = BRAUER_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    assert G.order == {"A4": 12, "S4": 24, "S4xC2": 48, "A5": 60, "PSL27": 168,
+                       "PGL27": 336, "A6": 360}[name]
+
+    def element_order(g):
+        order, x = 1, g
+        while not x.is_identity():
+            x = x * g
+            order += 1
+        return order
+
+    brute = sum(1 for cls in class_sums(G)
+                if element_order(G.elements[cls[0]]) % p)
+    assert p_regular_class_count(G, p) == brute == count

@@ -1,15 +1,32 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sttlab
+from sttlab import taucalc
+from sttlab.exactfield import field_make
 from sttlab.grouprep import (
+    InconclusiveError,
     direct_sum,
     hom_dim,
     is_isomorphic,
+    iso_class,
+    quotient_projection,
     regular_rep,
     trivial_rep,
     zero_rep,
 )
-from sttlab.meataxe import chop
-from sttlab.permgroup import group_close
+from sttlab.meataxe import (
+    SimpleTable,
+    chop,
+    composition_factors,
+    decompose,
+    radical_top,
+    simples_of,
+)
+from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import (
     Tables,
     ext1,
@@ -213,3 +230,136 @@ def test_tau_of_simples_against_omega2(a4_tables, cast):
         t = tau(S, a4_tables)
         o2 = syzygy(syzygy(S, a4_tables), a4_tables)
         assert t.dim == o2.dim and is_isomorphic(t, o2)
+
+
+# ---------------------------------------------------------------------------
+# the PIM table stops once every simple has its PIM and still equals the
+# full decomposition of the regular module
+
+REFERENCE_GROUPS = {
+    "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
+    "S4": (4, ["(0 1)", "(0 1 2 3)"]),
+    "S4xC2": (6, ["(0 1)", "(0 1 2 3)", "(4 5)"]),
+    "V4": (4, ["(0 1)(2 3)", "(0 2)(1 3)"]),
+    "S3": (3, ["(0 1)", "(0 1 2)"]),
+    "C3": (3, ["(0 1 2)"]),
+}
+
+
+def full_chop_simples(group, field, seed) -> SimpleTable:
+    """simples_of before it stopped early."""
+    found = []
+    for F in composition_factors(regular_rep(group, field), seed=seed):
+        if iso_class(F, found) is None:
+            found.append(F)
+    return SimpleTable(group, field, found, [f"S{i + 1}" for i in range(len(found))])
+
+
+def full_decompose_pims(group, field, seed, simples):
+    """pims before it stopped early: the whole regular module is decomposed
+    and each PIM's multiplicity must equal the dimension of its top."""
+    dec = decompose(regular_rep(group, field), seed=seed)
+    pim_by_label, cover_by_label = {}, {}
+    for P, mult in dec.summands:
+        rt = radical_top(P, simples)
+        i, X = iso_class(rt.top, simples.simples)
+        label = simples.labels[i]
+        assert label not in pim_by_label and mult == simples.simples[i].dim
+        pim_by_label[label] = P
+        cover_by_label[label] = X @ quotient_projection(P, rt.radical_rows)
+    assert set(pim_by_label) == set(simples.labels)
+    return ([pim_by_label[lab] for lab in simples.labels],
+            [cover_by_label[lab] for lab in simples.labels])
+
+
+def same_rep(M, N):
+    return M.dim == N.dim and len(M.gen_mats) == len(N.gen_mats) and all(
+        a == b for a, b in zip(M.gen_mats, N.gen_mats))
+
+
+@pytest.mark.parametrize("fq", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_pims_equal_full_decompose(name, fq):
+    degree, cycles = REFERENCE_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(*fq)
+    for seed in range(6):
+        ref_simples = full_chop_simples(G, f, seed)
+        try:
+            ref_pims, ref_covers = full_decompose_pims(G, f, seed, ref_simples)
+        except InconclusiveError as e:
+            # a field that does not split G (C3 and A4 over GF(2))
+            with pytest.raises(InconclusiveError) as err:
+                pims(G, f, seed=seed)
+            assert str(err.value) == str(e)
+            continue
+        pt = pims(G, f, seed=seed)
+        assert pt.simples.labels == ref_simples.labels
+        assert all(map(same_rep, pt.simples.simples, ref_simples.simples))
+        assert len(pt.pims) == len(ref_pims)
+        assert all(map(same_rep, pt.pims, ref_pims))
+        assert all(a == b for a, b in zip(pt.cover_maps, ref_covers))
+
+
+def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
+    degree, cycles = REFERENCE_GROUPS["A4"]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f3 = field_make(3, 1)
+    every = len(decompose(regular_rep(G, f3)).pieces)
+    drawn = []
+
+    def counted(M, seed=0, stream=taucalc.summand_stream):
+        for leaf in stream(M, seed):
+            drawn.append(leaf)
+            yield leaf
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("pims must not decompose the whole regular module")
+
+    monkeypatch.setattr(taucalc, "summand_stream", counted)
+    monkeypatch.setattr(taucalc, "decompose", no_decompose)
+    assert len(pims(G, f3).pims) == 2
+    assert len(drawn) < every
+
+
+def simples_in_place_of_pims(table):
+    """A broken summand stream: each simple S in place of P(S).  Every top
+    still matches, so only the dimension count can tell."""
+    return lambda M, seed=0: ((None, S) for S in table.simples)
+
+
+def test_pim_count_certificate_catches_simples_for_pims(s3, monkeypatch):
+    f2 = field_make(2, 1)
+    table = simples_of(s3, f2)
+    monkeypatch.setattr(taucalc, "summand_stream", simples_in_place_of_pims(table))
+    with pytest.raises(AssertionError, match="do not fill kG"):
+        pims(s3, f2, simples=table)
+
+
+def test_pim_count_certificate_survives_optimize():
+    """The same broken stream in a python -O child, where assert is a no-op."""
+    code = """
+import sys
+from sttlab import taucalc
+from sttlab.exactfield import field_make
+from sttlab.meataxe import simples_of
+from sttlab.permgroup import group_close, parse_cycles
+
+s3 = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+f2 = field_make(2, 1)
+table = simples_of(s3, f2)
+taucalc.summand_stream = lambda M, seed=0: ((None, S) for S in table.simples)
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    taucalc.pims(s3, f2, simples=table)
+except AssertionError as e:
+    sys.exit(0 if "do not fill kG" in str(e) else str(e))
+sys.exit("the broken PIM table was accepted")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sttlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
