@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 import random
+import weakref
 
 import numpy as np
 
@@ -68,6 +69,11 @@ __all__ = [
 # hom_space spins from dim M * dim N of this many unknowns up (module
 # docstring; measurements in README.md, "Hom spaces").
 _SPIN_MIN_UNKNOWNS = 64
+
+# Kronecker-regime answers of hom_space per group, freed with the group: one
+# read-only array of flattened basis matrices per (field, dim M, dim N) and
+# generator bytes of both modules (README.md, "Hom spaces").
+_HOM_MEMO: "weakref.WeakKeyDictionary[Group, dict]" = weakref.WeakKeyDictionary()
 
 
 class InconclusiveError(RuntimeError):
@@ -426,8 +432,16 @@ def hom_space(M: Rep, N: Rep) -> HomBasis:
     _check_common(M, N)
     if M.dim == 0 or N.dim == 0:
         return HomBasis(M, N, [])
-    regime = _hom_spin if M.dim * N.dim >= _SPIN_MIN_UNKNOWNS else _hom_kron
-    return HomBasis(M, N, regime(M, N))
+    if M.dim * N.dim >= _SPIN_MIN_UNKNOWNS:
+        return HomBasis(M, N, _hom_spin(M, N))
+    memo = _HOM_MEMO.setdefault(M.group, {}).setdefault((M.field, M.dim, N.dim), {})
+    key = b"".join([A.a.tobytes() for A in M.gen_mats + N.gen_mats])
+    basis = memo.get(key)
+    if basis is None:
+        basis = np.array([X.a.reshape(-1) for X in _hom_kron(M, N)], dtype=M.field.dtype)
+        basis.flags.writeable = False
+        memo[key] = basis
+    return HomBasis(M, N, [Matrix(M.field, x.reshape(N.dim, M.dim)) for x in basis])
 
 
 def hom_dim(M: Rep, N: Rep) -> int:

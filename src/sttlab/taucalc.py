@@ -4,11 +4,13 @@ tau-tilting certificates.
 Group algebras are symmetric, so tau is computed as the double syzygy of
 minimal projective covers; the classical dual-of-transpose construction is
 kept as an independent second route and the two must agree up to
-isomorphism on every module they are both asked about.
+isomorphism on every module they are both asked about.  The support of M,
+for the counting criterion, is read from dim Hom(P(S), M), not a chop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -63,6 +65,7 @@ class PimTable:
     simples: SimpleTable
     pims: list[Rep]            # aligned with simples.labels
     cover_maps: list[Matrix]   # surjection P_i -> S_i
+    end_dims: list[int]        # dim End(S_i)
 
 
 class Tables:
@@ -83,6 +86,19 @@ class Tables:
 
     def chop(self, M: Rep):
         return chop(M, self.simples, seed=self.seed)
+
+    def multiplicities(self, M: Rep) -> Counter:
+        """chop's Counter read off hom dimensions, [M : S] = dim Hom(P(S), M)
+        / dim End(S), and certified by sum_S [M : S] dim S = dim M."""
+        pt = self.pimtable
+        out: Counter = Counter()
+        for lab, P, e in zip(pt.simples.labels, pt.pims, pt.end_dims):
+            out[lab], rest = divmod(hom_space(P, M).dim, e)
+            if rest:
+                raise AssertionError("dim Hom(P(S), M) is not a multiple of dim End(S)")
+        if sum(c * S.dim for c, S in zip(out.values(), pt.simples.simples)) != M.dim:
+            raise AssertionError("composition multiplicities do not fill dim M")
+        return +out  # the labels with [M : S] > 0
 
 
 def pims(group: Group, field: Field, seed: int = 0,
@@ -109,8 +125,9 @@ def pims(group: Group, field: Field, seed: int = 0,
             break
     if len(found) != simples.count:
         raise AssertionError("projective classes do not match the simples")
-    if group.order != sum(S.dim // hom_space(S, S).dim * found[lab][0].dim
-                          for lab, S in zip(simples.labels, simples.simples)):
+    end_dims = [hom_space(S, S).dim for S in simples.simples]
+    if group.order != sum(S.dim // e * found[lab][0].dim for lab, S, e
+                          in zip(simples.labels, simples.simples, end_dims)):
         raise AssertionError("the PIMs, dim S / dim End S times each, do not fill kG")
     return PimTable(
         group=group,
@@ -118,6 +135,7 @@ def pims(group: Group, field: Field, seed: int = 0,
         simples=simples,
         pims=[found[lab][0] for lab in simples.labels],
         cover_maps=[found[lab][1] for lab in simples.labels],
+        end_dims=end_dims,
     )
 
 
@@ -359,7 +377,7 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
     tau_M = direct_sum(tau_parts, group=M.group, field=M.field)
     support = set()
     for rep_j, _ in dec.summands:
-        support.update(tables.chop(rep_j).keys())
+        support.update(tables.multiplicities(rep_j).keys())
     cosupport = tuple(lab for lab in scope if lab not in support)
     m = len(dec.summands)
     stt = rigid and (m + len(cosupport) == len(scope))

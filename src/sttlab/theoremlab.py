@@ -4,8 +4,9 @@ step, the worked A4-in-S4 scenario and the four-set separation flags.
 All corpus-scale work runs through PairLab, which keeps one canonical
 representative per discovered indecomposable class and reduces every
 verdict (rigidity, support counts, induction, restriction, conjugation)
-to cached bookkeeping over those classes.  That keeps hundreds of corpus
-modules cheap while the underlying kernels stay exact.
+to cached bookkeeping over those classes; a class's support is read from
+dim Hom(P(S), -) over the PIMs.  That keeps hundreds of corpus modules
+cheap while the underlying kernels stay exact.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class PairLab:
     def chop_class(self, side: str, cid: int) -> Counter:
         key = (side, cid)
         if key not in self._chop:
-            self._chop[key] = self.tables[side].chop(self.class_rep(side, cid))
+            self._chop[key] = self.tables[side].multiplicities(self.class_rep(side, cid))
         return self._chop[key]
 
     def homdim(self, side: str, ci: int, cj: int) -> int:

@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sttlab import grouprep
+from sttlab import grouprep, meataxe
 from sttlab.exactfield import Matrix, _nullspace, field_make, rank
 from sttlab.grouprep import (
     Rep,
@@ -127,6 +129,35 @@ def test_is_isomorphic_respects_reordering(cast):
     W = r.witness
     for Am, Bm in zip(a.gen_mats, b.gen_mats):
         assert (W @ Am) == (Bm @ W)
+
+
+def test_is_isomorphic_falls_back_on_decompositions(cast, f4, monkeypatch):
+    """kS + kT against a base change of kT + kS: every basis element of the
+    hom space maps one summand only, so with no random trials the witness
+    must come from the two decompositions."""
+    M = direct_sum([cast.kS, cast.kT])
+    upper = Matrix.from_rows(f4, [[1 if i <= j else 0 for j in range(4)]
+                                  for i in range(4)])
+    N = _conjugated(direct_sum([cast.kT, cast.kS]), upper)
+    assert all(rank(X) < X.rows for X in hom_space(M, N).basis)
+    calls = []
+    real = meataxe.assemble_iso_witness
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(meataxe, "assemble_iso_witness", counted)
+    r = is_isomorphic(M, N, trials=0)
+    assert r and len(calls) == 1
+    W = r.witness
+    assert rank(W) == W.rows == M.dim
+    for Am, An in zip(M.gen_mats, N.gen_mats):
+        assert (W @ Am) == (An @ W)
+    # the same fallback certifies a negative answer without a witness
+    assert not is_isomorphic(M, _conjugated(direct_sum([cast.kT, cast.ST]), upper),
+                             trials=0)
+    assert len(calls) == 1
 
 
 def test_restrict(a4, s4, f4, s4_tables):
@@ -400,6 +431,85 @@ def test_hom_space_end_of_regular_s4xc2_matches_oracle():
     assert len(want) == 48
     assert hom_space(reg, reg).basis == want
     assert _hom_spin(reg, reg) == want
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker-regime memo
+
+
+def _fresh(M):
+    """A distinct Rep with equal content: new matrices, no shared arrays."""
+    return Rep(M.group, M.field, [Matrix(M.field, A.a.copy()) for A in M.gen_mats],
+               dim=M.dim)
+
+
+def _memo_size(G):
+    return sum(map(len, grouprep._HOM_MEMO.get(G, {}).values()))
+
+
+def test_memo_bases_match_kronecker_on_fresh_modules(cast, a4_tables):
+    modules = [cast.k, cast.S, cast.kS, cast.ST, cast.N1, cast.M,
+               *a4_tables.simples.simples]
+    for M in modules:
+        for N in modules:
+            if M.dim * N.dim >= grouprep._SPIN_MIN_UNKNOWNS:
+                continue
+            want = _hom_kron(_fresh(M), _fresh(N))
+            for _ in range(2):  # the first call may store, the second reads
+                got = hom_space(_fresh(M), _fresh(N)).basis
+                assert got == want
+                assert all(X.a.dtype == Y.a.dtype and X.a.tobytes() == Y.a.tobytes()
+                           for X, Y in zip(got, want))
+
+
+def test_memo_serves_content_equal_modules_from_one_entry(cast, monkeypatch):
+    M, N = _fresh(cast.kS), _fresh(cast.ST)
+    first = hom_space(M, N).basis
+    calls = []
+    monkeypatch.setattr(grouprep, "_hom_kron",
+                        lambda *args: calls.append(args) or _hom_kron(*args))
+    size = _memo_size(M.group)
+    second = hom_space(_fresh(cast.kS), _fresh(cast.ST)).basis
+    assert calls == [] and _memo_size(M.group) == size
+    assert second == first
+    assert all(np.shares_memory(X.a, Y.a) for X, Y in zip(first, second))
+
+
+def test_memo_bases_are_read_only(cast):
+    H = hom_space(_fresh(cast.kS), _fresh(cast.kS))
+    assert H.dim >= 1
+    with pytest.raises(ValueError):
+        H.basis[0].a[0, 0] = 1
+    # a copy is an ordinary writable matrix
+    X = H.basis[0].copy()
+    X.a[0, 0] = 1
+
+
+def test_memo_entries_go_with_their_group():
+    f = field_make(2, 2)
+    G = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+    k = trivial_rep(G, f)
+    assert hom_space(k, direct_sum([k, k])).dim == 2
+    assert _memo_size(G) == 1
+    before = len(grouprep._HOM_MEMO)
+    ref = weakref.ref(G)
+    del G, k
+    gc.collect()
+    assert ref() is None
+    assert len(grouprep._HOM_MEMO) == before - 1
+
+
+def test_memo_never_stores_spin_regime_calls():
+    f = field_make(3, 1)
+    G = group_close(4, [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])
+    reg, k = regular_rep(G, f), trivial_rep(G, f)
+    kk = direct_sum([k] * 6)
+    for M, N in [(reg, reg), (reg, kk), (kk, reg), (direct_sum([kk, kk]), kk)]:
+        assert M.dim * N.dim >= grouprep._SPIN_MIN_UNKNOWNS
+        hom_space(M, N)
+        assert _memo_size(G) == 0
+    hom_space(kk, kk)  # 36 unknowns: stored
+    assert _memo_size(G) == 1
 
 
 # ---------------------------------------------------------------------------

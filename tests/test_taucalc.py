@@ -8,6 +8,7 @@ import sttlab
 from sttlab import taucalc
 from sttlab.exactfield import field_make
 from sttlab.grouprep import (
+    HomBasis,
     InconclusiveError,
     direct_sum,
     hom_dim,
@@ -336,6 +337,17 @@ def test_pim_count_certificate_catches_simples_for_pims(s3, monkeypatch):
         pims(s3, f2, simples=table)
 
 
+def run_optimized(code):
+    """Run code in a python -O child, where assert is a no-op; it exits 0
+    when its certificate held."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sttlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
 def test_pim_count_certificate_survives_optimize():
     """The same broken stream in a python -O child, where assert is a no-op."""
     code = """
@@ -357,9 +369,56 @@ except AssertionError as e:
     sys.exit(0 if "do not fill kG" in str(e) else str(e))
 sys.exit("the broken PIM table was accepted")
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sttlab.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
+    run_optimized(code)
+
+
+def doubled_hom_space(M, N, real=taucalc.hom_space):
+    """A wrong hom dimension: every basis listed twice."""
+    return HomBasis(M, N, real(M, N).basis * 2)
+
+
+def test_multiplicities_certificate_catches_a_wrong_hom_dimension(s3, monkeypatch):
+    tables = Tables(s3, field_make(2, 1))
+    pt = tables.pimtable
+    S = tables.simples.simples[1]
+    assert tables.multiplicities(S) == {tables.simples.labels[1]: 1}
+    monkeypatch.setattr(taucalc, "hom_space", doubled_hom_space)
+    with pytest.raises(AssertionError, match="do not fill dim M"):
+        tables.multiplicities(S)
+    monkeypatch.undo()
+    # dim End(S) = 2 would make dim Hom(P(S), S) = 1 indivisible
+    monkeypatch.setattr(pt, "end_dims", [1, 2])
+    with pytest.raises(AssertionError, match="not a multiple of dim End"):
+        tables.multiplicities(S)
+
+
+def test_multiplicities_certificate_survives_optimize():
+    """The same wrong hom dimensions in a python -O child."""
+    code = """
+import sys
+from sttlab import taucalc
+from sttlab.exactfield import field_make
+from sttlab.grouprep import HomBasis
+from sttlab.permgroup import group_close, parse_cycles
+
+s3 = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+tables = taucalc.Tables(s3, field_make(2, 1))
+pt = tables.pimtable
+S = tables.simples.simples[1]
+real = taucalc.hom_space
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+for patch, message in [("hom", "do not fill dim M"), ("end", "not a multiple of dim End")]:
+    if patch == "hom":
+        taucalc.hom_space = lambda M, N: HomBasis(M, N, real(M, N).basis * 2)
+    else:
+        taucalc.hom_space, pt.end_dims = real, [1, 2]
+    try:
+        tables.multiplicities(S)
+    except AssertionError as e:
+        if message not in str(e):
+            sys.exit(str(e))
+    else:
+        sys.exit("a wrong hom dimension was accepted (" + patch + ")")
+"""
+    run_optimized(code)

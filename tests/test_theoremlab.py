@@ -13,7 +13,7 @@ from sttlab.grouprep import (
     trivial_rep,
     zero_rep,
 )
-from sttlab.meataxe import add_compare
+from sttlab.meataxe import add_compare, chop
 from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import is_stt
 from sttlab.theoremlab import (
@@ -136,8 +136,14 @@ def test_theorem1_universal_c3s3(c3s3, corpus_c3):
 
 V4 = (4, ["(0 1)(2 3)", "(0 2)(1 3)"])
 A4 = (4, ["(0 1 2)", "(0 1)(2 3)"])
+S4 = (4, ["(0 1)", "(0 1 2 3)"])
 C3 = (3, ["(0 1 2)"])
 S3 = (3, ["(0 1)", "(0 1 2)"])
+
+
+def group(spec):
+    degree, cycles = spec
+    return group_close(degree, [parse_cycles(c, degree) for c in cycles])
 
 
 @pytest.mark.parametrize("small, big, p, m, size", [
@@ -148,16 +154,40 @@ S3 = (3, ["(0 1)", "(0 1 2)"])
 def test_theorem1_universal_other_pairs(small, big, p, m, size):
     """Theorem 1 beyond A4 in S4 and C3 in S3 at p = 2; over GF(4) the
     projectives of V4 are local of dimension 4, divisible by p."""
-
-    def group(spec):
-        degree, cycles = spec
-        return group_close(degree, [parse_cycles(c, degree) for c in cycles])
-
     lab = PairLab(group(small), group(big), field_make(p, m))
     corpus = build_corpus(lab)
     assert len(corpus) == size
     assert [e.name for e in corpus
             if not check_theorem1_classes(e.classes, lab).agree] == []
+
+
+# A4 in S4 and C3 in S3 over GF(4), and the four blocks-p3 pairs over GF(3)
+TWO_ROUTE_PAIRS = {
+    "a4s4-gf4": (A4, S4, 2, 2),
+    "c3s3-gf4": (C3, S3, 2, 2),
+    "v4a4-gf3": (V4, A4, 3, 1),
+    "c3s3-gf3": (C3, S3, 3, 1),
+    "a4s4-gf3": (A4, S4, 3, 1),
+    "v4s4-gf3": (V4, S4, 3, 1),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(TWO_ROUTE_PAIRS))
+def test_multiplicities_match_meataxe_chop(pair):
+    """Hom(P(S), -) multiplicities against the MeatAxe chop, on every class
+    the corpus registers and every class induced from one."""
+    small, big, p, m = TWO_ROUTE_PAIRS[pair]
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    build_corpus(lab)
+    for cid in range(len(lab._classes["small"])):
+        lab.ind_classes(cid)
+    for side in ("small", "big"):
+        tables = lab.tables[side]
+        assert lab._classes[side]
+        for cid, R in enumerate(lab._classes[side]):
+            want = chop(R, tables.simples, seed=lab.seed)
+            assert sorted(tables.multiplicities(R).items()) == sorted(want.items())
+            assert sorted(lab.chop_class(side, cid).items()) == sorted(want.items())
 
 
 def test_mackey_universal(a4s4, corpus_a4):
