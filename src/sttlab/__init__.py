@@ -14,10 +14,8 @@ from .grouprep import (
     conjugate_rep,
     direct_sum,
     dual_rep,
-    ext_module,
     hom_space,
     induce,
-    is_isomorphic,
     rep_make,
     restrict,
 )
@@ -29,12 +27,13 @@ from .meataxe import (
     chop,
     decompose,
     is_irreducible,
+    is_isomorphic,
     lift_idempotent,
     radical_top,
     simples_of,
 )
-from .taucalc import PimTable, SttCertificate, Tables, ext1, is_stt, is_tau_rigid, \
-    pims, projective_cover, syzygy, tau
+from .taucalc import PimTable, SttCertificate, Tables, ext1, ext_module, is_stt, \
+    is_tau_rigid, pims, projective_cover, syzygy, tau
 from .blockdec import Block, block_cut_induce, block_of_module, blocks, \
     covering_blocks, fong_reynolds_block, inertial_group
 from .theoremlab import (

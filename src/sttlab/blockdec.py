@@ -52,12 +52,11 @@ def ga_mul(group: Group, field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def ga_conjugate(group: Group, field: Field, a: np.ndarray, t: Perm) -> np.ndarray:
-    """Coefficient vector of t * a * t^-1."""
-    t_inv = t.inverse()
+    """Coefficient vector of t * a * t^-1, for t in the group."""
+    table = group.mult_table()
+    nz = np.nonzero(a)[0]
     out = np.zeros(group.order, dtype=field.dtype)
-    for i in np.nonzero(a)[0]:
-        g = group.elements[i]
-        out[group.idx(t * g * t_inv)] = a[i]
+    out[table[table[group.idx(t), nz], group.idx(t.inverse())]] = a[nz]
     return out
 
 

@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .blockdec import blocks
 from .exactfield import Field, Matrix, Scalar, field_make
-from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, ext_module, \
-    induce, is_isomorphic, rep_make, trivial_rep
-from .meataxe import add_compare, simples_of
+from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce, \
+    rep_make, trivial_rep
+from .meataxe import add_compare, is_isomorphic, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
-from .taucalc import Tables, ext1, is_stt, is_tau_rigid, pims, tau
+from .taucalc import Tables, ext1, ext_module, is_stt, is_tau_rigid, pims, tau
 from .theoremlab import PairLab, check_theorem1, check_theorem2, \
     is_invariant, mackey_check, orbit_module, remark_classify
 
@@ -207,17 +207,8 @@ class Report:
 
 def _auto_field(groups: list[Group], p: int = 2) -> Field:
     """Minimal splitting field GF(p^m): p^m = 1 mod the p'-part of the
-    exponent of the largest group in play."""
-    exponent = 1
-    for G in groups:
-        for g in G.elements:
-            order = 1
-            h = g
-            while not h.is_identity():
-                h = h * g
-                order += 1
-            exponent = math.lcm(exponent, order)
-    eprime = exponent
+    exponent of the groups in play, the lcm of all their cycle lengths."""
+    eprime = math.lcm(*(len(c) for G in groups for g in G.elements for c in g.cycles()))
     while eprime % p == 0:
         eprime //= p
     m = 1

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-import random
 import weakref
 
 import numpy as np
@@ -43,12 +42,10 @@ __all__ = [
     "Rep",
     "HomBasis",
     "IsoResult",
-    "Cocycle",
     "rep_make",
     "act",
     "hom_space",
     "hom_dim",
-    "is_isomorphic",
     "iso_indecomposable",
     "InconclusiveError",
     "direct_sum",
@@ -56,7 +53,6 @@ __all__ = [
     "induce",
     "conjugate_rep",
     "dual_rep",
-    "ext_module",
     "regular_rep",
     "trivial_rep",
     "zero_rep",
@@ -122,10 +118,7 @@ class Rep:
         E = np.zeros((G.order, d, d), dtype=f.dtype)
         E[0] = np.eye(d, dtype=f.dtype)
         for i in range(1, G.order):
-            word = G.words[i]
-            gi = word[0]
-            parent = G.index[self.group.generators[gi].inverse() * G.elements[i]]
-            E[i] = _matmul(f, self.gen_mats[gi].a, E[parent])
+            E[i] = _matmul(f, self.gen_mats[G.words[i][0]].a, E[G.parents[i]])
         return E
 
     def act_idx(self, idx: int) -> Matrix:
@@ -196,10 +189,9 @@ def regular_rep(group: Group, field: Field) -> Rep:
     """Left translation on the group algebra basis."""
     n = group.order
     mats = []
-    for a in group.generators:
+    for row in group.left:
         arr = np.zeros((n, n), dtype=field.dtype)
-        for j, h in enumerate(group.elements):
-            arr[group.index[a * h], j] = 1
+        arr[row, np.arange(n)] = 1
         mats.append(Matrix(field, arr))
     return Rep(group, field, mats, dim=n)
 
@@ -208,8 +200,7 @@ def right_mult_matrix(group: Group, field: Field, g: Perm) -> Matrix:
     """Matrix of right multiplication by g on the group algebra basis."""
     n = group.order
     arr = np.zeros((n, n), dtype=field.dtype)
-    for j, h in enumerate(group.elements):
-        arr[group.index[h * g], j] = 1
+    arr[group.mult_table()[:, group.idx(g)], np.arange(n)] = 1
     return Matrix(field, arr)
 
 
@@ -416,7 +407,7 @@ def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
     return [Matrix(f, x.reshape(dn, dm).copy()) for x in X]
 
 
-def _check_common(M: Rep, N: Rep) -> None:
+def check_common(M: Rep, N: Rep) -> None:
     """ValueError unless M and N are modules over one group and one field."""
     if M.group is not N.group and (
         M.group.elements != N.group.elements
@@ -429,7 +420,7 @@ def _check_common(M: Rep, N: Rep) -> None:
 
 def hom_space(M: Rep, N: Rep) -> HomBasis:
     """Basis of the intertwiners X with X @ rho_M(g) == rho_N(g) @ X."""
-    _check_common(M, N)
+    check_common(M, N)
     if M.dim == 0 or N.dim == 0:
         return HomBasis(M, N, [])
     if M.dim * N.dim >= _SPIN_MIN_UNKNOWNS:
@@ -457,8 +448,9 @@ class IsoResult:
         return self.isomorphic
 
 
-def _verify_witness(M: Rep, N: Rep, X: Matrix) -> Matrix:
-    """Exact certification of an isomorphism candidate; returns the inverse."""
+def verify_witness(M: Rep, N: Rep, X: Matrix) -> Matrix:
+    """Exact certification of an isomorphism candidate; returns the inverse.
+    Kept out of __all__, like check_common and iso_class (see there)."""
     Xinv = X.inverse()
     eye = Matrix.identity(X.field, X.rows)
     if (X @ Xinv) != eye or (Xinv @ X) != eye:
@@ -467,12 +459,6 @@ def _verify_witness(M: Rep, N: Rep, X: Matrix) -> Matrix:
         if (X @ Am) != (An @ X):
             raise AssertionError("witness is not an intertwiner")
     return Xinv
-
-
-def _random_combo(f: Field, basis: list[Matrix], rng) -> Matrix:
-    coeffs = np.array([[rng.randrange(f.q) for _ in basis]], dtype=f.dtype)
-    stack = np.stack([B.a.reshape(-1) for B in basis])
-    return Matrix(f, _matmul(f, coeffs, stack).reshape(basis[0].shape))
 
 
 def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:
@@ -488,7 +474,7 @@ def iso_indecomposable(M: Rep, N: Rep) -> IsoResult:
         return IsoResult(True, Matrix.zeros(M.field, 0, 0))
     for X in hom_space(M, N).basis:
         if rank(X) == X.rows:
-            _verify_witness(M, N, X)
+            verify_witness(M, N, X)
             return IsoResult(True, X)
     return IsoResult(False)
 
@@ -505,44 +491,6 @@ def iso_class(M: Rep, reps: list[Rep]) -> Optional[tuple[int, Matrix]]:
             if iso:
                 return i, iso.witness
     return None
-
-
-def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
-    """Isomorphism test with an exactly verified witness on success.
-
-    Random elements of Hom(M, N) are tried first; if none is invertible the
-    verdict is settled through the Krull-Schmidt decompositions, so a
-    negative answer is certified rather than guessed.
-    """
-    _check_common(M, N)
-    if M.dim != N.dim:
-        return IsoResult(False)
-    if M.dim == 0:
-        return IsoResult(True, Matrix.zeros(M.field, 0, 0))
-    H = hom_space(M, N)
-    if H.dim == 0:
-        return IsoResult(False)
-    for X in H.basis:
-        if rank(X) == X.rows:
-            _verify_witness(M, N, X)
-            return IsoResult(True, X)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        X = _random_combo(M.field, H.basis, rng)
-        if rank(X) == X.rows:
-            _verify_witness(M, N, X)
-            return IsoResult(True, X)
-    # no invertible hom found; settle by matching indecomposable summands
-    from . import meataxe  # deferred import; meataxe builds on this module
-
-    dm = meataxe.decompose(M, seed=seed)
-    dn = meataxe.decompose(N, seed=seed)
-    matched = meataxe.match_decompositions(dm, dn)
-    if matched is None:
-        return IsoResult(False)
-    W = meataxe.assemble_iso_witness(M, N, dm, dn, matched)
-    _verify_witness(M, N, W)
-    return IsoResult(True, W)
 
 
 # ---------------------------------------------------------------------------
@@ -623,56 +571,3 @@ def dual_rep(M: Rep) -> Rep:
     """Contragredient module: g acts by act(g^-1) transposed."""
     mats = [M.act(a.inverse()).T for a in M.group.generators]
     return Rep(M.group, M.field, mats, dim=M.dim, block_dims=M.block_dims)
-
-
-# ---------------------------------------------------------------------------
-# extensions
-
-@dataclass
-class Cocycle:
-    """A hom from the syzygy of `source` to `target`, with enough context to
-    build the pushout extension and to detect split classes."""
-
-    source: Rep              # S: the module on top
-    target: Rep              # T: the module at the bottom
-    cover: Rep               # P(S)
-    omega_rows: Matrix       # RREF rows of Omega(S) inside P(S)
-    matrix: Matrix           # dim T x dim Omega(S)
-    restriction_rows: Matrix  # span of Hom(P(S), T) restricted, flattened rows
-
-
-def ext_module(S: Rep, T: Rep, cocycle: Cocycle) -> Rep:
-    """Indecomposable extension with top S and radical T, built as the
-    pushout (P(S) + T) / {(w, -f(w))}."""
-    f = S.field
-    if cocycle.source is not S or cocycle.target is not T:
-        if cocycle.source.dim != S.dim or cocycle.target.dim != T.dim:
-            raise ValueError("cocycle does not match the given modules")
-    flat = cocycle.matrix.a.reshape(1, -1)
-    R = cocycle.restriction_rows.a
-    if RowSpace(f, R.shape[1], R).contains(flat[0]):
-        raise ValueError("cocycle represents the zero class (split extension)")
-    P = cocycle.cover
-    K = cocycle.omega_rows.a
-    k = K.shape[0]
-    amb = direct_sum([P, T])
-    graph = np.zeros((k, P.dim + T.dim), dtype=f.dtype)
-    graph[:, :P.dim] = K
-    graph[:, P.dim:] = f.NEG[cocycle.matrix.a.T]
-    if not is_invariant_subspace(amb, graph):
-        raise ValueError("cocycle is not a module homomorphism")
-    E = quotient_rep(amb, graph)
-    if E.dim != S.dim + T.dim:
-        raise AssertionError("extension has the wrong dimension")
-    # certify the two-step structure: T embeds, the quotient is S
-    proj = quotient_projection(amb, graph)
-    t_rows = RowSpace(f, E.dim, proj.a[:, P.dim:].T).matrix()
-    if t_rows.shape[0] != T.dim or not is_invariant_subspace(E, t_rows):
-        raise AssertionError("bottom module does not embed into the extension")
-    bottom = sub_rep(E, t_rows)
-    top = quotient_rep(E, t_rows)
-    if not is_isomorphic(bottom, T):
-        raise AssertionError("extension radical is not the expected module")
-    if not is_isomorphic(top, S):
-        raise AssertionError("extension top is not the expected module")
-    return E

@@ -15,6 +15,7 @@ parameter) and raises InconclusiveError instead of ever guessing.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .exactfield import (
     factor,
     linsolve,
     minpoly,
+    rank,
     _matmul,
     _nullspace,
     # not called here: perfbench/tests checks that tracing rebinds this name
@@ -39,14 +41,16 @@ from .exactfield import (
 from .grouprep import (
     HomBasis,
     InconclusiveError,
+    IsoResult,
     Rep,
+    check_common,
     hom_space,
     iso_class,
     quotient_rep,
     regular_rep,
     spin,
     sub_rep,
-    _random_combo,
+    verify_witness,
 )
 from .permgroup import Group, p_regular_class_count
 
@@ -62,6 +66,7 @@ __all__ = [
     "simples_of",
     "radical_top",
     "decompose",
+    "is_isomorphic",
     "algebra_radical",
     "fitting_kernels",
     "frobenius_fixed_element",
@@ -288,6 +293,12 @@ def fitting_kernels(theta: Matrix, rng) -> Optional[list[np.ndarray]]:
             power = power * poly
         kernels.append(_nullspace(f, power.eval_matrix(theta).a))
     return kernels
+
+
+def _random_combo(f: Field, basis: list[Matrix], rng) -> Matrix:
+    coeffs = np.array([[rng.randrange(f.q) for _ in basis]], dtype=f.dtype)
+    stack = np.stack([B.a.reshape(-1) for B in basis])
+    return Matrix(f, _matmul(f, coeffs, stack).reshape(basis[0].shape))
 
 
 def _fitting_split(rep: Rep, theta: Matrix, rng):
@@ -544,33 +555,54 @@ def match_decompositions(dm: Decomposition, dn: Decomposition):
 
 def assemble_iso_witness(M: Rep, N: Rep, dm: Decomposition, dn: Decomposition,
                          matching) -> Matrix:
-    """Glue per-class isos into a global one through the two witnesses."""
-    f = M.field
-    D = M.dim
-    # offsets of each piece inside the block coordinates
-    def offsets(dec: Decomposition):
-        offs = []
-        pos = 0
-        for rows, ci in dec.pieces:
-            offs.append((pos, ci))
-            pos += rows.rows
-        return offs
+    """Glue per-class isos into a global one through the two witnesses.
 
-    offs_m = offsets(dm)
-    offs_n = offsets(dn)
-    phi = np.zeros((D, D), dtype=f.dtype)
-    taken: dict[int, list[int]] = {}
-    for j, (pos_n, cj) in enumerate(offs_n):
-        taken.setdefault(cj, []).append(j)
-    class_map = {i: (j, X) for i, j, X in matching}
-    for i_piece, (pos_m, ci) in enumerate(offs_m):
-        cj, X = class_map[ci]
-        j_piece = taken[cj].pop(0)
-        pos_n, _ = offs_n[j_piece]
-        d = dm.summands[ci][0].dim
-        phi[pos_n:pos_n + d, pos_m:pos_m + d] = X.a
-    W = dn.witness.inverse() @ Matrix(f, phi) @ dm.witness
-    return W
+    decompose lists its pieces class by class, so class c starts at the sum
+    of dim * mult over the classes before it, and the k-th piece of class
+    ci goes to the k-th piece of its matched class cj.
+    """
+    start_m, start_n = ([0, *itertools.accumulate(R.dim * m for R, m in dec.summands)]
+                        for dec in (dm, dn))
+    phi = np.zeros((M.dim, M.dim), dtype=M.field.dtype)
+    for ci, cj, X in matching:
+        d = X.rows
+        for k in range(dm.summands[ci][1]):
+            a, b = start_m[ci] + k * d, start_n[cj] + k * d
+            phi[b:b + d, a:a + d] = X.a
+    return dn.witness.inverse() @ Matrix(M.field, phi) @ dm.witness
+
+
+def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
+    """Isomorphism test with an exactly verified witness on success.
+
+    The basis of Hom(M, N) and then `trials` random elements of it are
+    tried first; if none is invertible the verdict is settled through the
+    Krull-Schmidt decompositions, so a negative answer is certified rather
+    than guessed.
+    """
+    check_common(M, N)
+    if M.dim != N.dim:
+        return IsoResult(False)
+    if M.dim == 0:
+        return IsoResult(True, Matrix.zeros(M.field, 0, 0))
+    H = hom_space(M, N)
+    if H.dim == 0:
+        return IsoResult(False)
+    rng = random.Random(seed)
+    combos = (_random_combo(M.field, H.basis, rng) for _ in range(trials))
+    for X in itertools.chain(H.basis, combos):
+        if rank(X) == X.rows:
+            verify_witness(M, N, X)
+            return IsoResult(True, X)
+    # no invertible hom found; settle by matching indecomposable summands
+    dm = decompose(M, seed=seed)
+    dn = decompose(N, seed=seed)
+    matched = match_decompositions(dm, dn)
+    if matched is None:
+        return IsoResult(False)
+    W = assemble_iso_witness(M, N, dm, dn, matched)
+    verify_witness(M, N, W)
+    return IsoResult(True, W)
 
 
 # ---------------------------------------------------------------------------

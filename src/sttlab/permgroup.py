@@ -139,15 +139,20 @@ class Group:
     """Finite permutation group with BFS element enumeration and words.
 
     elements[0] is the identity; words[i] is a list of generator indices
-    with elements[i] = gens[w[0]] * gens[w[1]] * ... * gens[w[-1]].
+    with elements[i] = gens[w[0]] * gens[w[1]] * ... * gens[w[-1]].  The
+    closure's own products are kept: left[gi, h] is the index of
+    gens[gi] * elements[h], and elements[i] = gens[words[i][0]] *
+    elements[parents[i]] with parents[i] < i (parents[0] = 0).
     """
 
     def __init__(self, degree: int, generators: list[Perm], elements: list[Perm],
-                 words: list[list[int]]):
+                 words: list[list[int]], left: np.ndarray, parents: np.ndarray):
         self.degree = degree
         self.generators = generators
         self.elements = elements
         self.words = words
+        self.left = left
+        self.parents = parents
         self.index = {g: i for i, g in enumerate(elements)}
         self._mult_table: Optional[np.ndarray] = None
 
@@ -168,13 +173,14 @@ class Group:
             raise ValueError(f"{g} is not an element of this group") from None
 
     def mult_table(self) -> np.ndarray:
-        """mult_table[i, j] = index of elements[i] * elements[j]."""
+        """mult_table[i, j] = index of elements[i] * elements[j]; row i is
+        row parents[i] moved by the first generator of words[i]."""
         if self._mult_table is None:
             n = self.order
-            t = np.zeros((n, n), dtype=np.int32)
-            for i, g in enumerate(self.elements):
-                for j, h in enumerate(self.elements):
-                    t[i, j] = self.index[g * h]
+            t = np.empty((n, n), dtype=np.int32)
+            t[0] = np.arange(n)
+            for i in range(1, n):
+                t[i] = self.left[self.words[i][0], t[self.parents[i]]]
             self._mult_table = t
         return self._mult_table
 
@@ -190,8 +196,9 @@ class Group:
 def group_close(degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Breadth-first closure of the generators, identity first.
 
-    New elements are produced as gen * frontier, so the recorded word of a
-    new element is [gen index] + word(frontier element).
+    New elements are produced as gen * h for an earlier element h, so the
+    recorded word of a new element is [gen index] + word(h), and h is its
+    parent.
     """
     gens = []
     for g in generators:
@@ -203,25 +210,27 @@ def group_close(degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP) -> Grou
     ident = Perm.identity(degree)
     elements = [ident]
     words: list[list[int]] = [[]]
+    parents = [0]
+    left: list[list[int]] = [[] for _ in gens]
     index = {ident: 0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for h_idx in frontier:
-            h = elements[h_idx]
-            for gi, a in enumerate(gens):
-                g = a * h
-                if g not in index:
-                    index[g] = len(elements)
-                    elements.append(g)
-                    words.append([gi] + words[h_idx])
-                    next_frontier.append(index[g])
-                    if len(elements) > cap:
-                        raise ValueError(
-                            f"group closure exceeded the element cap {cap}"
-                        )
-        frontier = next_frontier
-    return Group(degree, gens, elements, words)
+    # elements is the queue: each one is expanded once, in index order
+    for h_idx, h in enumerate(elements):
+        for gi, a in enumerate(gens):
+            g = a * h
+            if g not in index:
+                index[g] = len(elements)
+                elements.append(g)
+                words.append([gi] + words[h_idx])
+                parents.append(h_idx)
+                if len(elements) > cap:
+                    raise ValueError(
+                        f"group closure exceeded the element cap {cap}"
+                    )
+            left[gi].append(index[g])
+    n = len(elements)
+    return Group(degree, gens, elements, words,
+                 np.array(left, dtype=np.int32).reshape(len(gens), n),
+                 np.array(parents, dtype=np.int32))
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Projective covers, syzygies, the Auslander-Reiten translate and support
-tau-tilting certificates.
+"""Projective covers, syzygies, the Auslander-Reiten translate, Ext^1 with
+its pushout extensions, and support tau-tilting certificates.
 
 Group algebras are symmetric, so tau is computed as the double syzygy of
 minimal projective covers; the classical dual-of-transpose construction is
@@ -20,11 +20,11 @@ import numpy as np
 from . import blockdec
 from .exactfield import Field, Matrix, RowSpace, linsolve, rank, _nullspace
 from .grouprep import (
-    Cocycle,
     Rep,
     direct_sum,
     dual_rep,
     hom_space,
+    is_invariant_subspace,
     iso_class,
     quotient_projection,
     quotient_rep,
@@ -37,6 +37,7 @@ from .meataxe import (
     SimpleTable,
     chop,
     decompose,
+    is_isomorphic,
     radical_top,
     simples_of,
     summand_stream,
@@ -53,6 +54,8 @@ __all__ = [
     "tau",
     "ext1",
     "Ext1Result",
+    "Cocycle",
+    "ext_module",
     "is_tau_rigid",
     "is_stt",
 ]
@@ -290,6 +293,19 @@ def _tau_dtr(M: Rep, tables: Tables) -> Rep:
 
 
 @dataclass
+class Cocycle:
+    """A hom from the syzygy of `source` to `target`, with enough context to
+    build the pushout extension and to detect split classes."""
+
+    source: Rep              # S: the module on top
+    target: Rep              # T: the module at the bottom
+    cover: Rep               # P(S)
+    omega_rows: Matrix       # RREF rows of Omega(S) inside P(S)
+    matrix: Matrix           # dim T x dim Omega(S)
+    restriction_rows: Matrix  # span of Hom(P(S), T) restricted, flattened rows
+
+
+@dataclass
 class Ext1Result:
     dimension: int
     cocycles: list[Cocycle]
@@ -330,6 +346,43 @@ def ext1(S: Rep, T: Rep, tables: Tables) -> Ext1Result:
     if dim != len(cocycles):
         raise AssertionError("Ext^1 dimension does not match its cocycle basis")
     return Ext1Result(dim, cocycles)
+
+
+def ext_module(S: Rep, T: Rep, cocycle: Cocycle) -> Rep:
+    """Indecomposable extension with top S and radical T, built as the
+    pushout (P(S) + T) / {(w, -f(w))}."""
+    f = S.field
+    if cocycle.source is not S or cocycle.target is not T:
+        if cocycle.source.dim != S.dim or cocycle.target.dim != T.dim:
+            raise ValueError("cocycle does not match the given modules")
+    flat = cocycle.matrix.a.reshape(1, -1)
+    R = cocycle.restriction_rows.a
+    if RowSpace(f, R.shape[1], R).contains(flat[0]):
+        raise ValueError("cocycle represents the zero class (split extension)")
+    P = cocycle.cover
+    K = cocycle.omega_rows.a
+    k = K.shape[0]
+    amb = direct_sum([P, T])
+    graph = np.zeros((k, P.dim + T.dim), dtype=f.dtype)
+    graph[:, :P.dim] = K
+    graph[:, P.dim:] = f.NEG[cocycle.matrix.a.T]
+    if not is_invariant_subspace(amb, graph):
+        raise ValueError("cocycle is not a module homomorphism")
+    E = quotient_rep(amb, graph)
+    if E.dim != S.dim + T.dim:
+        raise AssertionError("extension has the wrong dimension")
+    # certify the two-step structure: T embeds, the quotient is S
+    proj = quotient_projection(amb, graph)
+    t_rows = RowSpace(f, E.dim, proj.a[:, P.dim:].T).matrix()
+    if t_rows.shape[0] != T.dim or not is_invariant_subspace(E, t_rows):
+        raise AssertionError("bottom module does not embed into the extension")
+    bottom = sub_rep(E, t_rows)
+    top = quotient_rep(E, t_rows)
+    if not is_isomorphic(bottom, T):
+        raise AssertionError("extension radical is not the expected module")
+    if not is_isomorphic(top, S):
+        raise AssertionError("extension top is not the expected module")
+    return E
 
 
 @dataclass

@@ -19,11 +19,11 @@ from typing import Optional
 from .blockdec import Block, block_of_module, blocks, covering_blocks, \
     inertial_group, module_in_block
 from .exactfield import Field
-from .grouprep import Rep, conjugate_rep, direct_sum, ext_module, hom_space, induce, \
-    iso_class, restrict
+from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
+    restrict
 from .meataxe import decompose
 from .permgroup import Group, Transversal, transversal
-from .taucalc import Tables, ext1, syzygy, tau
+from .taucalc import Tables, ext1, ext_module, syzygy, tau
 
 __all__ = [
     "PairLab",

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import settings
 
 from sttlab.exactfield import field_make
-from sttlab.grouprep import direct_sum, ext_module, trivial_rep
+from sttlab.grouprep import direct_sum, trivial_rep
 from sttlab.permgroup import group_close, parse_cycles
-from sttlab.taucalc import Tables, ext1
+from sttlab.taucalc import Tables, ext1, ext_module
 from sttlab.theoremlab import PairLab
 
 # Property tests replay the same examples on every run, with no time limit

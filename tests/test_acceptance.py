@@ -23,8 +23,8 @@ from sttlab.blockdec import (
 )
 from sttlab.cli import main as cli_main
 from sttlab.exactfield import Matrix
-from sttlab.grouprep import hom_dim, is_isomorphic
-from sttlab.meataxe import simples_of
+from sttlab.grouprep import hom_dim
+from sttlab.meataxe import is_isomorphic, simples_of
 from sttlab.taucalc import tau
 from sttlab.theoremlab import (
     build_corpus,

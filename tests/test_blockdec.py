@@ -14,8 +14,8 @@ from sttlab.blockdec import (
     inertial_group,
     module_in_block,
 )
-from sttlab.grouprep import direct_sum, is_isomorphic, regular_rep, trivial_rep
-from sttlab.meataxe import is_irreducible, simples_of
+from sttlab.grouprep import direct_sum, regular_rep, trivial_rep
+from sttlab.meataxe import is_irreducible, is_isomorphic, simples_of
 from sttlab.permgroup import transversal
 from sttlab.taucalc import Tables, syzygy
 

@@ -87,7 +87,7 @@ def test_chop_additive(a4_tables, cast):
 
 
 def test_radical_top(a4_tables, cast, a4, f4):
-    from sttlab.grouprep import is_isomorphic
+    from sttlab.meataxe import is_isomorphic
 
     rt = radical_top(cast.S, a4_tables.simples)
     assert rt.radical.dim == 0 and rt.top.dim == 1
@@ -361,7 +361,8 @@ def _rescue_split(M, lead=None):
 
 
 def test_semisimple_quotient_split_separates_k_plus_s(cast):
-    from sttlab.grouprep import is_invariant_subspace, is_isomorphic, sub_rep
+    from sttlab.grouprep import is_invariant_subspace, sub_rep
+    from sttlab.meataxe import is_isomorphic
 
     M = direct_sum([cast.k, cast.S])
     parts = _rescue_split(M)
@@ -374,7 +375,8 @@ def test_semisimple_quotient_split_separates_k_plus_s(cast):
 
 @pytest.mark.parametrize("lead", [None, "radical", "shifted"])
 def test_semisimple_quotient_split_works_modulo_the_radical(cast, lead):
-    from sttlab.grouprep import is_invariant_subspace, is_isomorphic, sub_rep
+    from sttlab.grouprep import is_invariant_subspace, sub_rep
+    from sttlab.meataxe import is_isomorphic
 
     # End(kS + k) has the map kS -> k -> k as its radical, and End/J = k x k
     M = direct_sum([cast.kS, cast.k])

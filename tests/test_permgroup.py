@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from sttlab.exactfield import field_make
+from sttlab.grouprep import regular_rep, right_mult_matrix
 from sttlab.permgroup import (
     Perm,
     class_sums,
@@ -141,3 +144,36 @@ def test_p_regular_class_count(name, p, count):
     brute = sum(1 for cls in class_sums(G)
                 if element_order(G.elements[cls[0]]) % p)
     assert p_regular_class_count(G, p) == brute == count
+
+
+@pytest.mark.parametrize("name", ["S4xC2", "A5", "PGL27"])
+def test_cayley_table_matches_perm_products(name):
+    """mult_table, regular_rep, right_mult_matrix and element_mats, read off
+    the products the closure kept, equal their definitions by Perm products
+    bit for bit."""
+    degree, cycles = BRAUER_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(2, 1)
+    n = G.order
+    ref = np.zeros((n, n), dtype=np.int32)
+    for i, g in enumerate(G.elements):
+        for j, h in enumerate(G.elements):
+            ref[i, j] = G.index[g * h]
+    table = G.mult_table()
+    assert table.dtype == ref.dtype and np.array_equal(table, ref)
+
+    def basis_map(images):
+        """Matrix over f of the map sending basis vector j to images[j]."""
+        arr = np.zeros((n, n), dtype=f.dtype)
+        arr[images, np.arange(n)] = 1
+        return arr
+
+    reg = regular_rep(G, f)
+    for a, A in zip(G.generators, reg.gen_mats):
+        assert A.a.dtype == f.dtype and np.array_equal(A.a, basis_map(ref[G.index[a]]))
+    for j in range(n):
+        R = right_mult_matrix(G, f, G.elements[j]).a
+        assert R.dtype == f.dtype and np.array_equal(R, basis_map(ref[:, j]))
+    E = reg.element_mats
+    assert E.dtype == f.dtype
+    assert all(np.array_equal(E[i], basis_map(ref[i])) for i in range(n))

@@ -17,7 +17,6 @@ from sttlab.grouprep import (
     conjugate_rep,
     direct_sum,
     dual_rep,
-    ext_module,
     hom_space,
     induce,
     quotient_rep,
@@ -29,7 +28,7 @@ from sttlab.grouprep import (
 )
 from sttlab.meataxe import _coordinate_slice, decompose, radical_top
 from sttlab.permgroup import Perm, group_close, parse_cycles, transversal
-from sttlab.taucalc import Tables, _twisted_hom_to_regular, ext1
+from sttlab.taucalc import Tables, _twisted_hom_to_regular, ext1, ext_module
 
 
 def _derived_modules(H, G, f, tables_h, tables_g):

@@ -12,7 +12,6 @@ from sttlab.grouprep import (
     InconclusiveError,
     direct_sum,
     hom_dim,
-    is_isomorphic,
     iso_class,
     quotient_projection,
     regular_rep,
@@ -24,6 +23,7 @@ from sttlab.meataxe import (
     chop,
     composition_factors,
     decompose,
+    is_isomorphic,
     radical_top,
     simples_of,
 )

@@ -7,13 +7,12 @@ from sttlab.exactfield import field_make
 from sttlab.grouprep import (
     direct_sum,
     induce,
-    is_isomorphic,
     regular_rep,
     restrict,
     trivial_rep,
     zero_rep,
 )
-from sttlab.meataxe import add_compare, chop
+from sttlab.meataxe import add_compare, chop, is_isomorphic
 from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import is_stt
 from sttlab.theoremlab import (
@@ -150,7 +149,10 @@ def group(spec):
     (V4, A4, 2, 2, 64),
     (V4, A4, 3, 1, 15),
     (C3, S3, 3, 1, 8),
-], ids=["v4a4-gf4", "v4a4-gf3", "c3s3-gf3"])
+    (A4, S4, 3, 1, 15),
+    (V4, S4, 2, 2, 64),
+    (V4, S4, 3, 1, 15),
+], ids=["v4a4-gf4", "v4a4-gf3", "c3s3-gf3", "a4s4-gf3", "v4s4-gf4", "v4s4-gf3"])
 def test_theorem1_universal_other_pairs(small, big, p, m, size):
     """Theorem 1 beyond A4 in S4 and C3 in S3 at p = 2; over GF(4) the
     projectives of V4 are local of dimension 4, divisible by p."""
