@@ -455,30 +455,28 @@ def frobenius_fixed_element(f: Field, basis, radical,
             if not jspace.contains(commutator.reshape(-1)):
                 return None  # noncommutative quotient: nothing deterministic here
 
-    A = Matrix(f, reduced[picked].T.copy())
-
-    def comp_coords(mat: np.ndarray) -> np.ndarray:
-        b = Matrix(f, jspace.reduce(mat.reshape(-1))[:, None].copy())
-        sol = linsolve(A, b)
-        if sol.particular is None:
-            raise AssertionError("element outside the algebra")
-        return sol.particular.a[:, 0]
-
-    # Frobenius x -> x^q on A/J in the comp coordinates (q-linear)
-    F = np.zeros((q_dim, q_dim), dtype=f.dtype)
-    for i, c in enumerate(comp):
+    # the q-th powers of comp, then one, in the comp coordinates mod J
+    targets = []
+    for c in comp:
         w = c.copy()
         for _ in range(f.m):
             acc = w
             for _ in range(f.p - 1):
                 acc = _matmul(f, acc, w)
             w = acc
-        F[:, i] = comp_coords(w)
+        targets.append(w.reshape(-1))
+    targets.append(one.reshape(-1))
+    sol = linsolve(Matrix(f, reduced[picked].T.copy()),
+                   Matrix(f, jspace.reduce(np.stack(targets)).T.copy()))
+    if sol.particular is None:
+        raise AssertionError("element outside the algebra")
+    # Frobenius x -> x^q on A/J in the comp coordinates (q-linear)
+    F = sol.particular.a[:, :q_dim]
     fixed = _nullspace(f, f.arr_sub(F, np.eye(q_dim, dtype=f.dtype)))
     if fixed.shape[1] <= 1:
         return None  # A/J is a field
     probe = RowSpace(f, q_dim)
-    probe.add(comp_coords(one))
+    probe.add(sol.particular.a[:, q_dim])
     z = None
     for j in range(fixed.shape[1]):
         if probe.add(fixed[:, j]):

@@ -45,11 +45,17 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Perm":
+        """The permutation of disjoint cycles.  A point given twice is an
+        error: overlapping cycles would have to be read as a product."""
         images = list(range(degree))
+        seen = set()
         for cyc in cycles:
             for i, pt in enumerate(cyc):
                 if not 0 <= pt < degree:
                     raise ValueError(f"point {pt} out of range for degree {degree}")
+                if pt in seen:
+                    raise ValueError(f"point {pt} appears twice in the cycles")
+                seen.add(pt)
                 images[pt] = cyc[(i + 1) % len(cyc)]
         return cls(images)
 
@@ -128,10 +134,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
         inner = chunk[1:-1].replace(",", " ").split()
         if not inner:
             continue
-        pts = [int(tok) for tok in inner]
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"repeated point in cycle {chunk!r}")
-        cycles.append(tuple(pts))
+        cycles.append(tuple(int(tok) for tok in inner))
     return Perm.from_cycles(degree, cycles)
 
 

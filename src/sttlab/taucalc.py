@@ -250,14 +250,11 @@ def _twisted_hom_to_regular(P: Rep, tables: Tables) -> tuple[Rep, list[Matrix]]:
     gen_mats = []
     for a in G.generators:
         Rinv = right_mult_matrix(G, f, a.inverse())
-        cols = []
-        for b in basis:
-            img = (Rinv @ b).a.reshape(-1)
-            sol = linsolve(A, Matrix(f, img[:, None].copy()))
-            if sol.particular is None:
-                raise AssertionError("twisted action left the hom space")
-            cols.append(sol.particular.a[:, 0])
-        gen_mats.append(Matrix(f, np.stack(cols, axis=1)))
+        imgs = np.stack([(Rinv @ b).a.reshape(-1) for b in basis], axis=1)
+        sol = linsolve(A, Matrix(f, imgs))
+        if sol.particular is None:
+            raise AssertionError("twisted action left the hom space")
+        gen_mats.append(sol.particular)
     return Rep(G, f, gen_mats, dim=h), basis
 
 
@@ -278,14 +275,12 @@ def _tau_dtr(M: Rep, tables: Tables) -> Rep:
         return zero_rep(G, f)
     flat1 = np.stack([b.a.reshape(-1) for b in basis1])
     A1 = Matrix(f, flat1.T.copy())
-    image_rows = []
-    for psi in basis0:
-        img = (psi @ d).a.reshape(-1)
-        sol = linsolve(A1, Matrix(f, img[:, None].copy()))
-        if sol.particular is None:
-            raise AssertionError("transpose image left the hom space")
-        image_rows.append(sol.particular.a[:, 0])
-    rows = Matrix(f, RowSpace(f, hom1.dim, image_rows).matrix())
+    # basis0 is not empty: Hom(P(S), kG) is nonzero for every simple S
+    imgs = np.stack([(psi @ d).a.reshape(-1) for psi in basis0], axis=1)
+    sol = linsolve(A1, Matrix(f, imgs))
+    if sol.particular is None:
+        raise AssertionError("transpose image left the hom space")
+    rows = Matrix(f, RowSpace(f, hom1.dim, sol.particular.a.T).matrix())
     coker = quotient_rep(hom1, rows) if rows.rows < hom1.dim else zero_rep(G, f)
     if coker.dim == 0:
         return zero_rep(G, f)

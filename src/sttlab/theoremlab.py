@@ -12,8 +12,9 @@ cheap while the underlying kernels stay exact.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial, wraps
 from typing import Optional
 
 from .blockdec import Block, block_of_module, blocks, covering_blocks, \
@@ -21,7 +22,7 @@ from .blockdec import Block, block_of_module, blocks, covering_blocks, \
 from .exactfield import Field
 from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
     restrict
-from .meataxe import decompose
+from .meataxe import summand_stream
 from .permgroup import Group, Transversal, transversal
 from .taucalc import Tables, ext1, ext_module, syzygy, tau
 
@@ -94,6 +95,17 @@ def _push(classes: Counter, image) -> Counter:
     return out
 
 
+def _memo(method, key=lambda *args: args):
+    """Memoize a PairLab method per instance on key(*args)."""
+    @wraps(method)
+    def memoized(self, *args):
+        store, k = self._memo[method.__name__], key(*args)
+        if k not in store:
+            store[k] = method(self, *args)
+        return store[k]
+    return memoized
+
+
 class PairLab:
     """Shared context for one pair G normal in Gtilde over one field."""
 
@@ -108,16 +120,7 @@ class PairLab:
         self.tables = {"small": Tables(small, field, seed=seed),
                        "big": Tables(big, field, seed=seed)}
         self._classes: dict[str, list[Rep]] = {"small": [], "big": []}
-        self._tau: dict[tuple[str, int], Counter] = {}
-        self._chop: dict[tuple[str, int], Counter] = {}
-        self._homdim: dict[tuple[str, int, int], int] = {}
-        self._ind: dict[int, Counter] = {}
-        self._res_ind: dict[int, Counter] = {}
-        self._conj: dict[tuple[int, int], Counter] = {}
-        self._blocks: dict[str, list[Block]] = {}
-        self._class_block: dict[tuple[str, int], int] = {}
-        self._inertial: dict[int, Group] = {}
-        self._inertial_trans: dict[int, Transversal] = {}
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- class registry ---------------------------------------------------
     def group_of(self, side: str) -> Group:
@@ -136,13 +139,9 @@ class PairLab:
 
     def classes_of(self, M: Rep, side: str) -> Counter:
         """Krull-Schmidt class multiset of a materialized module."""
-        out: Counter = Counter()
-        if M.dim == 0:
-            return out
-        dec = decompose(M, seed=self.seed)
-        for rep, mult in dec.summands:
-            out[self.register(rep, side)] += mult
-        return out
+        # the whole stream first: a module that stalls registers nothing
+        leaves = [leaf for _, leaf in summand_stream(M, self.seed)]
+        return Counter(self.register(leaf, side) for leaf in leaves)
 
     def materialize(self, counter: Counter, side: str) -> Rep:
         parts = []
@@ -151,47 +150,33 @@ class PairLab:
         return direct_sum(parts, group=self.group_of(side), field=self.field)
 
     # -- per-class data -----------------------------------------------------
+    @_memo
     def tau_classes(self, side: str, cid: int) -> Counter:
-        key = (side, cid)
-        if key not in self._tau:
-            t = tau(self.class_rep(side, cid), self.tables[side])
-            self._tau[key] = self.classes_of(t, side)
-        return self._tau[key]
+        return self.classes_of(tau(self.class_rep(side, cid), self.tables[side]), side)
 
+    @_memo
     def chop_class(self, side: str, cid: int) -> Counter:
-        key = (side, cid)
-        if key not in self._chop:
-            self._chop[key] = self.tables[side].multiplicities(self.class_rep(side, cid))
-        return self._chop[key]
+        return self.tables[side].multiplicities(self.class_rep(side, cid))
 
+    @_memo
     def homdim(self, side: str, ci: int, cj: int) -> int:
-        key = (side, ci, cj)
-        if key not in self._homdim:
-            self._homdim[key] = hom_space(
-                self.class_rep(side, ci), self.class_rep(side, cj)
-            ).dim
-        return self._homdim[key]
+        return hom_space(self.class_rep(side, ci), self.class_rep(side, cj)).dim
 
+    @_memo
     def ind_classes(self, cid: int) -> Counter:
-        if cid not in self._ind:
-            ind = induce(self.class_rep("small", cid), self.big, self.trans)
-            self._ind[cid] = self.classes_of(ind, "big")
-        return self._ind[cid]
+        ind = induce(self.class_rep("small", cid), self.big, self.trans)
+        return self.classes_of(ind, "big")
 
+    @_memo
     def res_ind_classes(self, cid: int) -> Counter:
-        if cid not in self._res_ind:
-            ind = induce(self.class_rep("small", cid), self.big, self.trans)
-            self._res_ind[cid] = self.classes_of(restrict(ind, self.small), "small")
-        return self._res_ind[cid]
+        ind = induce(self.class_rep("small", cid), self.big, self.trans)
+        return self.classes_of(restrict(ind, self.small), "small")
 
+    @_memo
     def conj_classes(self, cid: int, rep_index: int) -> Counter:
         """Classes of the conjugate module by the rep_index-th coset rep."""
-        key = (cid, rep_index)
-        if key not in self._conj:
-            t = self.trans.reps[rep_index]
-            conj = conjugate_rep(self.class_rep("small", cid), t)
-            self._conj[key] = self.classes_of(conj, "small")
-        return self._conj[key]
+        conj = conjugate_rep(self.class_rep("small", cid), self.trans.reps[rep_index])
+        return self.classes_of(conj, "small")
 
     def orbit_classes(self, counter: Counter,
                       rep_indices: Optional[list[int]] = None) -> Counter:
@@ -202,29 +187,19 @@ class PairLab:
             (self.conj_classes(cid, ri) for ri in rep_indices), Counter()))
 
     # -- blocks -------------------------------------------------------------
+    @_memo
     def side_blocks(self, side: str) -> list[Block]:
-        if side not in self._blocks:
-            self._blocks[side] = blocks(
-                self.group_of(side), self.field,
-                simples=self.tables[side].simples, seed=self.seed,
-            )
-        return self._blocks[side]
+        return blocks(self.group_of(side), self.field,
+                      simples=self.tables[side].simples, seed=self.seed)
 
+    @_memo
     def class_block(self, side: str, cid: int) -> int:
-        key = (side, cid)
-        if key not in self._class_block:
-            b = block_of_module(self.class_rep(side, cid), self.side_blocks(side))
-            self._class_block[key] = b.index
-        return self._class_block[key]
+        return block_of_module(self.class_rep(side, cid), self.side_blocks(side)).index
 
-    def inertial(self, B: Block) -> tuple[Group, Transversal]:
-        """Inertial group of a small-side block, with a transversal of G in it."""
-        key = B.index
-        if key not in self._inertial:
-            I = inertial_group(B, self.big)
-            self._inertial[key] = I
-            self._inertial_trans[key] = transversal(I, self.small)
-        return self._inertial[key], self._inertial_trans[key]
+    @partial(_memo, key=lambda B: B.index)  # a Block is unhashable
+    def inertial(self, B: Block) -> Group:
+        """Inertial group of a small-side block."""
+        return inertial_group(B, self.big)
 
     def inertial_rep_indices(self, B: Block) -> list[int]:
         """Positions in the big transversal of the coset reps lying in I(B).
@@ -233,9 +208,9 @@ class PairLab:
         of the big transversal's reps land in it; conjugation only depends
         on the coset mod G, so the conjugation cache can be reused.
         """
-        I, iT = self.inertial(B)
+        I = self.inertial(B)
         out = [ri for ri, t in enumerate(self.trans.reps) if t in I.index]
-        if len(out) != len(iT.reps):
+        if len(out) != I.order // self.small.order:
             raise AssertionError("inertial group is not a union of cosets")
         return out
 
@@ -282,19 +257,29 @@ def mackey_check(M: Rep, lab: PairLab) -> bool:
     return _push(classes, lab.res_ind_classes) == lab.orbit_classes(classes)
 
 
+def _rhs_counts(classes: Counter, lab: PairLab,
+                B: Optional[Block] = None) -> tuple[SttCounts, SttCounts]:
+    """Counts of classes and of their orbit sum, over all simples and coset
+    reps, or over B's simples and the reps in I(B).  The right-hand side of
+    theorems 1 and 2 is: the first rigid and the second support tau-tilting."""
+    scope = None if B is None else B.simple_labels
+    counts = lab.stt_counts(classes, "small", scope)
+    rep_indices = None if B is None else lab.inertial_rep_indices(B)
+    orbit = lab.orbit_classes(classes, rep_indices)
+    return counts, lab.stt_counts(orbit, "small", scope)
+
+
 def check_theorem1_classes(classes: Counter, lab: PairLab) -> TheoremVerdict:
     """check_theorem1 on a Krull-Schmidt class multiset."""
     lhs_counts = lab.stt_counts(_push(classes, lab.ind_classes), "big")
-    rigid_counts = lab.stt_counts(classes, "small")
-    orbit_counts = lab.stt_counts(lab.orbit_classes(classes), "small")
-    rhs = rigid_counts.rigid and orbit_counts.stt
+    counts, orbit = _rhs_counts(classes, lab)
     return TheoremVerdict(
         lhs=lhs_counts.stt,
-        rhs=rhs,
+        rhs=counts.rigid and orbit.stt,
         certificates={
             "induced": lhs_counts.as_dict(),
-            "module_rigid": rigid_counts.rigid,
-            "orbit": orbit_counts.as_dict(),
+            "module_rigid": counts.rigid,
+            "orbit": orbit.as_dict(),
         },
     )
 
@@ -318,18 +303,14 @@ def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
     cut = Counter({cj: mj for cj, mj in ind.items()
                    if lab.class_block("big", cj) == Btilde.index})
     lhs_counts = lab.stt_counts(cut, "big", scope=Btilde.simple_labels)
-    rigid_counts = lab.stt_counts(classes, "small", scope=B.simple_labels)
-    rep_indices = lab.inertial_rep_indices(B)
-    orbit = lab.orbit_classes(classes, rep_indices)
-    orbit_counts = lab.stt_counts(orbit, "small", scope=B.simple_labels)
-    rhs = rigid_counts.rigid and orbit_counts.stt
+    counts, orbit = _rhs_counts(classes, lab, B)
     return TheoremVerdict(
         lhs=lhs_counts.stt,
-        rhs=rhs,
+        rhs=counts.rigid and orbit.stt,
         certificates={
             "block_cut_induced": lhs_counts.as_dict(),
-            "module_rigid": rigid_counts.rigid,
-            "inertial_orbit": orbit_counts.as_dict(),
+            "module_rigid": counts.rigid,
+            "inertial_orbit": orbit.as_dict(),
         },
     )
 
@@ -347,26 +328,17 @@ def remark_classify(M: Rep, lab: PairLab) -> RemarkFlags:
     level, and at the level of the block of M); containment of the stt
     sets in the rigid sets is enforced as a hard error."""
     classes = lab.classes_of(M, "small")
-    counts = lab.stt_counts(classes, "small")
-    rigid, stt_self = counts.rigid, counts.stt
-    orbit_ok = lab.stt_counts(lab.orbit_classes(classes), "small").stt
-    in_rig_group = rigid and orbit_ok
-    in_sta_group = stt_self and orbit_ok
+    counts, orbit = _rhs_counts(classes, lab)
     if M.dim == 0:
         B = lab.side_blocks("small")[0]
     else:
         B = block_of_module(M, lab.side_blocks("small"))
-    rep_indices = lab.inertial_rep_indices(B)
-    orbit_b = lab.orbit_classes(classes, rep_indices)
-    scope_b = B.simple_labels
-    counts_b = lab.stt_counts(classes, "small", scope=scope_b)
-    rigid_b, stt_b = counts_b.rigid, counts_b.stt
-    orbit_b_ok = lab.stt_counts(orbit_b, "small", scope=scope_b).stt
+    counts_b, orbit_b = _rhs_counts(classes, lab, B)
     flags = RemarkFlags(
-        in_rig_group=in_rig_group,
-        in_sta_group=in_sta_group,
-        in_rig_block=rigid_b and orbit_b_ok,
-        in_sta_block=stt_b and orbit_b_ok,
+        in_rig_group=counts.rigid and orbit.stt,
+        in_sta_group=counts.stt and orbit.stt,
+        in_rig_block=counts_b.rigid and orbit_b.stt,
+        in_sta_block=counts_b.stt and orbit_b.stt,
     )
     if flags.in_sta_group and not flags.in_rig_group:
         raise AssertionError("stt set escaped the rigid set (group level)")

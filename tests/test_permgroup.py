@@ -29,6 +29,9 @@ def test_parse_cycles_errors():
         parse_cycles("(0 0 1)", 3)
     with pytest.raises(ValueError):
         parse_cycles("(0 5)", 3)
+    for text in ("(0 1)(1 0)", "(0 1 2)(0 1 2)", "(0 1)(1 2)"):
+        with pytest.raises(ValueError, match="appears twice"):
+            parse_cycles(text, 3)
 
 
 def test_group_orders(a4, s4):

@@ -12,7 +12,7 @@ from sttlab.grouprep import (
     trivial_rep,
     zero_rep,
 )
-from sttlab.meataxe import add_compare, chop, is_isomorphic
+from sttlab.meataxe import add_compare, chop, decompose, is_isomorphic
 from sttlab.permgroup import group_close, parse_cycles
 from sttlab.taucalc import is_stt
 from sttlab.theoremlab import (
@@ -138,6 +138,8 @@ A4 = (4, ["(0 1 2)", "(0 1)(2 3)"])
 S4 = (4, ["(0 1)", "(0 1 2 3)"])
 C3 = (3, ["(0 1 2)"])
 S3 = (3, ["(0 1)", "(0 1 2)"])
+A5 = (5, ["(0 1 2)", "(0 1 2 3 4)"])
+S5 = (5, ["(0 1)", "(0 1 2 3 4)"])
 
 
 def group(spec):
@@ -152,7 +154,9 @@ def group(spec):
     (A4, S4, 3, 1, 15),
     (V4, S4, 2, 2, 64),
     (V4, S4, 3, 1, 15),
-], ids=["v4a4-gf4", "v4a4-gf3", "c3s3-gf3", "a4s4-gf3", "v4s4-gf4", "v4s4-gf3"])
+    (A5, S5, 2, 2, 834),
+], ids=["v4a4-gf4", "v4a4-gf3", "c3s3-gf3", "a4s4-gf3", "v4s4-gf4", "v4s4-gf3",
+        "a5s5-gf4"])
 def test_theorem1_universal_other_pairs(small, big, p, m, size):
     """Theorem 1 beyond A4 in S4 and C3 in S3 at p = 2; over GF(4) the
     projectives of V4 are local of dimension 4, divisible by p."""
@@ -335,3 +339,68 @@ def test_remark_classify_with_several_covering_blocks():
     flags = remark_classify(trivial_rep(c2, f4), lab)
     assert flags.as_dict() == {"rig_group": False, "sta_group": False,
                                "rig_block": False, "sta_block": False}
+
+
+# each memoized PairLab lookup, a key for it on C3 in S3 over GF(4), and the
+# call it computes through
+MEMO_LOOKUPS = [
+    ("tau_classes", ("small", 1), "tau"),
+    ("chop_class", ("big", 1), "multiplicities"),
+    ("homdim", ("small", 0, 1), "hom_space"),
+    ("ind_classes", (1,), "induce"),
+    ("res_ind_classes", (2,), "induce"),
+    ("conj_classes", (1, 1), "conjugate_rep"),
+    ("side_blocks", ("big",), "blocks"),
+    ("class_block", ("small", 2), "block_of_module"),
+]
+
+
+def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
+    """A second lookup with the same key returns the same object and calls
+    nothing underneath; so does the inertial group behind
+    inertial_rep_indices."""
+    import sttlab.theoremlab as tl
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("tau", "induce", "conjugate_rep", "hom_space", "blocks",
+                 "block_of_module", "inertial_group"):
+        monkeypatch.setattr(tl, name, counted(name, getattr(tl, name)))
+    lab = PairLab(c3, s3, f4)
+    for side in ("small", "big"):
+        tables = lab.tables[side]
+        monkeypatch.setattr(tables, "multiplicities",
+                            counted("multiplicities", tables.multiplicities))
+        lab.classes_of(direct_sum(tables.simples.simples), side)
+    for method, key, computes_through in MEMO_LOOKUPS:
+        first = getattr(lab, method)(*key)
+        assert calls[computes_through] > 0
+        before = calls.copy()
+        assert getattr(lab, method)(*key) is first
+        assert calls == before, method
+    B = lab.side_blocks("small")[0]
+    first = lab.inertial_rep_indices(B)
+    before = calls.copy()
+    assert lab.inertial_rep_indices(B) == first
+    assert calls == before and calls["inertial_group"] == 1
+
+
+def test_classes_of_matches_decompose(cast, a4, s4, f4):
+    """classes_of equals registering decompose's summands, keys in the same
+    order, on the named modules and on materialized corpus entries."""
+    lab = PairLab(a4, s4, f4)
+    corpus = build_corpus(lab)
+    modules = [cast.k, cast.S, cast.kS, cast.ST, cast.M, cast.N1,
+               regular_rep(a4, f4), zero_rep(a4, f4)]
+    modules += [lab.materialize(e.classes, "small") for e in corpus[::50]]
+    for M in modules:
+        want = Counter()
+        for rep, mult in decompose(M, seed=lab.seed).summands:
+            want[lab.register(rep, "small")] += mult
+        assert list(lab.classes_of(M, "small").items()) == list(want.items())
