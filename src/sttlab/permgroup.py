@@ -21,6 +21,7 @@ __all__ = [
     "transversal",
     "class_sums",
     "p_regular_class_count",
+    "p_prime_subgroup",
     "parse_cycles",
 ]
 
@@ -70,9 +71,10 @@ class Perm:
         """(self * other)(x) = self(other(x))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        o = other.images
-        s = self.images
-        return Perm(tuple(s[o[i]] for i in range(len(s))))
+        # a product of permutations is one: skip __init__'s check
+        out = object.__new__(Perm)
+        out.images = tuple(map(self.images.__getitem__, other.images))
+        return out
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
@@ -312,8 +314,72 @@ def class_sums(G: Group) -> list[list[int]]:
     return classes
 
 
+def _p_regular(g: Perm, p: int) -> bool:
+    """Whether the order of g, the lcm of its cycle lengths, is prime to p."""
+    return all(len(c) % p for c in g.cycles())
+
+
 def p_regular_class_count(G: Group, p: int) -> int:
     """Brauer's l(G), the number of classes of p-regular elements (no cycle
     length divisible by p), which no field of characteristic p exceeds."""
-    return sum(1 for cls in class_sums(G)
-               if all(len(c) % p for c in G.elements[cls[0]].cycles()))
+    return sum(1 for cls in class_sums(G) if _p_regular(G.elements[cls[0]], p))
+
+
+def _p_prime_closure(elements: set, gens: list[Perm], p: int) -> Optional[set]:
+    """The elements of the group generated by the group `elements` and
+    gens, or None at the first one whose order p divides."""
+    seen = set(elements)
+    queue = list(elements)  # each element is expanded once, in order
+    for h in queue:
+        for a in gens:
+            g = a * h
+            if g not in seen:
+                if not _p_regular(g, p):
+                    return None
+                seen.add(g)
+                queue.append(g)
+    return seen
+
+
+def _greedy_p_prime(G: Group, p: int, start: Perm) -> tuple[list[Perm], int]:
+    """Generators and order of a p'-subgroup that no p'-element outside it
+    extends, grown from <start> greedily over G's elements in order.
+
+    g joins H when <H, g> is still a p'-group.  The closure deciding that
+    stops at its first element of order divisible by p, and a group whose
+    order p divides has one (Cauchy).  A g turned down by a smaller H is
+    turned down by every larger one, so one pass leaves H maximal.
+    """
+    gens: list[Perm] = []
+    elements = {G.elements[0]}
+    for g in [start, *G.elements]:
+        if g in elements or not _p_regular(g, p):
+            continue
+        grown = _p_prime_closure(elements, gens + [g], p)
+        if grown is not None:
+            gens.append(g)
+            elements = grown
+    return gens, len(elements)
+
+
+def p_prime_subgroup(G: Group, p: int) -> Group:
+    """A subgroup H of order prime to p that no p'-element outside it
+    extends: the largest _greedy_p_prime result over one start per class
+    of p-regular elements.  The search stops at the p'-part of |G|, which
+    no p'-subgroup exceeds.  Only Perm products are taken, no
+    multiplication table is built.
+    """
+    bound = G.order
+    while bound % p == 0:
+        bound //= p
+    best: tuple[list[Perm], int] = ([], 0)
+    # the identity's class comes first: p-groups and p'-groups need one pass
+    for cls in class_sums(G):
+        start = G.elements[cls[0]]
+        if _p_regular(start, p):
+            found = _greedy_p_prime(G, p, start)
+            if found[1] > best[1]:
+                best = found
+            if best[1] == bound:
+                break
+    return group_close(G.degree, best[0])

@@ -6,6 +6,10 @@ minimal projective covers; the classical dual-of-transpose construction is
 kept as an independent second route and the two must agree up to
 isomorphism on every module they are both asked about.  The support of M,
 for the counting criterion, is read from dim Hom(P(S), M), not a chop.
+
+The PIMs P(S) are summands of the modules induced from the simples of a
+maximal p'-subgroup H, not of the regular module, which is Ind_1^G(k):
+the PIMs of a p-group are still drawn from kG itself.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .grouprep import (
     direct_sum,
     dual_rep,
     hom_space,
+    induce,
     is_invariant_subspace,
     iso_class,
     quotient_projection,
@@ -42,7 +47,7 @@ from .meataxe import (
     simples_of,
     summand_stream,
 )
-from .permgroup import Group
+from .permgroup import Group, p_prime_subgroup, transversal
 
 __all__ = [
     "Tables",
@@ -104,15 +109,36 @@ class Tables:
         return +out  # the labels with [M : S] > 0
 
 
+def _induced_projectives(group: Group, field: Field, simples: SimpleTable,
+                         seed: int):
+    """The projective modules Ind_H^G(T), T a simple kH-module, for a
+    maximal p'-subgroup H.  H = 1 induces the regular module itself; H = G
+    needs no induction, and its simples are the table's."""
+    H = p_prime_subgroup(group, field.p)
+    if H.order == group.order:
+        yield from simples.simples
+        return
+    T = transversal(group, H)
+    for S in simples_of(H, field, seed=seed).simples:
+        yield induce(S, group, T)
+
+
 def pims(group: Group, field: Field, seed: int = 0,
          simples: Optional[SimpleTable] = None) -> PimTable:
-    """Indecomposable projectives as summands of the regular module, each
-    labelled by its simple top, drawn until every simple has one; certified
-    complete by sum_S (dim S / dim End S) * dim P(S) = |G|."""
+    """Indecomposable projectives, each labelled by its simple top, drawn
+    from the summands of the Ind_H^G(T) of _induced_projectives until every
+    simple has one; certified complete by
+    sum_S (dim S / dim End S) * dim P(S) = |G|.
+
+    kH is semisimple for a p'-subgroup H, so every Ind_H^G(T) is
+    projective, and kG = Ind_H^G(kH), so every PIM is a summand of one
+    (Alperin, "Local Representation Theory", 1986)."""
     if simples is None:
         simples = simples_of(group, field, seed=seed)
     found: dict[str, tuple[Rep, Matrix]] = {}  # label -> (P, surjection P -> S)
-    for _rows, P in summand_stream(regular_rep(group, field), seed):
+    leaves = (P for M in _induced_projectives(group, field, simples, seed)
+              for _rows, P in summand_stream(M, seed))
+    for P in leaves:
         if iso_class(P, [Q for Q, _ in found.values()]) is not None:
             continue
         rt = radical_top(P, simples)
@@ -269,7 +295,7 @@ def _tau_dtr(M: Rep, tables: Tables) -> Rep:
     c1 = _cover_data(c0.omega, tables)
     # presentation map d: P1 -> P0 through the inclusion of Omega(M)
     d = Matrix(f, (Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection).a)
-    hom0, basis0 = _twisted_hom_to_regular(c0.cover, tables)
+    basis0 = hom_space(c0.cover, regular_rep(G, f)).basis
     hom1, basis1 = _twisted_hom_to_regular(c1.cover, tables)
     if hom1.dim == 0:
         return zero_rep(G, f)

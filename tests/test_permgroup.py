@@ -7,6 +7,7 @@ from sttlab.permgroup import (
     Perm,
     class_sums,
     group_close,
+    p_prime_subgroup,
     p_regular_class_count,
     parse_cycles,
     transversal,
@@ -130,19 +131,20 @@ BRAUER_NUMBERS = [
 ]
 
 
+def element_order(g):
+    order, x = 1, g
+    while not x.is_identity():
+        x = x * g
+        order += 1
+    return order
+
+
 @pytest.mark.parametrize("name,p,count", BRAUER_NUMBERS)
 def test_p_regular_class_count(name, p, count):
     degree, cycles = BRAUER_GROUPS[name]
     G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
     assert G.order == {"A4": 12, "S4": 24, "S4xC2": 48, "A5": 60, "PSL27": 168,
                        "PGL27": 336, "A6": 360}[name]
-
-    def element_order(g):
-        order, x = 1, g
-        while not x.is_identity():
-            x = x * g
-            order += 1
-        return order
 
     brute = sum(1 for cls in class_sums(G)
                 if element_order(G.elements[cls[0]]) % p)
@@ -180,3 +182,52 @@ def test_cayley_table_matches_perm_products(name):
     E = reg.element_mats
     assert E.dtype == f.dtype
     assert all(np.array_equal(E[i], basis_map(ref[i])) for i in range(n))
+
+
+# p'-subgroups.  In S6 at p = 2 the greedy run from the identity stops at
+# C5, and the run from a 3-cycle finds 3^2.  M11 (order 7920, the largest
+# group here) tests the cost close to the 10,000-element cap.
+PRIME_GROUPS = dict(BRAUER_GROUPS,
+                    V4=(4, ["(0 1)(2 3)", "(0 2)(1 3)"]),
+                    C3=(3, ["(0 1 2)"]),
+                    S6=(6, ["(0 1)", "(0 1 2 3 4 5)"]),
+                    M11=(11, ["(0 1 2 3 4 5 6 7 8 9 10)", "(2 6 10 7)(3 9 4 5)"]))
+
+
+@pytest.mark.parametrize("name,p,order", [
+    ("A4", 2, 3), ("A4", 3, 4), ("S4", 2, 3), ("S4", 3, 8), ("S4xC2", 2, 3),
+    ("A5", 2, 5), ("A5", 5, 12), ("PGL27", 2, 21), ("A6", 2, 9), ("S6", 2, 9),
+    ("V4", 2, 1), ("C3", 3, 1), ("V4", 3, 4), ("C3", 2, 3),
+])
+def test_p_prime_subgroup_is_maximal(name, p, order):
+    """H is a subgroup of order prime to p, 1 for a p-group and G for a
+    p'-group, and no p'-element outside it generates a p'-group with it."""
+    degree, cycles = PRIME_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    H = p_prime_subgroup(G, p)
+    assert H.order == order and H.order % p and H.is_subgroup_of(G)
+    for g in G.elements:
+        if g not in H and element_order(g) % p:
+            assert group_close(degree, H.generators + [g]).order % p == 0
+
+
+def test_p_prime_subgroup_cost_near_the_cap(monkeypatch):
+    """On M11 every attempt stops at its first element of order divisible
+    by p, so the Perm products stay a small multiple of |G|, and no
+    multiplication table is built."""
+    degree, cycles = PRIME_GROUPS["M11"]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    assert G.order == 7920
+    products = [0]
+
+    def counted(a, b, real=Perm.__mul__):
+        products[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    for p, order in ((2, 55), (11, 720)):
+        products[0] = 0
+        H = p_prime_subgroup(G, p)
+        assert H.order == order and H.is_subgroup_of(G)
+        assert products[0] < 24 * G.order
+    assert G._mult_table is None

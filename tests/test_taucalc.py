@@ -5,17 +5,20 @@ import sys
 import pytest
 
 import sttlab
-from sttlab import taucalc
-from sttlab.exactfield import field_make
+from sttlab import grouprep, meataxe, taucalc
+from sttlab.exactfield import field_make, rank
 from sttlab.grouprep import (
     HomBasis,
     InconclusiveError,
     direct_sum,
     hom_dim,
     iso_class,
+    induce,
+    iso_indecomposable,
     quotient_projection,
     regular_rep,
     trivial_rep,
+    verify_witness,
     zero_rep,
 )
 from sttlab.meataxe import (
@@ -27,7 +30,7 @@ from sttlab.meataxe import (
     radical_top,
     simples_of,
 )
-from sttlab.permgroup import group_close, parse_cycles
+from sttlab.permgroup import group_close, p_prime_subgroup, parse_cycles, transversal
 from sttlab.taucalc import (
     Tables,
     ext1,
@@ -234,8 +237,8 @@ def test_tau_of_simples_against_omega2(a4_tables, cast):
 
 
 # ---------------------------------------------------------------------------
-# the PIM table stops once every simple has its PIM and still equals the
-# full decomposition of the regular module
+# the PIM table stops once every simple has its PIM and still agrees with
+# the full decomposition of the regular module
 
 REFERENCE_GROUPS = {
     "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
@@ -257,8 +260,9 @@ def full_chop_simples(group, field, seed) -> SimpleTable:
 
 
 def full_decompose_pims(group, field, seed, simples):
-    """pims before it stopped early: the whole regular module is decomposed
-    and each PIM's multiplicity must equal the dimension of its top."""
+    """pims before it stopped early and before it drew from modules induced
+    from a p'-subgroup: the whole regular module is decomposed and each
+    PIM's multiplicity must equal the dimension of its top."""
     dec = decompose(regular_rep(group, field), seed=seed)
     pim_by_label, cover_by_label = {}, {}
     for P, mult in dec.summands:
@@ -278,12 +282,23 @@ def same_rep(M, N):
         a == b for a, b in zip(M.gen_mats, N.gen_mats))
 
 
+def is_cover_map(X, P, S):
+    """X: P -> S is a surjective intertwiner."""
+    return X.shape == (S.dim, P.dim) and rank(X) == S.dim and all(
+        X @ A == B @ X for A, B in zip(P.gen_mats, S.gen_mats))
+
+
 @pytest.mark.parametrize("fq", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
 @pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
 def test_pims_equal_full_decompose(name, fq):
+    """The simples are the full chop's.  The PIMs are the full
+    decomposition's where the p'-subgroup H is 1, since Ind_1^G(k) is the
+    regular module itself; elsewhere they are drawn from other projectives,
+    so each is isomorphic to the reference PIM of its label."""
     degree, cycles = REFERENCE_GROUPS[name]
     G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
     f = field_make(*fq)
+    regular = p_prime_subgroup(G, f.p).order == 1
     for seed in range(6):
         ref_simples = full_chop_simples(G, f, seed)
         try:
@@ -298,29 +313,55 @@ def test_pims_equal_full_decompose(name, fq):
         assert pt.simples.labels == ref_simples.labels
         assert all(map(same_rep, pt.simples.simples, ref_simples.simples))
         assert len(pt.pims) == len(ref_pims)
-        assert all(map(same_rep, pt.pims, ref_pims))
-        assert all(a == b for a, b in zip(pt.cover_maps, ref_covers))
+        if regular:
+            assert all(map(same_rep, pt.pims, ref_pims))
+            assert all(a == b for a, b in zip(pt.cover_maps, ref_covers))
+            continue
+        for P, ref, X, S in zip(pt.pims, ref_pims, pt.cover_maps, pt.simples.simples):
+            iso = iso_indecomposable(P, ref)
+            assert iso
+            verify_witness(P, ref, iso.witness)
+            assert is_cover_map(X, P, S)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_induce_from_the_trivial_group_is_the_regular_module(name):
+    degree, cycles = REFERENCE_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(2, 2)
+    one = group_close(degree, [])
+    induced = induce(trivial_rep(one, f), G, transversal(G, one))
+    assert same_rep(induced, regular_rep(G, f))
 
 
 def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
+    """With H = V4 in A4 at p = 3, pims draws from the modules induced from
+    V4 and never builds the regular module of A4."""
     degree, cycles = REFERENCE_GROUPS["A4"]
     G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
     f3 = field_make(3, 1)
-    every = len(decompose(regular_rep(G, f3)).pieces)
+    assert p_prime_subgroup(G, 3).order == 4
+    table = simples_of(G, f3)
     drawn = []
 
     def counted(M, seed=0, stream=taucalc.summand_stream):
-        for leaf in stream(M, seed):
-            drawn.append(leaf)
-            yield leaf
+        drawn.append(M.dim)
+        yield from stream(M, seed)
 
     def no_decompose(*args, **kwargs):
         raise AssertionError("pims must not decompose the whole regular module")
 
+    def no_regular(group, field, real=regular_rep):
+        if group.order == G.order:
+            raise AssertionError("pims must not build the regular module of G")
+        return real(group, field)
+
     monkeypatch.setattr(taucalc, "summand_stream", counted)
     monkeypatch.setattr(taucalc, "decompose", no_decompose)
-    assert len(pims(G, f3).pims) == 2
-    assert len(drawn) < every
+    for mod in (grouprep, meataxe, taucalc):
+        monkeypatch.setattr(mod, "regular_rep", no_regular)
+    assert len(pims(G, f3, simples=table).pims) == 2
+    assert drawn and all(d == 3 for d in drawn)
 
 
 def simples_in_place_of_pims(table):
