@@ -41,7 +41,6 @@ from .grouprep import (
 from .meataxe import (
     SimpleTable,
     chop,
-    decompose,
     is_isomorphic,
     radical_top,
     simples_of,
@@ -112,14 +111,17 @@ class Tables:
 def _induced_projectives(group: Group, field: Field, simples: SimpleTable,
                          seed: int):
     """The projective modules Ind_H^G(T), T a simple kH-module, for a
-    maximal p'-subgroup H.  H = 1 induces the regular module itself; H = G
-    needs no induction, and its simples are the table's."""
+    maximal p'-subgroup H; T = k first, as P(k) lies in no other, then by
+    dimension.  H = 1 induces the regular module itself; H = G needs no
+    induction, and its simples are the table's."""
     H = p_prime_subgroup(group, field.p)
     if H.order == group.order:
         yield from simples.simples
         return
     T = transversal(group, H)
-    for S in simples_of(H, field, seed=seed).simples:
+    table = simples_of(H, field, seed=seed)
+    trivial = table.simples[table.labels.index(table.trivial_label())]
+    for S in sorted(table.simples, key=lambda S: (S is not trivial, S.dim)):
         yield induce(S, group, T)
 
 
@@ -260,7 +262,7 @@ def tau(M: Rep, tables: Tables, method: str = "omega2") -> Rep:
     raise ValueError(f"unknown tau method {method!r}")
 
 
-def _twisted_hom_to_regular(P: Rep, tables: Tables) -> tuple[Rep, list[Matrix]]:
+def _twisted_hom_to_regular(P: Rep) -> tuple[Rep, list[Matrix]]:
     """Hom(P, kG) as a left module through g . phi = R_{g^-1} phi.
 
     Returns the module together with the hom basis (|G| x dim P matrices).
@@ -296,7 +298,7 @@ def _tau_dtr(M: Rep, tables: Tables) -> Rep:
     # presentation map d: P1 -> P0 through the inclusion of Omega(M)
     d = Matrix(f, (Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection).a)
     basis0 = hom_space(c0.cover, regular_rep(G, f)).basis
-    hom1, basis1 = _twisted_hom_to_regular(c1.cover, tables)
+    hom1, basis1 = _twisted_hom_to_regular(c1.cover)
     if hom1.dim == 0:
         return zero_rep(G, f)
     flat1 = np.stack([b.a.reshape(-1) for b in basis1])
@@ -440,20 +442,26 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
             raise ValueError("module does not lie in the given block")
     else:
         scope = tuple(tables.simples.labels)
-    dec = decompose(M, seed=seed)
-    class_taus = [tau(rep, tables) for rep, _ in dec.summands]
-    rigid = not any(t_j.dim and rep_i.dim and hom_space(rep_i, t_j).dim
-                    for rep_i, _ in dec.summands for t_j in class_taus)
+    classes: list[Rep] = []  # the first leaf of each class
+    mults: Counter = Counter()
+    for _, leaf in summand_stream(M, seed):
+        hit = iso_class(leaf, classes)
+        if hit is None:
+            classes.append(leaf)
+        mults[len(classes) - 1 if hit is None else hit[0]] += 1
+    class_taus = [tau(rep, tables) for rep in classes]
+    rigid = not any(t_j.dim and hom_space(rep_i, t_j).dim
+                    for rep_i in classes for t_j in class_taus)
     tau_parts = []
-    for (rep_j, mult), t_j in zip(dec.summands, class_taus):
+    for i, t_j in enumerate(class_taus):
         if t_j.dim:
-            tau_parts.extend([t_j] * mult)
+            tau_parts.extend([t_j] * mults[i])
     tau_M = direct_sum(tau_parts, group=M.group, field=M.field)
     support = set()
-    for rep_j, _ in dec.summands:
+    for rep_j in classes:
         support.update(tables.multiplicities(rep_j).keys())
     cosupport = tuple(lab for lab in scope if lab not in support)
-    m = len(dec.summands)
+    m = len(classes)
     stt = rigid and (m + len(cosupport) == len(scope))
     return SttCertificate(
         module=M,

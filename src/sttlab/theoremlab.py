@@ -6,7 +6,10 @@ representative per discovered indecomposable class and reduces every
 verdict (rigidity, support counts, induction, restriction, conjugation)
 to cached bookkeeping over those classes; a class's support is read from
 dim Hom(P(S), -) over the PIMs.  That keeps hundreds of corpus modules
-cheap while the underlying kernels stay exact.
+cheap while the underlying kernels stay exact.  omega_class, tau_classes
+(tau = Omega^2) and conj_classes map class ids to classes registered
+undecomposed: kG is symmetric, so Omega of an indecomposable under its
+certified minimal cover is zero or indecomposable, and so is a twist.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_cla
     restrict
 from .meataxe import summand_stream
 from .permgroup import Group, Transversal, transversal
-from .taucalc import Tables, ext1, ext_module, syzygy, tau
+from .taucalc import Tables, ext1, ext_module, syzygy
 
 __all__ = [
     "PairLab",
@@ -137,6 +140,10 @@ class PairLab:
     def class_rep(self, side: str, cid: int) -> Rep:
         return self._classes[side][cid]
 
+    def class_of(self, M: Rep, side: str) -> Counter:
+        """classes_of of a module that is zero or indecomposable by construction."""
+        return Counter({self.register(M, side): 1}) if M.dim else Counter()
+
     def classes_of(self, M: Rep, side: str) -> Counter:
         """Krull-Schmidt class multiset of a materialized module."""
         # the whole stream first: a module that stalls registers nothing
@@ -151,8 +158,12 @@ class PairLab:
 
     # -- per-class data -----------------------------------------------------
     @_memo
+    def omega_class(self, side: str, cid: int) -> Counter:
+        return self.class_of(syzygy(self.class_rep(side, cid), self.tables[side]), side)
+
+    @_memo
     def tau_classes(self, side: str, cid: int) -> Counter:
-        return self.classes_of(tau(self.class_rep(side, cid), self.tables[side]), side)
+        return _push(self.omega_class(side, cid), partial(self.omega_class, side))
 
     @_memo
     def chop_class(self, side: str, cid: int) -> Counter:
@@ -174,9 +185,11 @@ class PairLab:
 
     @_memo
     def conj_classes(self, cid: int, rep_index: int) -> Counter:
-        """Classes of the conjugate module by the rep_index-th coset rep."""
-        conj = conjugate_rep(self.class_rep("small", cid), self.trans.reps[rep_index])
-        return self.classes_of(conj, "small")
+        """Class of the conjugate module by the rep_index-th coset rep."""
+        t = self.trans.reps[rep_index]
+        if t in self.small.index:  # an inner twist: M itself
+            return Counter({cid: 1})
+        return self.class_of(conjugate_rep(self.class_rep("small", cid), t), "small")
 
     def orbit_classes(self, counter: Counter,
                       rep_indices: Optional[list[int]] = None) -> Counter:
@@ -370,23 +383,17 @@ def build_corpus(lab: PairLab) -> list[CorpusEntry]:
                 pool.append(cid)
 
     simples = tables.simples
-    for S in simples.simples:
-        note(lab.classes_of(S, "small"))
+    simple_ids = [lab.register(S, "small") for S in simples.simples]
+    note(simple_ids)
     for P in tables.pimtable.pims:
-        note(lab.classes_of(P, "small"))
-    for S in simples.simples:
-        o1 = syzygy(S, tables)
-        if o1.dim:
-            note(lab.classes_of(o1, "small"))
-            o2 = syzygy(o1, tables)
-            if o2.dim:
-                note(lab.classes_of(o2, "small"))
+        note(lab.class_of(P, "small"))
+    for cid in simple_ids:
+        note(lab.omega_class("small", cid) + lab.tau_classes("small", cid))
     for S in simples.simples:
         for T in simples.simples:
             res = ext1(S, T, tables)
-            if res.dimension >= 1:
-                E = ext_module(S, T, res.cocycles[0])
-                note(lab.classes_of(E, "small"))
+            if res.dimension >= 1:  # a non-split extension of simples
+                note(lab.class_of(ext_module(S, T, res.cocycles[0]), "small"))
     for cid in list(pool):
         note(lab.orbit_classes(Counter({cid: 1})))
     pool.sort()

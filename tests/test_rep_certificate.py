@@ -75,7 +75,7 @@ def _derived_modules(H, G, f, tables_h, tables_g):
         for i, P in enumerate(tables.pimtable.pims):
             yield f"pim {i} of order {P.group.order}", P
             yield (f"twisted hom {i} of order {P.group.order}",
-                   _twisted_hom_to_regular(P, tables)[0])
+                   _twisted_hom_to_regular(P)[0])
 
 
 def test_derived_modules_satisfy_the_law_a4_s4(a4, s4, f4, a4_tables, s4_tables):

@@ -334,6 +334,21 @@ def test_induce_from_the_trivial_group_is_the_regular_module(name):
     assert same_rep(induced, regular_rep(G, f))
 
 
+@pytest.mark.parametrize("name, fq", [("A4", (2, 2)), ("S4", (2, 2)), ("A4", (3, 1)),
+                                      ("S4", (3, 1)), ("S4xC2", (2, 1))],
+                         ids=["A4-GF4", "S4-GF4", "A4-GF3", "S4-GF3", "S4xC2-GF2"])
+def test_induced_projectives_start_from_the_trivial_module(name, fq):
+    """P(k) is a summand of Ind_H^G(T) only for T = k, so pims induces k
+    first, wherever simples_of(H) lists it."""
+    degree, cycles = REFERENCE_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(*fq)
+    H = p_prime_subgroup(G, f.p)
+    assert 1 < H.order < G.order
+    first = next(taucalc._induced_projectives(G, f, simples_of(G, f), 0))
+    assert same_rep(first, induce(trivial_rep(H, f), G, transversal(G, H)))
+
+
 def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
     """With H = V4 in A4 at p = 3, pims draws from the modules induced from
     V4 and never builds the regular module of A4."""
@@ -357,7 +372,7 @@ def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
         return real(group, field)
 
     monkeypatch.setattr(taucalc, "summand_stream", counted)
-    monkeypatch.setattr(taucalc, "decompose", no_decompose)
+    monkeypatch.setattr(taucalc, "decompose", no_decompose, raising=False)
     for mod in (grouprep, meataxe, taucalc):
         monkeypatch.setattr(mod, "regular_rep", no_regular)
     assert len(pims(G, f3, simples=table).pims) == 2

@@ -5,6 +5,7 @@ import pytest
 from sttlab.blockdec import covering_blocks
 from sttlab.exactfield import field_make
 from sttlab.grouprep import (
+    conjugate_rep,
     direct_sum,
     induce,
     regular_rep,
@@ -12,9 +13,9 @@ from sttlab.grouprep import (
     trivial_rep,
     zero_rep,
 )
-from sttlab.meataxe import add_compare, chop, decompose, is_isomorphic
+from sttlab.meataxe import add_compare, chop, decompose, is_isomorphic, summand_stream
 from sttlab.permgroup import group_close, parse_cycles
-from sttlab.taucalc import is_stt
+from sttlab.taucalc import is_stt, syzygy, tau
 from sttlab.theoremlab import (
     PairLab,
     build_corpus,
@@ -196,6 +197,31 @@ def test_multiplicities_match_meataxe_chop(pair):
             assert sorted(lab.chop_class(side, cid).items()) == sorted(want.items())
 
 
+@pytest.mark.parametrize("pair", sorted(TWO_ROUTE_PAIRS))
+def test_class_maps_match_the_decomposing_route(pair):
+    """omega_class, tau_classes and conj_classes register their images
+    without a decomposition.  On every class the corpus and induction
+    register, they equal classes_of of syzygy, tau and conjugate_rep, and
+    every nonzero image is a single summand."""
+    small, big, p, m = TWO_ROUTE_PAIRS[pair]
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    build_corpus(lab)
+    for cid in range(len(lab._classes["small"])):
+        lab.ind_classes(cid)
+    for side in ("small", "big"):
+        tables = lab.tables[side]
+        for cid in range(len(lab._classes[side])):
+            R = lab.class_rep(side, cid)
+            images = [(lab.omega_class(side, cid), syzygy(R, tables)),
+                      (lab.tau_classes(side, cid), tau(R, tables))]
+            if side == "small":
+                images += [(lab.conj_classes(cid, ri), conjugate_rep(R, t))
+                           for ri, t in enumerate(lab.trans.reps)]
+            for got, image in images:
+                assert len(list(summand_stream(image, lab.seed))) == min(image.dim, 1)
+                assert got == lab.classes_of(image, side)
+
+
 def test_mackey_universal(a4s4, corpus_a4):
     for entry in corpus_a4:
         lhs = Counter()
@@ -344,7 +370,8 @@ def test_remark_classify_with_several_covering_blocks():
 # each memoized PairLab lookup, a key for it on C3 in S3 over GF(4), and the
 # call it computes through
 MEMO_LOOKUPS = [
-    ("tau_classes", ("small", 1), "tau"),
+    ("omega_class", ("big", 1), "syzygy"),
+    ("tau_classes", ("small", 1), "syzygy"),
     ("chop_class", ("big", 1), "multiplicities"),
     ("homdim", ("small", 0, 1), "hom_space"),
     ("ind_classes", (1,), "induce"),
@@ -369,7 +396,7 @@ def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("tau", "induce", "conjugate_rep", "hom_space", "blocks",
+    for name in ("syzygy", "induce", "conjugate_rep", "hom_space", "blocks",
                  "block_of_module", "inertial_group"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name)))
     lab = PairLab(c3, s3, f4)
