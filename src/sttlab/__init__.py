@@ -28,12 +28,11 @@ from .meataxe import (
     decompose,
     is_irreducible,
     is_isomorphic,
-    lift_idempotent,
     radical_top,
     simples_of,
 )
 from .taucalc import PimTable, SttCertificate, Tables, ext1, ext_module, is_stt, \
-    is_tau_rigid, pims, projective_cover, syzygy, tau
+    pims, projective_cover, syzygy, tau
 from .blockdec import Block, block_cut_induce, block_of_module, blocks, \
     covering_blocks, fong_reynolds_block, inertial_group
 from .theoremlab import (

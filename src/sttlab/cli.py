@@ -24,7 +24,7 @@ from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce,
     rep_make, trivial_rep
 from .meataxe import add_compare, is_isomorphic, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
-from .taucalc import Tables, ext1, ext_module, is_stt, is_tau_rigid, pims, tau
+from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau
 from .theoremlab import PairLab, check_theorem1, check_theorem2, \
     is_invariant, mackey_check, orbit_module, remark_classify
 
@@ -275,7 +275,7 @@ def cmd_check_rigid(args, report: Report) -> int:
     M, G, _ = parse_rep_file(args.module)
     report.add_input(args.module)
     tables = Tables(G, M.field, seed=args.seed)
-    cert = is_tau_rigid(M, tables, seed=args.seed)
+    cert = is_stt(M, tables, seed=args.seed)
     report.verdict("tau_rigid", cert.rigid)
     report.witness("tau_dim", cert.tau.dim)
     return 0

@@ -71,7 +71,6 @@ __all__ = [
     "fitting_kernels",
     "frobenius_fixed_element",
     "add_compare",
-    "lift_idempotent",
 ]
 
 BUDGET = 64  # random attempts per irreducibility test or decomposition
@@ -512,71 +511,50 @@ def summand_stream(M: Rep, seed: int = 0):
     return _decompose_rec(M, Matrix.identity(M.field, M.dim), seed)
 
 
-def decompose(M: Rep, seed: int = 0) -> Decomposition:
-    """Full Krull-Schmidt decomposition with a verified change of basis."""
-    f = M.field
-    class_reps: list[Rep] = []
-    grouped: list[list[Matrix]] = []
+def _class_pieces(M: Rep, seed: int, reps: list[Rep]) -> list[tuple[Matrix, int]]:
+    """The summand_stream leaves of M as (rows, class index) pairs, class
+    by class: a leaf is filed under its iso_class in reps, or appended to
+    reps as a new class, and its rows are put in the coordinates of its
+    class representative."""
+    grouped: list[list[Matrix]] = [[] for _ in reps]
     for rows, leaf in summand_stream(M, seed):
-        hit = iso_class(leaf, class_reps)
+        hit = iso_class(leaf, reps)
         if hit is None:
-            class_reps.append(leaf)
+            reps.append(leaf)
             grouped.append([rows])
         else:
             ci, X = hit
             grouped[ci].append(X.inverse().T @ rows)
-    summands = [(rep0, len(group)) for rep0, group in zip(class_reps, grouped)]
-    pieces = [(rows, ci) for ci, group in enumerate(grouped) for rows in group]
+    return [(rows, ci) for ci, group in enumerate(grouped) for rows in group]
+
+
+def _stacked_rows(M: Rep, pieces) -> Matrix:
+    return Matrix(M.field, np.concatenate([rows.a for rows, _ in pieces]))
+
+
+def decompose(M: Rep, seed: int = 0) -> Decomposition:
+    """Full Krull-Schmidt decomposition with a verified change of basis."""
+    class_reps: list[Rep] = []
+    pieces = _class_pieces(M, seed, class_reps)
     if not pieces:
-        return Decomposition(M, [], [], Matrix.zeros(f, 0, 0))
-    witness = Matrix(f, np.concatenate([rows.a for rows, _ in pieces])).inverse().T
+        return Decomposition(M, [], [], Matrix.zeros(M.field, 0, 0))
+    mults = Counter(ci for _, ci in pieces)
+    summands = [(rep0, mults[ci]) for ci, rep0 in enumerate(class_reps)]
+    witness = _stacked_rows(M, pieces).inverse().T
     return Decomposition(module=M, summands=summands, pieces=pieces, witness=witness)
-
-
-def match_decompositions(dm: Decomposition, dn: Decomposition):
-    """Class-by-class matching (with isos) or None when the multisets differ."""
-    if dm.module.dim != dn.module.dim:
-        return None
-    if len(dm.summands) != len(dn.summands):
-        return None
-    # the classes of dn are pairwise non-isomorphic, so each class of dm
-    # matches at most one of them, and distinct classes distinct ones
-    reps_n = [rep_n for rep_n, _ in dn.summands]
-    matching = []
-    for i, (rep_m, mult_m) in enumerate(dm.summands):
-        hit = iso_class(rep_m, reps_n)
-        if hit is None or dn.summands[hit[0]][1] != mult_m:
-            return None
-        matching.append((i, *hit))
-    return matching
-
-
-def assemble_iso_witness(M: Rep, N: Rep, dm: Decomposition, dn: Decomposition,
-                         matching) -> Matrix:
-    """Glue per-class isos into a global one through the two witnesses.
-
-    decompose lists its pieces class by class, so class c starts at the sum
-    of dim * mult over the classes before it, and the k-th piece of class
-    ci goes to the k-th piece of its matched class cj.
-    """
-    start_m, start_n = ([0, *itertools.accumulate(R.dim * m for R, m in dec.summands)]
-                        for dec in (dm, dn))
-    phi = np.zeros((M.dim, M.dim), dtype=M.field.dtype)
-    for ci, cj, X in matching:
-        d = X.rows
-        for k in range(dm.summands[ci][1]):
-            a, b = start_m[ci] + k * d, start_n[cj] + k * d
-            phi[b:b + d, a:a + d] = X.a
-    return dn.witness.inverse() @ Matrix(M.field, phi) @ dm.witness
 
 
 def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
     """Isomorphism test with an exactly verified witness on success.
 
     The basis of Hom(M, N) and then `trials` random elements of it are
-    tried first; if none is invertible the verdict is settled through the
-    Krull-Schmidt decompositions, so a negative answer is certified rather
-    than guessed.
+    tried first.  If none is invertible, M and then N are decomposed over
+    one shared list of class representatives, so a negative answer is
+    certified rather than guessed: the modules are isomorphic exactly when
+    their pieces fall into the same classes with the same multiplicities.
+    Each piece is then in its class representative's coordinates, so with
+    S the stack of piece rows, A S^T = S^T D for both modules with one
+    block-diagonal D, and S_N^T (S_M^T)^-1 is the witness.
     """
     check_common(M, N)
     if M.dim != N.dim:
@@ -592,19 +570,18 @@ def is_isomorphic(M: Rep, N: Rep, seed: int = 0, trials: int = 64) -> IsoResult:
         if rank(X) == X.rows:
             verify_witness(M, N, X)
             return IsoResult(True, X)
-    # no invertible hom found; settle by matching indecomposable summands
-    dm = decompose(M, seed=seed)
-    dn = decompose(N, seed=seed)
-    matched = match_decompositions(dm, dn)
-    if matched is None:
+    reps: list[Rep] = []
+    pm = _class_pieces(M, seed, reps)
+    pn = _class_pieces(N, seed, reps)
+    if [ci for _, ci in pm] != [ci for _, ci in pn]:
         return IsoResult(False)
-    W = assemble_iso_witness(M, N, dm, dn, matched)
+    W = _stacked_rows(N, pn).T @ _stacked_rows(M, pm).T.inverse()
     verify_witness(M, N, W)
     return IsoResult(True, W)
 
 
 # ---------------------------------------------------------------------------
-# algebra radical (characteristic-p trace forms) and idempotent lifting
+# algebra radical (characteristic-p trace forms)
 
 def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
     """Basis of the Jacobson radical of the spanned matrix algebra.
@@ -661,32 +638,6 @@ def algebra_radical(basis: list[Matrix]) -> list[Matrix]:
     return [Matrix(f, m) for m in layer]
 
 
-def lift_idempotent(e0: Matrix, algebra_basis: list[Matrix],
-                    radical_basis: list[Matrix]) -> Matrix:
-    """Exact idempotent congruent to e0 mod the radical, via p-power
-    stabilization e -> e^(p^s)."""
-    f = e0.field
-    jspace = RowSpace(f, e0.rows * e0.cols, [J.a.reshape(-1) for J in radical_basis])
-    delta = (e0 @ e0) - e0
-    if not jspace.contains(delta.a.reshape(-1)):
-        raise ValueError("e0 is not idempotent modulo the radical")
-    e = e0
-    steps = 0
-    while f.p**steps <= max(len(algebra_basis), e0.rows) + 1:
-        steps += 1
-    for _ in range(steps + 2):
-        if (e @ e) == e:
-            diff = e - e0
-            if not jspace.contains(diff.a.reshape(-1)):
-                raise AssertionError("lifted idempotent drifted out of the radical coset")
-            return e
-        acc = e
-        for _ in range(f.p - 1):
-            acc = Matrix(f, _matmul(f, acc.a, e.a))
-        e = acc
-    raise AssertionError("idempotent lifting did not stabilize")
-
-
 # ---------------------------------------------------------------------------
 # additive closure comparison
 
@@ -702,11 +653,7 @@ class AddCompare:
 
 def add_compare(M: Rep, N: Rep, seed: int = 0) -> AddCompare:
     """leq means every indecomposable summand class of M occurs in N."""
-    dm = decompose(M, seed=seed)
-    dn = decompose(N, seed=seed)
-
-    def classes_contained(a: Decomposition, b: Decomposition) -> bool:
-        reps_b = [rep_b for rep_b, _ in b.summands]
-        return all(iso_class(rep_a, reps_b) is not None for rep_a, _ in a.summands)
-
-    return AddCompare(leq=classes_contained(dm, dn), geq=classes_contained(dn, dm))
+    reps: list[Rep] = []
+    in_m = {ci for _, ci in _class_pieces(M, seed, reps)}
+    in_n = {ci for _, ci in _class_pieces(N, seed, reps)}
+    return AddCompare(leq=in_m <= in_n, geq=in_n <= in_m)

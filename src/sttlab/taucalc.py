@@ -60,7 +60,6 @@ __all__ = [
     "Ext1Result",
     "Cocycle",
     "ext_module",
-    "is_tau_rigid",
     "is_stt",
 ]
 
@@ -425,12 +424,6 @@ class SttCertificate:
     @property
     def n(self) -> int:
         return len(self.scope)
-
-
-def is_tau_rigid(M: Rep, tables: Tables, seed: int = 0) -> SttCertificate:
-    """The support tau-tilting certificate over all simples, read for its
-    rigidity verdict."""
-    return is_stt(M, tables, seed=seed)
 
 
 def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:

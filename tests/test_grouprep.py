@@ -29,7 +29,7 @@ from sttlab.grouprep import (
     zero_rep,
 )
 from sttlab.permgroup import Perm, group_close, parse_cycles, transversal
-from sttlab.meataxe import is_isomorphic
+from sttlab.meataxe import add_compare, is_isomorphic
 from sttlab.taucalc import ext1, ext_module
 
 
@@ -140,15 +140,15 @@ def test_is_isomorphic_falls_back_on_decompositions(cast, f4, monkeypatch):
     N = _conjugated(direct_sum([cast.kT, cast.kS]), upper)
     assert all(rank(X) < X.rows for X in hom_space(M, N).basis)
     calls = []
-    real = meataxe.assemble_iso_witness
+    real = meataxe.summand_stream
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(meataxe, "assemble_iso_witness", counted)
+    monkeypatch.setattr(meataxe, "summand_stream", counted)
     r = is_isomorphic(M, N, trials=0)
-    assert r and len(calls) == 1
+    assert r and len(calls) == 2
     W = r.witness
     assert rank(W) == W.rows == M.dim
     for Am, An in zip(M.gen_mats, N.gen_mats):
@@ -156,7 +156,28 @@ def test_is_isomorphic_falls_back_on_decompositions(cast, f4, monkeypatch):
     # the same fallback certifies a negative answer without a witness
     assert not is_isomorphic(M, _conjugated(direct_sum([cast.kT, cast.ST]), upper),
                              trials=0)
-    assert len(calls) == 1
+    assert len(calls) == 4
+
+
+def test_is_isomorphic_fallback_with_a_repeated_class(cast, f4):
+    """k + kS + k against a base change of kS + k + k: the fallback pairs a
+    class that occurs twice, with its second piece moved into the first
+    piece's coordinates, and tells kS from kT beside the same two k."""
+    M = direct_sum([cast.k, cast.kS, cast.k])
+    upper = Matrix.from_rows(f4, [[1 if i <= j else 0 for j in range(4)]
+                                  for i in range(4)])
+    N = _conjugated(direct_sum([cast.kS, cast.k, cast.k]), upper)
+    assert all(rank(X) < X.rows for X in hom_space(M, N).basis)
+    r = is_isomorphic(M, N, trials=0)
+    assert r
+    W = r.witness
+    assert rank(W) == W.rows == M.dim
+    for Am, An in zip(M.gen_mats, N.gen_mats):
+        assert (W @ Am) == (An @ W)
+    other = _conjugated(direct_sum([cast.k, cast.kT, cast.k]), upper)
+    assert not is_isomorphic(M, other, trials=0)
+    assert add_compare(direct_sum([cast.k, cast.k, cast.kS]),
+                       direct_sum([cast.kS, cast.k])).add_equal
 
 
 def test_restrict(a4, s4, f4, s4_tables):

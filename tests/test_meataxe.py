@@ -20,7 +20,6 @@ from sttlab.meataxe import (
     composition_factors,
     decompose,
     is_irreducible,
-    lift_idempotent,
     radical_top,
     simples_of,
     _is_split_local,
@@ -291,34 +290,6 @@ def test_algebra_radical_is_nilpotent_ideal(a4, f4):
     for _ in range(len(basis)):
         power = [_matmul(f4, p, j.a) for p in power[:4] for j in J[:4]]
     assert all(not p.any() for p in power)
-
-
-def test_lift_idempotent(f4):
-    E11 = Matrix.from_rows(f4, [[1, 0], [0, 0]])
-    E22 = Matrix.from_rows(f4, [[0, 0], [0, 1]])
-    E12 = Matrix.from_rows(f4, [[0, 1], [0, 0]])
-    basis = [E11, E22, E12]
-    J = algebra_radical(basis)
-    # already idempotent: unchanged
-    assert lift_idempotent(E11, basis, J) == E11
-    eye = Matrix.identity(f4, 2)
-    assert lift_idempotent(eye, basis, J) == eye
-    # idempotent only modulo the radical: I + E12 squares to I
-    e0 = Matrix.from_rows(f4, [[1, 1], [0, 1]])
-    e = lift_idempotent(e0, basis, J)
-    assert (e @ e) == e
-    assert e == eye
-    diff = e - e0
-    span = RowSpace(f4, 4)
-    for m in J:
-        span.add(m.a.reshape(-1))
-    assert span.contains(diff.a.reshape(-1))
-    # a nilpotent perturbation of zero lifts to the zero idempotent
-    assert lift_idempotent(E12, basis, J) == Matrix.zeros(f4, 2, 2)
-    # genuinely non-idempotent modulo the radical: w * E11 over GF(4)
-    w_e11 = Matrix.from_rows(f4, [[(0, 1), (0, 0)], [(0, 0), (0, 0)]])
-    with pytest.raises(ValueError):
-        lift_idempotent(w_e11, basis, J)
 
 
 def test_add_compare(cast):
