@@ -74,7 +74,7 @@ class Field:
     """GF(p^m) with table-driven arithmetic on integer element codes."""
 
     __slots__ = ("p", "m", "q", "modulus", "dtype", "ADD", "MUL", "NEG", "INV",
-                 "_digits")
+                 "_digits", "_lists")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p):
@@ -90,6 +90,7 @@ class Field:
         self.modulus = _least_irreducible(p, m)
         self.dtype = np.uint8 if q <= 256 else np.uint16
         self._digits = None
+        self._lists = None
 
         # Every row comes from earlier ones.  With P = p^i the top place of a
         # code a: a + b = (a - P) + (b + P), where b + P raises digit i of b by
@@ -406,6 +407,9 @@ class Matrix:
 
 _GATHER_LIMIT = 1 << 15
 _EXACT_FLOAT = 1 << 53
+# _rref runs on Python lists up to this many cells over fields with q <= 256
+# (README.md, "Field kernel").
+_LIST_CELLS = 256
 
 
 def _digits(f: Field) -> np.ndarray:
@@ -448,6 +452,8 @@ def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column list)."""
+    if A.size <= _LIST_CELLS and f.q <= 256:
+        return _rref_lists(f, A)
     if f.q == 2:
         return _rref_gf2(A)
     R = A.copy()
@@ -477,6 +483,43 @@ def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R, pivots
+
+
+def _rref_lists(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """_rref on Python lists of codes, with list copies of the field tables
+    built on first use: on small inputs this skips numpy's per-call cost."""
+    if f._lists is None:
+        f._lists = (f.MUL.tolist(), f.INV.tolist(), f.NEG.tolist(), f.ADD.tolist())
+    MUL, INV, NEG, ADD = f._lists
+    nrows, ncols = A.shape
+    R = A.tolist()
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if R[piv][c]:
+                break
+        else:
+            continue
+        row = R[piv]
+        R[piv], R[r] = R[r], row
+        if row[c] != 1:
+            scale = MUL[INV[row[c]]]
+            row[c:] = [scale[x] for x in row[c:]]
+        # per multiplier a, the ADD rows of -a * row[c:]: one lookup per cell
+        steps: dict = {}
+        for i, other in enumerate(R):
+            a = other[c]
+            if a and i != r:
+                if a not in steps:
+                    mul = MUL[NEG[a]]
+                    steps[a] = [ADD[mul[y]] for y in row[c:]]
+                other[c:] = [add[x] for add, x in zip(steps[a], other[c:])]
+        pivots.append(c)
+        r += 1
+    return np.array(R, dtype=A.dtype).reshape(nrows, ncols), pivots
 
 
 def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:

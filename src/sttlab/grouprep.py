@@ -17,9 +17,9 @@ dim M * dim N alone.  Below _SPIN_MIN_UNKNOWNS it solves the Kronecker
 system on all entries of X.  From there up it spins M from standard basis
 vectors (Lux and Szoke, Exp. Math. 2003) and solves only for the images of
 the s spin seeds, s * dim N unknowns (s = 1 for a cyclic module such as
-kG).  Spinning costs a fixed few echelon forms per call, so it loses on
-small shapes: on the hom spaces of the benchmark workloads it was slower
-at every shape up to 28 unknowns and faster at every shape from 64 up.
+kG).  The spin of M and its echelon forms depend on M alone, so they are
+paid once per Rep (_spin_source); on the hom spaces of the benchmark
+workloads that won from 8 unknowns up, and a first call from 36 up.
 Both regimes return the same basis: the _kernel_from_rref basis of a
 kernel is its reduced row echelon form under reversed column order (each
 vector ends in a 1 at its free column, where every other basis vector is
@@ -64,7 +64,7 @@ __all__ = [
 
 # hom_space spins from dim M * dim N of this many unknowns up (module
 # docstring; measurements in README.md, "Hom spaces").
-_SPIN_MIN_UNKNOWNS = 64
+_SPIN_MIN_UNKNOWNS = 16
 
 # Kronecker-regime answers of hom_space per group, freed with the group: one
 # read-only array of flattened basis matrices per (field, dim M, dim N) and
@@ -83,7 +83,8 @@ class Rep:
     (rep_make certifies them) and does not mutate them afterwards.
     """
 
-    __slots__ = ("group", "field", "dim", "gen_mats", "block_dims", "_element_mats")
+    __slots__ = ("group", "field", "dim", "gen_mats", "block_dims", "_element_mats",
+                 "_spin_source")
 
     def __init__(self, group: Group, field: Field, gen_mats: list[Matrix],
                  dim: Optional[int] = None, block_dims=None):
@@ -104,6 +105,7 @@ class Rep:
         self.gen_mats = list(gen_mats)
         self.block_dims = tuple(block_dims) if block_dims else None
         self._element_mats = None
+        self._spin_source = None
 
     @property
     def element_mats(self) -> np.ndarray:
@@ -345,40 +347,32 @@ def _hom_kron(M: Rep, N: Rep) -> list[Matrix]:
     return [Matrix(f, null[:, j].reshape(dn, dm).copy()) for j in range(null.shape[1])]
 
 
-def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
-    """Large regime: solve for the images of the spin seeds of M only.
-
-    M is spun from standard basis vectors into a basis b_k, each one a seed
-    or g b_parent.  For seed images y, X b_k = L_k y with L_k = rho_N(g)
-    L_parent, so the law X g b_k = rho_N(g) X b_k, with g b_k expanded in
-    the b_l, is one system in the s * dim N seed coordinates.  Its kernel is
-    mapped back to matrices X and brought to the basis _hom_kron returns.
-    """
+def _spin_source(M: Rep) -> tuple:
+    """The half of _hom_spin that depends on M alone, built on first use and
+    kept on M: the seed count s, the seed each spun basis vector b_k grew
+    from, the tree edges grouped by (depth, generator) as (generator, nodes,
+    parents), and the non-tree edges (g, k) with the coordinates of g b_k
+    in the b_l stacked above Q = B^-1 (row k of B is b_k)."""
+    if M._spin_source is not None:
+        return M._spin_source
     f = M.field
-    dm, dn = M.dim, N.dim
-    gens = len(M.gen_mats)
+    dm, gens = M.dim, len(M.gen_mats)
     Am = np.array([A.a for A in M.gen_mats], dtype=f.dtype).reshape(gens, dm, dm)
-    An = np.array([A.a for A in N.gen_mats], dtype=f.dtype).reshape(gens, dn, dn)
     space, tree = RowSpace(f, dm), []
     eye = np.eye(dm, dtype=f.dtype)
     for j in range(dm):
         if space.dim == dm:
             break
         _spin_tree(f, Am, eye[j:j + 1], space, tree)
-    # L_k is W_k in the block of the seed that b_k grew from, zero elsewhere
     seed_of = np.empty(dm, dtype=np.intp)
-    W = np.empty((dm, dn, dn), dtype=f.dtype)
-    s = 0
+    depth, levels, s = [0] * dm, {}, 0
     for k, (_, gi, parent) in enumerate(tree):
         if gi is None:
             seed_of[k], s = s, s + 1
-            W[k] = np.eye(dn, dtype=f.dtype)
         else:
-            seed_of[k] = seed_of[parent]
-            W[k] = _matmul(f, An[gi], W[parent])
-    L = np.zeros((dm, dn, s, dn), dtype=f.dtype)
-    L[np.arange(dm), :, seed_of, :] = W
-    L = L.reshape(dm, dn, s * dn)
+            seed_of[k], depth[k] = seed_of[parent], depth[parent] + 1
+            levels.setdefault((depth[k], gi), []).append((k, parent))
+    levels = [(gi, *np.array(edges).T) for (_, gi), edges in sorted(levels.items())]
     B = np.array([row for row, _, _ in tree])  # row k is b_k
     Q = Matrix(f, B).inverse().a  # v = (v @ Q) @ B
     # the law holds on the tree edges by construction; impose it on the rest
@@ -389,10 +383,39 @@ def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
     ks = [k for _, k in edges]
     imgs = _matmul(f, B, Am.transpose(2, 0, 1).reshape(dm, -1)).reshape(dm, gens, dm)
     coords = _matmul(f, imgs[ks, gs], Q)  # g b_k = sum_l coords[e, l] b_l
+    M._spin_source = (s, seed_of, levels, gs, ks, np.concatenate([coords, Q]))
+    return M._spin_source
+
+
+def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
+    """Large regime: solve for the images of the spin seeds of M only.
+
+    M is spun from standard basis vectors into a basis b_k, each one a seed
+    or g b_parent.  For seed images y, X b_k = L_k y with L_k = rho_N(g)
+    L_parent, so the law X g b_k = rho_N(g) X b_k, with g b_k expanded in
+    the b_l, is one system in the s * dim N seed coordinates.  Its kernel is
+    mapped back to matrices X and brought to the basis _hom_kron returns.
+    The spin of M and its echelon forms are _spin_source, paid once per M.
+    """
+    f = M.field
+    dm, dn = M.dim, N.dim
+    s, seed_of, levels, gs, ks, coords_q = _spin_source(M)
+    gens = len(M.gen_mats)
+    An = np.array([A.a for A in N.gen_mats], dtype=f.dtype).reshape(gens, dn, dn)
+    # L_k is W_k in the block of the seed that b_k grew from, zero elsewhere;
+    # one product per (depth, generator) gives W_k = rho_N(g) W_parent
+    W = np.empty((dm, dn, dn), dtype=f.dtype)
+    W[:] = np.eye(dn, dtype=f.dtype)
+    for gi, nodes, parents in levels:
+        acted = _matmul(f, An[gi], W[parents].transpose(1, 0, 2).reshape(dn, -1))
+        W[nodes] = acted.reshape(dn, len(nodes), dn).transpose(1, 0, 2)
+    L = np.zeros((dm, dn, s, dn), dtype=f.dtype)
+    L[np.arange(dm), :, seed_of, :] = W
+    L = L.reshape(dm, dn, s * dn)
     # one product gives sum_l c_l L_l for every edge and, from Q, the map
     # Psi with Psi_c y = X e_c, since X b_k = L_k y
-    both = _matmul(f, np.concatenate([coords, Q]), L.reshape(dm, -1))
-    moved, psi = both[:len(edges)], both[len(edges):]
+    both = _matmul(f, coords_q, L.reshape(dm, -1))
+    moved, psi = both[:len(gs)], both[len(gs):]
     acted = _matmul(f, An.reshape(-1, dn), L.transpose(1, 0, 2).reshape(dn, -1))
     acted = acted.reshape(gens, dn, dm, s * dn)[gs, :, ks]
     system = f.arr_sub(moved.reshape(-1, dn, s * dn), acted).reshape(-1, s * dn)

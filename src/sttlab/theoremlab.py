@@ -196,8 +196,11 @@ class PairLab:
         """Classes of the direct sum of conjugates over coset representatives."""
         if rep_indices is None:
             rep_indices = range(len(self.trans.reps))
-        return _push(counter, lambda cid: sum(
-            (self.conj_classes(cid, ri) for ri in rep_indices), Counter()))
+        return _push(counter, partial(self._orbit_class, tuple(rep_indices)))
+
+    @_memo
+    def _orbit_class(self, rep_indices: tuple[int, ...], cid: int) -> Counter:
+        return sum((self.conj_classes(cid, ri) for ri in rep_indices), Counter())
 
     # -- blocks -------------------------------------------------------------
     @_memo

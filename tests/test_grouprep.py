@@ -453,6 +453,67 @@ def test_hom_space_end_of_regular_s4xc2_matches_oracle():
     assert _hom_spin(reg, reg) == want
 
 
+def _s3_module(f, dim, rng):
+    """A module of S3 of the given dimension: a sum of regular, induced
+    (from C3, dimension 2) and trivial modules, in random order."""
+    reg, k = regular_rep(S3, f), trivial_rep(S3, f)
+    ind = induce(trivial_rep(C3, f), S3, transversal(S3, C3))
+    parts = []
+    while dim:
+        part = rng.choice([R for R in (reg, ind, k) if R.dim <= dim])
+        parts.append(part)
+        dim -= part.dim
+    rng.shuffle(parts)
+    return direct_sum(parts)
+
+
+@pytest.mark.parametrize("pm", ORACLE_FIELDS)
+def test_hom_space_regimes_match_oracle_at_the_threshold(pm):
+    f = field_make(*pm)
+    rng = random.Random(pm[0] * 10 + pm[1])
+    T = grouprep._SPIN_MIN_UNKNOWNS
+    for unknowns in (T - 1, T):
+        for dm in range(1, unknowns + 1):
+            if unknowns % dm == 0:
+                M, N = _s3_module(f, dm, rng), _s3_module(f, unknowns // dm, rng)
+                stored = _memo_size(S3)
+                assert_regimes_match_oracle(M, N)
+                # only the Kronecker regime, below T, stores its answer
+                assert (_memo_size(S3) > stored) <= (unknowns < T)
+
+
+@pytest.mark.parametrize("pm", ORACLE_FIELDS)
+def test_hom_space_non_cyclic_source_matches_oracle(pm):
+    f = field_make(*pm)
+    reg, k = regular_rep(S3, f), trivial_rep(S3, f)
+    M = direct_sum([reg, k, reg])
+    assert grouprep._spin_source(M)[0] >= 2  # spin seeds
+    for N in (direct_sum([reg, k]), direct_sum([k, k, k]), reg):
+        assert N.dim != M.dim
+        assert_regimes_match_oracle(M, N)
+        assert_regimes_match_oracle(N, M)
+
+
+def test_spin_source_is_built_once_per_source(monkeypatch):
+    f = field_make(2, 2)
+    reg, k = regular_rep(A4, f), trivial_rep(A4, f)
+    M = direct_sum([reg, k])
+    N1, N2 = direct_sum([k, reg, k]), direct_sum([k] * 3)
+    spins = []
+    spin_tree = grouprep._spin_tree
+    monkeypatch.setattr(grouprep, "_spin_tree",
+                        lambda *args: spins.append(args) or spin_tree(*args))
+    first = hom_space(M, N1).basis
+    built = len(spins)
+    assert built >= 1
+    assert hom_space(M, N2).basis == kron_oracle(M, N2)
+    assert hom_space(M, N1).basis == first == kron_oracle(M, N1)
+    assert len(spins) == built
+    # a content-equal module is another source: it spins for itself
+    assert hom_space(_fresh(M), N1).basis == first
+    assert len(spins) == 2 * built
+
+
 # ---------------------------------------------------------------------------
 # the Kronecker-regime memo
 
@@ -528,7 +589,8 @@ def test_memo_never_stores_spin_regime_calls():
         assert M.dim * N.dim >= grouprep._SPIN_MIN_UNKNOWNS
         hom_space(M, N)
         assert _memo_size(G) == 0
-    hom_space(kk, kk)  # 36 unknowns: stored
+    k3 = direct_sum([k] * 3)
+    hom_space(k3, k3)  # 9 unknowns: stored
     assert _memo_size(G) == 1
 
 

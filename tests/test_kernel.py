@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from sttlab import exactfield
 from sttlab.exactfield import (
     Matrix,
     Poly,
@@ -394,6 +395,53 @@ def test_rref_gf2_word_boundaries(cols):
         R0, pivots0 = ref_rref(f, A)
         assert pivots == pivots0 and R.dtype == A.dtype
         assert np.array_equal(R, R0)
+
+
+def _rref_cases(f, rng, bound):
+    """Shapes on both sides of the list-path cell bound, empty ones, and
+    rank-deficient and repeated-row inputs."""
+    for rows, cols in [(0, 0), (0, 7), (7, 0), (1, 1), (1, bound), (1, bound + 1),
+                       (bound, 1), (16, 16), (16, 17), (9, 30), (12, 40), (30, 30)]:
+        yield random_matrix(f, rng, rows, cols)
+        if rows and cols:
+            yield random_matrix(f, rng, rows, cols, min(rows, cols) // 2)
+            A = random_matrix(f, rng, rows, cols)
+            A[rows // 2:] = A[0]
+            yield A
+
+
+@pytest.mark.parametrize("p,m", [pm for pm in FIELDS if pm[0] ** pm[1] <= 256])
+@pytest.mark.parametrize("path", ["lists", "numpy"])
+def test_rref_both_paths_match_reference(p, m, path, monkeypatch):
+    f = field_make(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    cases = list(_rref_cases(f, rng, exactfield._LIST_CELLS))
+    if path == "numpy":
+        monkeypatch.setattr(exactfield, "_LIST_CELLS", -1)
+    for A in cases:
+        A0 = A.copy()
+        R, pivots = _rref(f, A)
+        R0, pivots0 = ref_rref(f, A)
+        assert pivots == pivots0 and R.dtype == A.dtype
+        assert np.array_equal(R, R0) and R.shape == A.shape
+        assert not np.shares_memory(R, A)
+        assert np.array_equal(A, A0)
+
+
+def test_rref_path_follows_cells_and_field(monkeypatch):
+    listed = []
+    lists = exactfield._rref_lists
+    monkeypatch.setattr(exactfield, "_rref_lists",
+                        lambda f, A: listed.append(A.shape) or lists(f, A))
+    bound = exactfield._LIST_CELLS
+    for p, m in FIELDS:
+        f = field_make(p, m)
+        for shape in [(1, bound), (bound, 1), (16, 16), (1, bound + 1), (16, 17)]:
+            listed.clear()
+            A = np.ones(shape, dtype=f.dtype)
+            assert _rref(f, A)[1] == [0]
+            on_lists = f.q <= 256 and A.size <= bound
+            assert listed == ([shape] if on_lists else [])
 
 
 @settings(max_examples=60)
