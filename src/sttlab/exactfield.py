@@ -29,7 +29,6 @@ __all__ = [
     "charpoly",
     "rank",
     "nullspace",
-    "rref",
     "RowSpace",
 ]
 
@@ -170,17 +169,6 @@ class Field:
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} out of range for GF({self.q})")
         return Scalar(self, code)
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
-    def elements(self):
-        return [Scalar(self, c) for c in range(self.q)]
 
     # -- vectorised helpers on ndarray of codes --------------------------
     def arr_add(self, x, y):
@@ -345,9 +333,6 @@ class Matrix:
         self._check(other)
         return Matrix(self.field, self.field.arr_sub(self.a, other.a))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.field.NEG[self.a])
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         return Matrix(self.field, _matmul(self.field, self.a, other.a))
@@ -359,9 +344,6 @@ class Matrix:
     @property
     def T(self) -> "Matrix":
         return Matrix(self.field, self.a.T)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, int(self.a[i, j]))
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -384,9 +366,6 @@ class Matrix:
             and self.shape == other.shape
             and np.array_equal(self.a, other.a)
         )
-
-    def __hash__(self):  # pragma: no cover - used only for dict keys in caches
-        return hash((self.field.p, self.field.m, self.shape, self.a.tobytes()))
 
     def __repr__(self):
         body = "; ".join(
@@ -570,11 +549,6 @@ def _kernel_from_rref(f: Field, R: np.ndarray, pivots: list[int]) -> np.ndarray:
     N[free, np.arange(free.size)] = 1
     N[piv] = f.NEG[R[: piv.size][:, free]]
     return N
-
-
-def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    R, piv = _rref(M.field, M.a)
-    return Matrix(M.field, R), piv
 
 
 def rank(M: Matrix) -> int:

@@ -7,10 +7,10 @@ reduced echelon form.
 
 The homomorphism law is certified once, in rep_make, where matrices enter
 from outside (cli.parse_rep_file goes through it).  Rep(...) itself checks
-only shapes and fields: every other constructor here, and the slices and
-twisted modules of meataxe and taucalc, builds a module by theorem from
-modules that already are one, so it calls Rep directly.  Generator
-matrices must not be mutated once a Rep holds them.
+only shapes and fields: every other constructor here, and the coordinate
+slices of meataxe, builds a module by theorem from modules that already
+are one, so it calls Rep directly.  Generator matrices must not be mutated
+once a Rep holds them.
 
 hom_space takes one of two exact regimes, chosen by the number of unknowns
 dim M * dim N alone.  Below _SPIN_MIN_UNKNOWNS it solves the Kronecker
@@ -196,14 +196,6 @@ def regular_rep(group: Group, field: Field) -> Rep:
         arr[row, np.arange(n)] = 1
         mats.append(Matrix(field, arr))
     return Rep(group, field, mats, dim=n)
-
-
-def right_mult_matrix(group: Group, field: Field, g: Perm) -> Matrix:
-    """Matrix of right multiplication by g on the group algebra basis."""
-    n = group.order
-    arr = np.zeros((n, n), dtype=field.dtype)
-    arr[group.mult_table()[:, group.idx(g)], np.arange(n)] = 1
-    return Matrix(field, arr)
 
 
 def rep_apply_algebra(M: Rep, coeffs) -> Matrix:

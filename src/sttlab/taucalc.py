@@ -2,10 +2,11 @@
 its pushout extensions, and support tau-tilting certificates.
 
 Group algebras are symmetric, so tau is computed as the double syzygy of
-minimal projective covers; the classical dual-of-transpose construction is
-kept as an independent second route and the two must agree up to
-isomorphism on every module they are both asked about.  The support of M,
-for the counting criterion, is read from dim Hom(P(S), M), not a chop.
+minimal projective covers; the dual-of-transpose construction, on the dual
+modules of a minimal presentation, is kept as an independent second route
+and the two must agree up to isomorphism on every module they are both
+asked about.  The support of M, for the counting criterion, is read from
+dim Hom(P(S), M), not a chop.
 
 The PIMs P(S) are summands of the modules induced from the simples of a
 maximal p'-subgroup H, not of the regular module, which is Ind_1^G(k):
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import blockdec
-from .exactfield import Field, Matrix, RowSpace, linsolve, rank, _nullspace
+from .exactfield import Field, Matrix, RowSpace, rank, _nullspace
 from .grouprep import (
     Rep,
     direct_sum,
@@ -33,8 +34,6 @@ from .grouprep import (
     iso_class,
     quotient_projection,
     quotient_rep,
-    regular_rep,
-    right_mult_matrix,
     sub_rep,
     zero_rep,
 )
@@ -246,8 +245,8 @@ def tau(M: Rep, tables: Tables, method: str = "omega2") -> Rep:
 
     omega2: double syzygy of minimal covers (valid because group algebras
     are symmetric).  dtr: dual of the transpose of a minimal projective
-    presentation, with right modules carried through the inversion
-    antiautomorphism.  Both methods agree up to isomorphism.
+    presentation, with Hom(P, kG) read as the dual module P* (see
+    _tau_dtr).  Both methods agree up to isomorphism.
     """
     if method == "omega2":
         if M.dim == 0:
@@ -261,57 +260,25 @@ def tau(M: Rep, tables: Tables, method: str = "omega2") -> Rep:
     raise ValueError(f"unknown tau method {method!r}")
 
 
-def _twisted_hom_to_regular(P: Rep) -> tuple[Rep, list[Matrix]]:
-    """Hom(P, kG) as a left module through g . phi = R_{g^-1} phi.
-
-    Returns the module together with the hom basis (|G| x dim P matrices).
-    """
-    G, f = P.group, P.field
-    reg = regular_rep(G, f)
-    basis = hom_space(P, reg).basis
-    h = len(basis)
-    if h == 0:
-        return zero_rep(G, f), []
-    flat = np.stack([b.a.reshape(-1) for b in basis])
-    A = Matrix(f, flat.T.copy())
-    gen_mats = []
-    for a in G.generators:
-        Rinv = right_mult_matrix(G, f, a.inverse())
-        imgs = np.stack([(Rinv @ b).a.reshape(-1) for b in basis], axis=1)
-        sol = linsolve(A, Matrix(f, imgs))
-        if sol.particular is None:
-            raise AssertionError("twisted action left the hom space")
-        gen_mats.append(sol.particular)
-    return Rep(G, f, gen_mats, dim=h), basis
-
-
 def _tau_dtr(M: Rep, tables: Tables) -> Rep:
-    f = M.field
-    G = M.group
-    if M.dim == 0:
-        return zero_rep(G, f)
+    """D Tr M from the minimal presentation P1 -d-> P0 -> M.
+
+    kG is symmetric, so phi -> (the coefficient of 1 in phi) is an
+    isomorphism Hom_kG(P, kG) = P*, natural in P.  Tr M is then the
+    cokernel of the transpose P0* -> P1*, whose image is the row space R
+    of d, and D Tr M is the dual of P1* / R."""
+    G, f = M.group, M.field
     c0 = _cover_data(M, tables)
-    if c0.omega.dim == 0:  # projective module: tau vanishes
+    if c0.omega.dim == 0:  # zero or projective module: tau vanishes
         return zero_rep(G, f)
     c1 = _cover_data(c0.omega, tables)
     # presentation map d: P1 -> P0 through the inclusion of Omega(M)
-    d = Matrix(f, (Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection).a)
-    basis0 = hom_space(c0.cover, regular_rep(G, f)).basis
-    hom1, basis1 = _twisted_hom_to_regular(c1.cover)
-    if hom1.dim == 0:
-        return zero_rep(G, f)
-    flat1 = np.stack([b.a.reshape(-1) for b in basis1])
-    A1 = Matrix(f, flat1.T.copy())
-    # basis0 is not empty: Hom(P(S), kG) is nonzero for every simple S
-    imgs = np.stack([(psi @ d).a.reshape(-1) for psi in basis0], axis=1)
-    sol = linsolve(A1, Matrix(f, imgs))
-    if sol.particular is None:
-        raise AssertionError("transpose image left the hom space")
-    rows = Matrix(f, RowSpace(f, hom1.dim, sol.particular.a.T).matrix())
-    coker = quotient_rep(hom1, rows) if rows.rows < hom1.dim else zero_rep(G, f)
-    if coker.dim == 0:
-        return zero_rep(G, f)
-    return dual_rep(coker)
+    d = Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection
+    P1_dual = dual_rep(c1.cover)
+    if not is_invariant_subspace(P1_dual, d):  # R, the row space of d
+        raise AssertionError("the transpose image is not a submodule of P1*")
+    coker = quotient_rep(P1_dual, d)
+    return dual_rep(coker) if coker.dim else zero_rep(G, f)
 
 
 @dataclass

@@ -153,6 +153,16 @@ def test_cmd_check_stt_trivial(workdir):
     assert "cosupport_z = 2" in out
 
 
+def test_cmd_check_rigid(workdir, capsys):
+    status, out = run_cli(["check-rigid", "--module", str(workdir / "k_a4.rep")])
+    assert status == 0
+    assert "tau_rigid = True" in out
+    assert "witness tau_dim: 5" in out
+    # the decomposition of a module over a non-splitting field is inconclusive
+    assert main(["check-rigid", "--module", str(workdir / "twist_c3.rep")]) == 3
+    assert "inconclusive" in capsys.readouterr().err
+
+
 def test_cmd_tau_cross_checks(workdir):
     status, out = run_cli(["tau", "--module", str(workdir / "k_a4.rep")])
     assert status == 0

@@ -28,7 +28,7 @@ from sttlab.grouprep import (
 )
 from sttlab.meataxe import _coordinate_slice, decompose, radical_top
 from sttlab.permgroup import Perm, group_close, parse_cycles, transversal
-from sttlab.taucalc import Tables, _twisted_hom_to_regular, ext1, ext_module
+from sttlab.taucalc import Tables, ext1, ext_module
 
 
 def _derived_modules(H, G, f, tables_h, tables_g):
@@ -74,8 +74,6 @@ def _derived_modules(H, G, f, tables_h, tables_g):
     for tables in (tables_h, tables_g):
         for i, P in enumerate(tables.pimtable.pims):
             yield f"pim {i} of order {P.group.order}", P
-            yield (f"twisted hom {i} of order {P.group.order}",
-                   _twisted_hom_to_regular(P)[0])
 
 
 def test_derived_modules_satisfy_the_law_a4_s4(a4, s4, f4, a4_tables, s4_tables):
