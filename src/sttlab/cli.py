@@ -24,7 +24,7 @@ from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce,
     rep_make, trivial_rep
 from .meataxe import add_compare, is_isomorphic, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
-from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau
+from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau, tau_routes
 from .theoremlab import PairLab, check_theorem1, check_theorem2, \
     is_invariant, mackey_check, orbit_module, remark_classify
 
@@ -261,14 +261,14 @@ def cmd_tau(args, report: Report) -> int:
     M, G, _ = parse_rep_file(args.module)
     report.add_input(args.module)
     tables = Tables(G, M.field, seed=args.seed)
-    t1 = tau(M, tables, method=args.method)
+    if args.method != "omega2":
+        report.verdict("tau_dim", tau(M, tables, method=args.method).dim)
+        return 0
+    t1, t2 = tau_routes(M, tables)  # omega2 is cross-checked against dtr
     report.verdict("tau_dim", t1.dim)
-    if args.method == "omega2":
-        t2 = tau(M, tables, method="dtr")
-        agree = bool(is_isomorphic(t1, t2, seed=args.seed, trials=args.trials))
-        report.verdict("methods_agree", agree)
-        return 0 if agree else 1
-    return 0
+    agree = bool(is_isomorphic(t1, t2, seed=args.seed, trials=args.trials))
+    report.verdict("methods_agree", agree)
+    return 0 if agree else 1
 
 
 def cmd_check_rigid(args, report: Report) -> int:

@@ -19,6 +19,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -234,29 +235,31 @@ def chop(M: Rep, table: SimpleTable, seed: int = 0) -> Counter:
 
 @dataclass
 class RadicalTop:
+    module: Rep
     radical_rows: Matrix  # row basis of rad M inside M
-    radical: Rep
-    top: Rep
     homs: list[HomBasis]  # hom_space(M, S) for each simple S, in table order
+
+    @cached_property
+    def radical(self) -> Rep:
+        return sub_rep(self.module, self.radical_rows)
+
+    @cached_property
+    def top(self) -> Rep:
+        return quotient_rep(self.module, self.radical_rows)
 
 
 def radical_top(M: Rep, table: SimpleTable) -> RadicalTop:
-    """rad M as the joint kernel of all homs onto simples; top = M / rad M."""
+    """rad M as the joint kernel of all homs onto simples; top = M / rad M,
+    and the radical and top modules are built on first read."""
     f = M.field
     homs = [hom_space(M, S) for S in table.simples]
-    if M.dim == 0:
-        empty = Matrix.zeros(f, 0, 0)
-        return RadicalTop(empty, M, M, homs)
     rows = [phi.a for H in homs for phi in H.basis]
     if rows:
         stacked = np.concatenate(rows, axis=0)
     else:  # no homs onto simples can only happen for the zero module
         stacked = np.zeros((0, M.dim), dtype=f.dtype)
     K = _nullspace(f, stacked)
-    rad_rows = Matrix(f, RowSpace(f, M.dim, K.T).matrix())
-    radical = sub_rep(M, rad_rows)
-    top = quotient_rep(M, rad_rows)
-    return RadicalTop(rad_rows, radical, top, homs)
+    return RadicalTop(M, Matrix(f, RowSpace(f, M.dim, K.T).matrix()), homs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,7 @@ def _decompose_rec(rep: Rep, rows: Matrix, seed: int):
     end = hom_space(rep, rep)
     # A split local End has only primary minimal polynomials, so no Fitting
     # split can succeed: certify locality before any random attempt.
-    if end.dim == 1 or _is_split_local(end.basis):
+    if split_local(end):
         yield rows, rep
         return
     for part in _proper_split(rep, end, seed):
@@ -420,6 +423,13 @@ def _is_split_local(basis: list[Matrix]) -> bool:
             return False
         power = lower
     return True
+
+
+def split_local(end: HomBasis) -> bool:
+    """Whether End(M), given as hom_space(M, M), is local with residue
+    field k, that is, M is absolutely indecomposable.  Kept out of __all__,
+    the names perfbench/tracing.py wraps, like summand_stream."""
+    return end.dim == 1 or _is_split_local(end.basis)
 
 
 def frobenius_fixed_element(f: Field, basis, radical,

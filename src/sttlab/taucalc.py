@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import blockdec
-from .exactfield import Field, Matrix, RowSpace, rank, _nullspace
+from .exactfield import Field, Matrix, RowSpace, _nullspace
 from .grouprep import (
     Rep,
     direct_sum,
@@ -55,6 +55,7 @@ __all__ = [
     "projective_cover",
     "syzygy",
     "tau",
+    "tau_routes",
     "ext1",
     "Ext1Result",
     "Cocycle",
@@ -91,6 +92,10 @@ class Tables:
 
     def chop(self, M: Rep):
         return chop(M, self.simples, seed=self.seed)
+
+    def cover(self, M: Rep) -> CoverData:
+        """The minimal projective cover of M, with its kernel and top."""
+        return _cover_data(M, self)
 
     def multiplicities(self, M: Rep) -> Counter:
         """chop's Counter read off hom dimensions, [M : S] = dim Hom(P(S), M)
@@ -174,6 +179,7 @@ class CoverData:
     surjection: Matrix    # dim M x dim P(M)
     kernel_rows: Matrix   # rows of Omega(M) inside P(M)
     omega: Rep
+    top_dims: list[int]   # dim Hom(M, S) for each simple S, in table order
 
 
 def _cover_data(M: Rep, tables: Tables) -> CoverData:
@@ -183,8 +189,9 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
     if M.dim == 0:
         empty = Matrix.zeros(f, 0, 0)
         z = zero_rep(M.group, f)
-        return CoverData(z, empty, Matrix.zeros(f, 0, 0), z)
+        return CoverData(z, empty, Matrix.zeros(f, 0, 0), z, [0] * simples.count)
     rt = radical_top(M, simples)
+    top_dim = M.dim - rt.radical_rows.rows
     top_proj = quotient_projection(M, rt.radical_rows)  # dim top x dim M
     parts: list[Rep] = []
     columns: list[np.ndarray] = []
@@ -196,7 +203,7 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
         # pick c_i maps whose composites with the top projection are
         # linearly independent; projectivity guarantees they exist
         chosen: list[Matrix] = []
-        probe = RowSpace(f, rt.top.dim * P.dim)
+        probe = RowSpace(f, top_dim * P.dim)
         for phi in H.basis:
             composite = top_proj @ phi
             if probe.add(composite.a.reshape(-1)):
@@ -215,15 +222,17 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
         surj = Matrix(f, np.concatenate(columns, axis=1))
     else:  # M is zero-dimensional (handled above) or has no top: impossible
         raise AssertionError("nonzero module with empty top")
-    # minimality and surjectivity certificates
-    if rank(surj) != M.dim:
-        raise AssertionError("projective cover map is not surjective")
-    if sum(S.dim * H.dim for S, H in zip(simples.simples, rt.homs)) != rt.top.dim:
-        raise AssertionError("projective cover is not minimal")
+    # minimality and surjectivity certificates; the rank is read off the
+    # kernel, from the one echelon form
     null = _nullspace(f, surj.a)
+    if surj.cols - null.shape[1] != M.dim:
+        raise AssertionError("projective cover map is not surjective")
+    top_dims = [H.dim for H in rt.homs]
+    if sum(S.dim * d for S, d in zip(simples.simples, top_dims)) != top_dim:
+        raise AssertionError("projective cover is not minimal")
     kernel_rows = Matrix(f, RowSpace(f, P_total.dim, null.T).matrix())
     omega = sub_rep(P_total, kernel_rows) if kernel_rows.rows else zero_rep(M.group, f)
-    return CoverData(P_total, surj, kernel_rows, omega)
+    return CoverData(P_total, surj, kernel_rows, omega, top_dims)
 
 
 def projective_cover(M: Rep, tables: Tables) -> tuple[Rep, Matrix]:
@@ -248,37 +257,40 @@ def tau(M: Rep, tables: Tables, method: str = "omega2") -> Rep:
     presentation, with Hom(P, kG) read as the dual module P* (see
     _tau_dtr).  Both methods agree up to isomorphism.
     """
-    if method == "omega2":
-        if M.dim == 0:
-            return zero_rep(M.group, M.field)
-        o1 = syzygy(M, tables)
-        if o1.dim == 0:
-            return zero_rep(M.group, M.field)
-        return syzygy(o1, tables)
-    if method == "dtr":
-        return _tau_dtr(M, tables)
-    raise ValueError(f"unknown tau method {method!r}")
+    return tau_routes(M, tables, (method,))[0]
 
 
-def _tau_dtr(M: Rep, tables: Tables) -> Rep:
-    """D Tr M from the minimal presentation P1 -d-> P0 -> M.
+def tau_routes(M: Rep, tables: Tables, methods=("omega2", "dtr")) -> tuple[Rep, ...]:
+    """tau(M) by each of methods, all read off the two covers of one minimal
+    presentation."""
+    for method in methods:
+        if method not in ("omega2", "dtr"):
+            raise ValueError(f"unknown tau method {method!r}")
+    if M.dim:
+        c0 = _cover_data(M, tables)
+        if c0.omega.dim:  # else M is projective and tau vanishes
+            c1 = _cover_data(c0.omega, tables)
+            return tuple(c1.omega if method == "omega2" else _tau_dtr(c0, c1)
+                         for method in methods)
+    return tuple(zero_rep(M.group, M.field) for _ in methods)
+
+
+def _tau_dtr(c0: CoverData, c1: CoverData) -> Rep:
+    """D Tr M from the minimal presentation P1 -d-> P0 -> M, given by the
+    covers c0 of M and c1 of Omega M.
 
     kG is symmetric, so phi -> (the coefficient of 1 in phi) is an
     isomorphism Hom_kG(P, kG) = P*, natural in P.  Tr M is then the
     cokernel of the transpose P0* -> P1*, whose image is the row space R
     of d, and D Tr M is the dual of P1* / R."""
-    G, f = M.group, M.field
-    c0 = _cover_data(M, tables)
-    if c0.omega.dim == 0:  # zero or projective module: tau vanishes
-        return zero_rep(G, f)
-    c1 = _cover_data(c0.omega, tables)
+    f = c1.cover.field
     # presentation map d: P1 -> P0 through the inclusion of Omega(M)
     d = Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection
     P1_dual = dual_rep(c1.cover)
     if not is_invariant_subspace(P1_dual, d):  # R, the row space of d
         raise AssertionError("the transpose image is not a submodule of P1*")
     coker = quotient_rep(P1_dual, d)
-    return dual_rep(coker) if coker.dim else zero_rep(G, f)
+    return dual_rep(coker) if coker.dim else zero_rep(c1.cover.group, f)
 
 
 @dataclass

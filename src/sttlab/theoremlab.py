@@ -10,6 +10,18 @@ cheap while the underlying kernels stay exact.  omega_class, tau_classes
 (tau = Omega^2) and conj_classes map class ids to classes registered
 undecomposed: kG is symmetric, so Omega of an indecomposable under its
 certified minimal cover is zero or indecomposable, and so is a twist.
+
+Three certificates answer hom questions of a sweep without a hom space:
+- Hom(X, tau Y) != 0 when a simple lies in top(X) and soc(tau Y), and
+  = 0 when top(X) meets no composition factor of tau Y or soc(tau Y) none
+  of X; homdim decides the rest (stt_counts, _hom_nonzero).
+- soc(Omega W) = top(W) for an indecomposable non-projective W: kG is
+  symmetric, so the minimal cover of W is the injective hull of Omega W
+  (Auslander, Reiten and Smalo, Representation Theory of Artin Algebras,
+  ch. IV).  Tops come from the covers omega_class computes anyway.
+- Ind M is indecomposable when [big : small] is a power of p and End(M)
+  is local with residue field k (J. A. Green, Math. Z. 70, 1959), so
+  ind_classes registers it without a decomposition.
 """
 
 from __future__ import annotations
@@ -25,9 +37,9 @@ from .blockdec import Block, block_of_module, blocks, covering_blocks, \
 from .exactfield import Field
 from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
     restrict
-from .meataxe import summand_stream
+from .meataxe import split_local, summand_stream
 from .permgroup import Group, Transversal, transversal
-from .taucalc import Tables, ext1, ext_module, syzygy
+from .taucalc import Tables, ext1, ext_module
 
 __all__ = [
     "PairLab",
@@ -124,6 +136,14 @@ class PairLab:
                        "big": Tables(big, field, seed=seed)}
         self._classes: dict[str, list[Rep]] = {"small": [], "big": []}
         self._memo: defaultdict[str, dict] = defaultdict(dict)
+        # simple labels of the top of each class and of the socle of each
+        # class met as an Omega image, filled in by omega_class
+        self._tops: dict[str, dict[int, frozenset]] = {"small": {}, "big": {}}
+        self._socles: dict[str, dict[int, frozenset]] = {"small": {}, "big": {}}
+        index = len(self.trans.reps)
+        while index % field.p == 0:
+            index //= field.p
+        self._p_power_index = index == 1
 
     # -- class registry ---------------------------------------------------
     def group_of(self, side: str) -> Group:
@@ -159,7 +179,16 @@ class PairLab:
     # -- per-class data -----------------------------------------------------
     @_memo
     def omega_class(self, side: str, cid: int) -> Counter:
-        return self.class_of(syzygy(self.class_rep(side, cid), self.tables[side]), side)
+        """The class of Omega W for W = class cid.  Also notes top(W), read
+        off the minimal cover, as the top of W and the socle of Omega W."""
+        tables = self.tables[side]
+        cover = tables.cover(self.class_rep(side, cid))
+        top = frozenset(lab for lab, d in zip(tables.simples.labels, cover.top_dims) if d)
+        self._tops[side][cid] = top
+        out = self.class_of(cover.omega, side)
+        for z in out:
+            self._socles[side][z] = top
+        return out
 
     @_memo
     def tau_classes(self, side: str, cid: int) -> Counter:
@@ -174,8 +203,28 @@ class PairLab:
         return hom_space(self.class_rep(side, ci), self.class_rep(side, cj)).dim
 
     @_memo
+    def _hom_nonzero(self, side: str, ci: int, ct: int) -> bool:
+        """Whether Hom(X, Z) != 0 for classes X = ci and Z = ct, where both
+        tau_classes of X and omega_class of the W with Omega W = Z have run.
+        A simple in top(X) and soc(Z) gives X -> S -> Z; the image of a
+        nonzero map has a top in top(X) and a socle in soc(Z), both among
+        the composition factors of X and Z.  homdim decides the rest."""
+        top, socle = self._tops[side][ci], self._socles[side][ct]
+        if not top.isdisjoint(socle):
+            return True
+        if socle.isdisjoint(self.chop_class(side, ci)) or \
+                top.isdisjoint(self.chop_class(side, ct)):
+            return False
+        return self.homdim(side, ci, ct) > 0
+
+    @_memo
     def ind_classes(self, cid: int) -> Counter:
-        ind = induce(self.class_rep("small", cid), self.big, self.trans)
+        M = self.class_rep("small", cid)
+        ind = induce(M, self.big, self.trans)
+        # Green's indecomposability theorem: Ind M is indecomposable when
+        # [big : small] is a power of p and M is absolutely indecomposable
+        if self._p_power_index and split_local(hom_space(M, M)):
+            return self.class_of(ind, "big")
         return self.classes_of(ind, "big")
 
     @_memo
@@ -237,7 +286,10 @@ class PairLab:
         if scope is None:
             scope = tuple(tables.simples.labels)
         m = len(counter)
-        rigid = not any(self.homdim(side, ci, ct) for ci in counter
+        # _hom_nonzero(ci, ct) needs tau_classes(ci): that of the first class
+        # runs before any _hom_nonzero, and that of every class before the
+        # second class's turn, so classes register in the order they always did
+        rigid = not any(self._hom_nonzero(side, ci, ct) for ci in counter
                         for cj in counter for ct in self.tau_classes(side, cj))
         support = set()
         for cid in counter:

@@ -170,6 +170,20 @@ def test_cmd_tau_cross_checks(workdir):
     assert "tau_dim = 5" in out
 
 
+def test_cmd_tau_builds_each_cover_once(workdir, monkeypatch):
+    """Both answers of sttlab tau come from one minimal presentation: one
+    cover of M and one of Omega M."""
+    from sttlab import taucalc
+
+    covered = []
+    real = taucalc._cover_data
+    monkeypatch.setattr(taucalc, "_cover_data",
+                        lambda M, tables: covered.append(M.dim) or real(M, tables))
+    status, out = run_cli(["tau", "--module", str(workdir / "k_a4.rep")])
+    assert status == 0 and "methods_agree = True" in out
+    assert covered == [1, 3]
+
+
 def test_cmd_mackey_and_thm1(workdir):
     status, out = run_cli(["mackey", "--module", str(workdir / "k_a4.rep"),
                            "--big", str(workdir / "s4.grp")])

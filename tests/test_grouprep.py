@@ -594,6 +594,39 @@ def test_memo_never_stores_spin_regime_calls():
     assert _memo_size(G) == 1
 
 
+@pytest.mark.parametrize("pm", ORACLE_FIELDS)
+def test_hom_basis_is_built_on_first_read(pm):
+    """hom_space gives dim before any basis exists, in the Kronecker regime
+    (a memo miss, then a hit on content-equal modules) and in the spin
+    regime; the basis built on the first read of .basis is bit-identical to
+    the oracle's and _hom_kron's, and is kept."""
+    f = field_make(*pm)
+    G = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
+    c3 = group_close(3, [parse_cycles("(0 1 2)", 3)])
+    reg, k = regular_rep(G, f), trivial_rep(G, f)
+    ind = induce(trivial_rep(c3, f), G, transversal(G, c3))
+    pairs = [(k, direct_sum([k, k])), (reg, ind), (reg, reg),
+             (direct_sum([reg, k]), direct_sum([ind, k, reg]))]
+    for M, N in pairs:
+        want = kron_oracle(M, N)
+        regimes = [hom_space(M, N)]
+        if M.dim * N.dim < grouprep._SPIN_MIN_UNKNOWNS:
+            stored = _memo_size(G)
+            regimes.append(hom_space(_fresh(M), _fresh(N)))
+            assert _memo_size(G) == stored  # the second call read the memo
+        for H in regimes:
+            assert H.dim == len(want)
+            assert callable(H._basis)  # dim alone built no basis
+            got = H.basis
+            assert H.basis is got
+            assert got == want == _hom_kron(M, N)
+            assert all(X.a.dtype == Y.a.dtype and X.a.tobytes() == Y.a.tobytes()
+                       for X, Y in zip(got, want))
+    # a basis given as a list is one too
+    H = grouprep.HomBasis(reg, reg, want)
+    assert H.dim == len(want) and H.basis is want
+
+
 # ---------------------------------------------------------------------------
 # the class lookup
 

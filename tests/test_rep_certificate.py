@@ -217,10 +217,17 @@ def test_element_matrices_are_built_lazily(a4, s4, f4, cast, monkeypatch):
     ones = Matrix(f4, np.ones((1, 12), dtype=f4.dtype))
     derived = [quotient_rep(reg, ones), direct_sum([cast.kS, cast.kT]),
                Rep(a4, f4, direct_sum([cast.kS, cast.k]).gen_mats)]
+    duals = []
     for M in derived:
         hom_space(M, M)
         decompose(M)
+        duals.append(dual_rep(M))
     assert builds == []
+    # the dual reads rho(a^-1) off the inverse of each generator matrix
+    for M, D in zip(derived, duals):
+        want = [M.act(a.inverse()).T for a in M.group.generators]
+        assert all(X.a.dtype == Y.a.dtype and X.a.tobytes() == Y.a.tobytes()
+                   for X, Y in zip(D.gen_mats, want))
     # built on first read, kept, and equal to what rep_make certifies
     for M in [induce(cast.kS, s4, transversal(s4, a4)), dual_rep(cast.ST), derived[0]]:
         first = M.element_mats

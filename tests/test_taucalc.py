@@ -111,6 +111,41 @@ def test_syzygy_dims(a4_tables, cast):
     assert syzygy(cast.kS, a4_tables).dim == cover.dim - cast.kS.dim
 
 
+def test_cover_reads_tops_without_building_radical_or_top(a4_tables, a4, f4, cast,
+                                                          monkeypatch):
+    """The cover's top_dims are dim Hom(M, S) over the simples, and the
+    cover never builds the radical or top module of M."""
+    simples = a4_tables.simples.simples
+    modules = [cast.k, cast.kS, cast.ST, cast.M, a4_tables.pimtable.pims[0],
+               zero_rep(a4, f4)]
+    for name in ("sub_rep", "quotient_rep"):
+        monkeypatch.setattr(meataxe, name, lambda *args: pytest.fail("built"))
+    covers = [a4_tables.cover(M) for M in modules]
+    monkeypatch.undo()
+    for M, cover in zip(modules, covers):
+        assert cover.top_dims == [hom_dim(M, S) for S in simples]
+        assert cover.omega.dim == cover.cover.dim - M.dim
+    rt = radical_top(cast.kS, a4_tables.simples)
+    assert "top" not in vars(rt) and rt.top.dim == 1 and rt.top is rt.top
+
+
+def test_tau_routes_share_one_presentation(a4_tables, cast, monkeypatch):
+    """tau_routes gives tau by both methods from the two covers of one
+    minimal presentation, equal to what tau gives by each."""
+    covered = []
+    real = taucalc._cover_data
+    monkeypatch.setattr(taucalc, "_cover_data",
+                        lambda M, tables: covered.append(M) or real(M, tables))
+    for M in (cast.k, cast.kS, a4_tables.pimtable.pims[0]):
+        covered.clear()
+        omega2, dtr = taucalc.tau_routes(M, a4_tables)
+        assert len(covered) == (2 if omega2.dim else 1)
+        for got, method in [(omega2, "omega2"), (dtr, "dtr")]:
+            want = tau(M, a4_tables, method=method)
+            assert [X.a.tobytes() for X in got.gen_mats] == \
+                [X.a.tobytes() for X in want.gen_mats] and got.dim == want.dim
+
+
 def test_tau_zero_cases(a4_tables, a4, f4):
     reg = regular_rep(a4, f4)
     assert tau(reg, a4_tables).dim == 0

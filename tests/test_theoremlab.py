@@ -3,12 +3,14 @@ from collections import Counter
 import pytest
 
 from sttlab.blockdec import covering_blocks
-from sttlab.exactfield import field_make
+from sttlab.exactfield import Matrix, field_make
 from sttlab.grouprep import (
     conjugate_rep,
     direct_sum,
+    hom_space,
     induce,
     regular_rep,
+    rep_make,
     restrict,
     trivial_rep,
     zero_rep,
@@ -222,6 +224,97 @@ def test_class_maps_match_the_decomposing_route(pair):
                 assert got == lab.classes_of(image, side)
 
 
+# the pairs whose theorem-1 sweeps check the certificates that skip hom spaces
+CERTIFICATE_PAIRS = ["a4s4-gf4", "c3s3-gf4", "a4s4-gf3", "v4a4-gf3"]
+
+
+def _swept(pair):
+    """A PairLab after a theorem-1 sweep, with the simples of both sides
+    registered and one round of tau_classes over every class: each class
+    then has a top, and each tau image a socle."""
+    small, big, p, m = TWO_ROUTE_PAIRS[pair]
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    for entry in build_corpus(lab):
+        check_theorem1_classes(entry.classes, lab)
+    for side in ("small", "big"):
+        for S in lab.tables[side].simples.simples:
+            lab.register(S, side)
+        for cid in range(len(lab._classes[side])):
+            lab.tau_classes(side, cid)
+    return lab
+
+
+@pytest.mark.parametrize("pair", CERTIFICATE_PAIRS)
+def test_rigidity_decisions_match_hom_space(pair):
+    """Every Hom(X, tau Y) != 0 decision, of the sweep and of every class X
+    against every tau image, whether read from tops, socles and composition
+    factors or from homdim, equals the hom space's own answer."""
+    lab = _swept(pair)
+    for side in ("small", "big"):
+        for ci in lab._tops[side]:
+            for ct in lab._socles[side]:
+                lab._hom_nonzero(side, ci, ct)
+    decided = lab._memo["_hom_nonzero"]
+    # tops and socles settle some nonzero questions, factors some zero ones
+    assert {nonzero for key, nonzero in decided.items()
+            if key not in lab._memo["homdim"]} == {True, False}
+    for (side, ci, ct), nonzero in decided.items():
+        X, Z = lab.class_rep(side, ci), lab.class_rep(side, ct)
+        assert nonzero == (hom_space(X, Z).dim > 0)
+
+
+@pytest.mark.parametrize("pair", CERTIFICATE_PAIRS)
+def test_tops_and_socles_match_hom_dimensions(pair):
+    """top(X), read off the minimal cover, holds the simples S with
+    Hom(X, S) != 0; soc(Omega W), read as top(W), holds the S with
+    Hom(S, Omega W) != 0."""
+    lab = _swept(pair)
+    assert lab._socles["small"] or lab._socles["big"]
+    for side in ("small", "big"):
+        simples = lab.tables[side].simples
+        pairs = list(zip(simples.labels, simples.simples))
+        for cid, top in lab._tops[side].items():
+            R = lab.class_rep(side, cid)
+            assert top == {lb for lb, S in pairs if hom_space(R, S).dim}
+        for cid, socle in lab._socles[side].items():
+            R = lab.class_rep(side, cid)
+            assert socle == {lb for lb, S in pairs if hom_space(S, R).dim}
+
+
+@pytest.mark.parametrize("pair, green", [
+    ("a4s4-gf4", True), ("c3s3-gf4", True), ("v4a4-gf3", True), ("a4s4-gf3", False),
+])
+def test_green_path_matches_classes_of(pair, green, monkeypatch):
+    """With [big : small] a power of p, ind_classes registers Ind M as one
+    class and never decomposes it; on A4 in S4 over GF(3) the index 2 is
+    not a power of 3, and every induced module is decomposed.  Either way
+    the classes equal classes_of of the induced module."""
+    small, big, p, m = TWO_ROUTE_PAIRS[pair]
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    build_corpus(lab)
+    streamed = []
+    real = lab.classes_of
+    monkeypatch.setattr(lab, "classes_of",
+                        lambda M, side: streamed.append(M) or real(M, side))
+    count = len(lab._classes["small"])
+    got = [lab.ind_classes(cid) for cid in range(count)]
+    assert len(streamed) == (0 if green else count)
+    for cid, classes in enumerate(got):
+        ind = induce(lab.class_rep("small", cid), lab.big, lab.trans)
+        assert real(ind, "big") == classes
+
+
+def test_green_path_needs_an_absolutely_indecomposable_module():
+    """The 2-dimensional simple kC3-module over GF(2) has End = GF(4), so it
+    is indecomposable but not absolutely: its induced module to S3 is twice
+    the 2-dimensional simple kS3-module, although [S3 : C3] = 2 = p."""
+    f2 = field_make(2, 1)
+    lab = PairLab(group(C3), group(S3), f2)
+    twist = rep_make(lab.small, f2, [Matrix.from_rows(f2, [[0, 1], [1, 1]])])
+    assert lab.ind_classes(lab.register(twist, "small")) == Counter({0: 2})
+    assert lab.class_rep("big", 0).dim == 2
+
+
 def test_mackey_universal(a4s4, corpus_a4):
     for entry in corpus_a4:
         lhs = Counter()
@@ -370,8 +463,8 @@ def test_remark_classify_with_several_covering_blocks():
 # each memoized PairLab lookup, a key for it on C3 in S3 over GF(4), and the
 # call it computes through
 MEMO_LOOKUPS = [
-    ("omega_class", ("big", 1), "syzygy"),
-    ("tau_classes", ("small", 1), "syzygy"),
+    ("omega_class", ("big", 1), "cover"),
+    ("tau_classes", ("small", 1), "cover"),
     ("chop_class", ("big", 1), "multiplicities"),
     ("homdim", ("small", 0, 1), "hom_space"),
     ("ind_classes", (1,), "induce"),
@@ -396,14 +489,14 @@ def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("syzygy", "induce", "conjugate_rep", "hom_space", "blocks",
+    for name in ("induce", "conjugate_rep", "hom_space", "blocks",
                  "block_of_module", "inertial_group"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name)))
     lab = PairLab(c3, s3, f4)
     for side in ("small", "big"):
         tables = lab.tables[side]
-        monkeypatch.setattr(tables, "multiplicities",
-                            counted("multiplicities", tables.multiplicities))
+        for name in ("multiplicities", "cover"):
+            monkeypatch.setattr(tables, name, counted(name, getattr(tables, name)))
         lab.classes_of(direct_sum(tables.simples.simples), side)
     for method, key, computes_through in MEMO_LOOKUPS:
         first = getattr(lab, method)(*key)
