@@ -24,7 +24,7 @@ from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce,
     rep_make, trivial_rep
 from .meataxe import add_compare, is_isomorphic, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
-from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau, tau_routes
+from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau_routes
 from .theoremlab import PairLab, check_theorem1, check_theorem2, \
     is_invariant, mackey_check, orbit_module, remark_classify
 
@@ -261,10 +261,7 @@ def cmd_tau(args, report: Report) -> int:
     M, G, _ = parse_rep_file(args.module)
     report.add_input(args.module)
     tables = Tables(G, M.field, seed=args.seed)
-    if args.method != "omega2":
-        report.verdict("tau_dim", tau(M, tables, method=args.method).dim)
-        return 0
-    t1, t2 = tau_routes(M, tables)  # omega2 is cross-checked against dtr
+    t1, t2 = tau_routes(M, tables)  # Omega^2 is cross-checked against D Tr
     report.verdict("tau_dim", t1.dim)
     agree = bool(is_isomorphic(t1, t2, seed=args.seed, trials=args.trials))
     report.verdict("methods_agree", agree)
@@ -488,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True)
     sp = add("tau", cmd_tau, "Auslander-Reiten translate of a module")
     sp.add_argument("--module", required=True)
-    sp.add_argument("--method", choices=["omega2", "dtr"], default="omega2")
     sp = add("check-rigid", cmd_check_rigid, "tau-rigidity certificate")
     sp.add_argument("--module", required=True)
     sp = add("check-stt", cmd_check_stt, "support tau-tilting certificate")

@@ -249,30 +249,21 @@ def syzygy(M: Rep, tables: Tables) -> Rep:
     return _cover_data(M, tables).omega
 
 
-def tau(M: Rep, tables: Tables, method: str = "omega2") -> Rep:
-    """Auslander-Reiten translate.
-
-    omega2: double syzygy of minimal covers (valid because group algebras
-    are symmetric).  dtr: dual of the transpose of a minimal projective
-    presentation, with Hom(P, kG) read as the dual module P* (see
-    _tau_dtr).  Both methods agree up to isomorphism.
-    """
-    return tau_routes(M, tables, (method,))[0]
+def tau(M: Rep, tables: Tables) -> Rep:
+    """Auslander-Reiten translate, as the double syzygy Omega^2 M of minimal
+    covers (valid because group algebras are symmetric)."""
+    return syzygy(syzygy(M, tables), tables)
 
 
-def tau_routes(M: Rep, tables: Tables, methods=("omega2", "dtr")) -> tuple[Rep, ...]:
-    """tau(M) by each of methods, all read off the two covers of one minimal
-    presentation."""
-    for method in methods:
-        if method not in ("omega2", "dtr"):
-            raise ValueError(f"unknown tau method {method!r}")
+def tau_routes(M: Rep, tables: Tables) -> tuple[Rep, Rep]:
+    """tau(M) as Omega^2 M and as D Tr M (see _tau_dtr), both read off the
+    two covers of one minimal presentation.  They agree up to isomorphism."""
     if M.dim:
         c0 = _cover_data(M, tables)
         if c0.omega.dim:  # else M is projective and tau vanishes
             c1 = _cover_data(c0.omega, tables)
-            return tuple(c1.omega if method == "omega2" else _tau_dtr(c0, c1)
-                         for method in methods)
-    return tuple(zero_rep(M.group, M.field) for _ in methods)
+            return c1.omega, _tau_dtr(c0, c1)
+    return zero_rep(M.group, M.field), zero_rep(M.group, M.field)
 
 
 def _tau_dtr(c0: CoverData, c1: CoverData) -> Rep:

@@ -11,14 +11,14 @@ cheap while the underlying kernels stay exact.  omega_class, tau_classes
 undecomposed: kG is symmetric, so Omega of an indecomposable under its
 certified minimal cover is zero or indecomposable, and so is a twist.
 
-Three certificates answer hom questions of a sweep without a hom space:
-- Hom(X, tau Y) != 0 when a simple lies in top(X) and soc(tau Y), and
-  = 0 when top(X) meets no composition factor of tau Y or soc(tau Y) none
-  of X; homdim decides the rest (stt_counts, _hom_nonzero).
-- soc(Omega W) = top(W) for an indecomposable non-projective W: kG is
-  symmetric, so the minimal cover of W is the injective hull of Omega W
+Two certificates answer hom questions of a sweep without a hom space:
+- Hom(X, tau Y) != 0 when P(X) and P(Omega Y) share a summand (the
+  presentation test of Adachi, Iyama and Reiten, Compositio Math. 150,
+  2014, section 2): kG is symmetric, so soc(tau Y) = top(Omega Y)
   (Auslander, Reiten and Smalo, Representation Theory of Artin Algebras,
-  ch. IV).  Tops come from the covers omega_class computes anyway.
+  ch. IV).  It is 0 when top(X) meets no composition factor of tau Y or
+  soc(tau Y) none of X; a hom space decides the rest (_clash).  Tops
+  come from the covers omega_class computes anyway.
 - Ind M is indecomposable when [big : small] is a power of p and End(M)
   is local with residue field k (J. A. Green, Math. Z. 70, 1959), so
   ind_classes registers it without a decomposition.
@@ -110,13 +110,13 @@ def _push(classes: Counter, image) -> Counter:
     return out
 
 
-def _memo(method, key=lambda *args: args):
+def _memo(fn, key=lambda *args: args):
     """Memoize a PairLab method per instance on key(*args)."""
-    @wraps(method)
+    @wraps(fn)
     def memoized(self, *args):
-        store, k = self._memo[method.__name__], key(*args)
+        store, k = self._memo[fn.__name__], key(*args)
         if k not in store:
-            store[k] = method(self, *args)
+            store[k] = fn(self, *args)
         return store[k]
     return memoized
 
@@ -136,10 +136,6 @@ class PairLab:
                        "big": Tables(big, field, seed=seed)}
         self._classes: dict[str, list[Rep]] = {"small": [], "big": []}
         self._memo: defaultdict[str, dict] = defaultdict(dict)
-        # simple labels of the top of each class and of the socle of each
-        # class met as an Omega image, filled in by omega_class
-        self._tops: dict[str, dict[int, frozenset]] = {"small": {}, "big": {}}
-        self._socles: dict[str, dict[int, frozenset]] = {"small": {}, "big": {}}
         index = len(self.trans.reps)
         while index % field.p == 0:
             index //= field.p
@@ -160,6 +156,10 @@ class PairLab:
     def class_rep(self, side: str, cid: int) -> Rep:
         return self._classes[side][cid]
 
+    def class_reps(self, side: str) -> tuple[Rep, ...]:
+        """The class representatives of one side, in class id order."""
+        return tuple(self._classes[side])
+
     def class_of(self, M: Rep, side: str) -> Counter:
         """classes_of of a module that is zero or indecomposable by construction."""
         return Counter({self.register(M, side): 1}) if M.dim else Counter()
@@ -178,17 +178,21 @@ class PairLab:
 
     # -- per-class data -----------------------------------------------------
     @_memo
-    def omega_class(self, side: str, cid: int) -> Counter:
-        """The class of Omega W for W = class cid.  Also notes top(W), read
-        off the minimal cover, as the top of W and the socle of Omega W."""
+    def _cover(self, side: str, cid: int) -> tuple[Counter, frozenset]:
+        """The class of Omega W and the simple labels of top(W), for
+        W = class cid, both read off the minimal cover of W."""
         tables = self.tables[side]
         cover = tables.cover(self.class_rep(side, cid))
         top = frozenset(lab for lab, d in zip(tables.simples.labels, cover.top_dims) if d)
-        self._tops[side][cid] = top
-        out = self.class_of(cover.omega, side)
-        for z in out:
-            self._socles[side][z] = top
-        return out
+        return self.class_of(cover.omega, side), top
+
+    def omega_class(self, side: str, cid: int) -> Counter:
+        """The class of Omega W for W = class cid."""
+        return self._cover(side, cid)[0]
+
+    def top(self, side: str, cid: int) -> frozenset:
+        """The simple labels of top(W) for W = class cid."""
+        return self._cover(side, cid)[1]
 
     @_memo
     def tau_classes(self, side: str, cid: int) -> Counter:
@@ -199,23 +203,22 @@ class PairLab:
         return self.tables[side].multiplicities(self.class_rep(side, cid))
 
     @_memo
-    def homdim(self, side: str, ci: int, cj: int) -> int:
-        return hom_space(self.class_rep(side, ci), self.class_rep(side, cj)).dim
-
-    @_memo
-    def _hom_nonzero(self, side: str, ci: int, ct: int) -> bool:
-        """Whether Hom(X, Z) != 0 for classes X = ci and Z = ct, where both
-        tau_classes of X and omega_class of the W with Omega W = Z have run.
-        A simple in top(X) and soc(Z) gives X -> S -> Z; the image of a
-        nonzero map has a top in top(X) and a socle in soc(Z), both among
-        the composition factors of X and Z.  homdim decides the rest."""
-        top, socle = self._tops[side][ci], self._socles[side][ct]
+    def _clash(self, side: str, ci: int, cj: int) -> bool:
+        """Whether Hom(X, tau Y) != 0 for X = class ci and Y = class cj.  A
+        simple in top(X) and soc(tau Y) = top(Omega Y) gives X -> S -> tau Y;
+        the image of a nonzero map has its top in top(X) and its socle in
+        soc(tau Y), among the composition factors of X and tau Y."""
+        tau_y = self.tau_classes(side, cj)
+        if not tau_y:  # Y is projective
+            return False
+        (ct,), (cw,) = tau_y, self._cover(side, cj)[0]  # tau Y and Omega Y
+        top, socle = self._cover(side, ci)[1], self._cover(side, cw)[1]
         if not top.isdisjoint(socle):
             return True
         if socle.isdisjoint(self.chop_class(side, ci)) or \
                 top.isdisjoint(self.chop_class(side, ct)):
             return False
-        return self.homdim(side, ci, ct) > 0
+        return hom_space(self.class_rep(side, ci), self.class_rep(side, ct)).dim > 0
 
     @_memo
     def ind_classes(self, cid: int) -> Counter:
@@ -286,14 +289,10 @@ class PairLab:
         if scope is None:
             scope = tuple(tables.simples.labels)
         m = len(counter)
-        # _hom_nonzero(ci, ct) needs tau_classes(ci): that of the first class
-        # runs before any _hom_nonzero, and that of every class before the
-        # second class's turn, so classes register in the order they always did
-        rigid = not any(self._hom_nonzero(side, ci, ct) for ci in counter
-                        for cj in counter for ct in self.tau_classes(side, cj))
-        support = set()
-        for cid in counter:
-            support.update(self.chop_class(side, cid).keys())
+        # _clash(ci, cj) runs tau_classes(cj) before it reads the cover of ci,
+        # which ran at (ci, ci) or (c1, ci): classes register as they always did
+        rigid = not any(self._clash(side, ci, cj) for ci in counter for cj in counter)
+        support = set().union(*(self.chop_class(side, cid) for cid in counter))
         z = sum(1 for lab in scope if lab not in support)
         n = len(scope)
         return SttCounts(m=m, z=z, n=n, rigid=rigid, stt=rigid and (m + z == n))

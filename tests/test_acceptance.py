@@ -25,7 +25,7 @@ from sttlab.cli import main as cli_main
 from sttlab.exactfield import Matrix
 from sttlab.grouprep import hom_dim
 from sttlab.meataxe import is_isomorphic, simples_of
-from sttlab.taucalc import tau
+from sttlab.taucalc import tau_routes
 from sttlab.theoremlab import (
     build_corpus,
     check_theorem1_classes,
@@ -155,15 +155,13 @@ def test_criterion_5_homological_cross_checks(a4s4, a4, s4, f4, a4_tables,
     size bookkeeping and block idempotent identities, all exact."""
     ok = True
     # tau via omega^2 vs D Tr: every discovered class, plus sampled sums
-    for cid in range(len(a4s4._classes["small"])):
+    for cid in range(len(a4s4.class_reps("small"))):
         M = a4s4.class_rep("small", cid)
-        t1 = tau(M, a4_tables, method="omega2")
-        t2 = tau(M, a4_tables, method="dtr")
+        t1, t2 = tau_routes(M, a4_tables)
         ok = ok and t1.dim == t2.dim and (t1.dim == 0 or bool(is_isomorphic(t1, t2)))
     for entry in corpus_a4[:: max(1, len(corpus_a4) // 8)]:
         M = a4s4.materialize(entry.classes, "small")
-        t1 = tau(M, a4_tables, method="omega2")
-        t2 = tau(M, a4_tables, method="dtr")
+        t1, t2 = tau_routes(M, a4_tables)
         ok = ok and t1.dim == t2.dim and (t1.dim == 0 or bool(is_isomorphic(t1, t2)))
     # Mackey on the full corpus, classwise
     for entry in corpus_a4:
@@ -174,7 +172,7 @@ def test_criterion_5_homological_cross_checks(a4s4, a4, s4, f4, a4_tables,
         ok = ok and lhs == a4s4.orbit_classes(entry.classes)
     # dim Hom(P_i, M) equals the composition multiplicity of S_i
     pt = a4_tables.pimtable
-    for cid in range(len(a4s4._classes["small"])):
+    for cid in range(len(a4s4.class_reps("small"))):
         M = a4s4.class_rep("small", cid)
         counts = a4_tables.chop(M)
         for label, P in zip(pt.simples.labels, pt.pims):

@@ -39,6 +39,7 @@ from sttlab.taucalc import (
     projective_cover,
     syzygy,
     tau,
+    tau_routes,
 )
 from sttlab.theoremlab import PairLab, build_corpus
 
@@ -130,34 +131,33 @@ def test_cover_reads_tops_without_building_radical_or_top(a4_tables, a4, f4, cas
 
 
 def test_tau_routes_share_one_presentation(a4_tables, cast, monkeypatch):
-    """tau_routes gives tau by both methods from the two covers of one
-    minimal presentation, equal to what tau gives by each."""
+    """tau_routes gives Omega^2 M and D Tr M from the two covers of one
+    minimal presentation; the first equals what tau gives."""
     covered = []
     real = taucalc._cover_data
     monkeypatch.setattr(taucalc, "_cover_data",
                         lambda M, tables: covered.append(M) or real(M, tables))
     for M in (cast.k, cast.kS, a4_tables.pimtable.pims[0]):
         covered.clear()
-        omega2, dtr = taucalc.tau_routes(M, a4_tables)
+        omega2, dtr = tau_routes(M, a4_tables)
         assert len(covered) == (2 if omega2.dim else 1)
-        for got, method in [(omega2, "omega2"), (dtr, "dtr")]:
-            want = tau(M, a4_tables, method=method)
-            assert [X.a.tobytes() for X in got.gen_mats] == \
-                [X.a.tobytes() for X in want.gen_mats] and got.dim == want.dim
+        want = tau(M, a4_tables)
+        assert [X.a.tobytes() for X in omega2.gen_mats] == \
+            [X.a.tobytes() for X in want.gen_mats] and omega2.dim == want.dim
+        assert dtr.dim == want.dim
 
 
 def test_tau_zero_cases(a4_tables, a4, f4):
     reg = regular_rep(a4, f4)
     assert tau(reg, a4_tables).dim == 0
     assert tau(zero_rep(a4, f4), a4_tables).dim == 0
-    assert tau(zero_rep(a4, f4), a4_tables, method="dtr").dim == 0
-    assert tau(reg, a4_tables, method="dtr").dim == 0
+    assert tau_routes(zero_rep(a4, f4), a4_tables)[1].dim == 0
+    assert tau_routes(reg, a4_tables)[1].dim == 0
 
 
 def test_tau_cross_method_named_modules(a4_tables, cast):
     for M in (cast.k, cast.S, cast.kS, cast.ST, cast.N1, cast.M):
-        t1 = tau(M, a4_tables, method="omega2")
-        t2 = tau(M, a4_tables, method="dtr")
+        t1, t2 = tau_routes(M, a4_tables)
         assert t1.dim == t2.dim
         if t1.dim:
             assert is_isomorphic(t1, t2)
@@ -165,8 +165,7 @@ def test_tau_cross_method_named_modules(a4_tables, cast):
 
 def test_tau_cross_method_s4(s4_tables, s4, f4):
     k = trivial_rep(s4, f4)
-    t1 = tau(k, s4_tables, method="omega2")
-    t2 = tau(k, s4_tables, method="dtr")
+    t1, t2 = tau_routes(k, s4_tables)
     assert is_isomorphic(t1, t2)
 
 
@@ -188,16 +187,15 @@ def test_tau_cross_method_odd_characteristic(name):
     lab = PairLab(*(group_close(degree, [parse_cycles(c, degree) for c in gens])
                     for gens in (small, big)), field_make(p, m))
     corpus = build_corpus(lab)
-    for cid in range(len(lab._classes["small"])):
+    for cid in range(len(lab.class_reps("small"))):
         lab.ind_classes(cid)
     modules = [(side, lab.class_rep(side, cid)) for side in ("small", "big")
-               for cid in range(len(lab._classes[side]))]
-    assert len(modules) > len(lab._classes["small"])
+               for cid in range(len(lab.class_reps(side)))]
+    assert len(modules) > len(lab.class_reps("small"))
     modules += [("small", lab.materialize(entry.classes, "small"))
                 for entry in corpus[::max(1, len(corpus) // 8)]]
     for side, M in modules:
-        t1 = tau(M, lab.tables[side])
-        t2 = tau(M, lab.tables[side], method="dtr")
+        t1, t2 = tau_routes(M, lab.tables[side])
         assert t1.dim == t2.dim, (side, M.dim)
         if t1.dim:
             assert is_isomorphic(t1, t2), (side, M.dim)

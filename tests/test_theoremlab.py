@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -117,8 +118,8 @@ def test_corpus_size_and_determinism(corpus_a4, corpus_c3, a4, s4, f4):
     assert [e.name for e in corpus1] == [e.name for e in corpus2]
     assert [sorted(e.classes.items()) for e in corpus1] == \
         [sorted(e.classes.items()) for e in corpus2]
-    dims1 = [r.dim for r in lab1._classes["small"]]
-    dims2 = [r.dim for r in lab2._classes["small"]]
+    dims1 = [r.dim for r in lab1.class_reps("small")]
+    dims2 = [r.dim for r in lab2.class_reps("small")]
     assert dims1 == dims2
 
 
@@ -188,12 +189,12 @@ def test_multiplicities_match_meataxe_chop(pair):
     small, big, p, m = TWO_ROUTE_PAIRS[pair]
     lab = PairLab(group(small), group(big), field_make(p, m))
     build_corpus(lab)
-    for cid in range(len(lab._classes["small"])):
+    for cid in range(len(lab.class_reps("small"))):
         lab.ind_classes(cid)
     for side in ("small", "big"):
         tables = lab.tables[side]
-        assert lab._classes[side]
-        for cid, R in enumerate(lab._classes[side]):
+        assert lab.class_reps(side)
+        for cid, R in enumerate(lab.class_reps(side)):
             want = chop(R, tables.simples, seed=lab.seed)
             assert sorted(tables.multiplicities(R).items()) == sorted(want.items())
             assert sorted(lab.chop_class(side, cid).items()) == sorted(want.items())
@@ -208,11 +209,11 @@ def test_class_maps_match_the_decomposing_route(pair):
     small, big, p, m = TWO_ROUTE_PAIRS[pair]
     lab = PairLab(group(small), group(big), field_make(p, m))
     build_corpus(lab)
-    for cid in range(len(lab._classes["small"])):
+    for cid in range(len(lab.class_reps("small"))):
         lab.ind_classes(cid)
     for side in ("small", "big"):
         tables = lab.tables[side]
-        for cid in range(len(lab._classes[side])):
+        for cid in range(len(lab.class_reps(side))):
             R = lab.class_rep(side, cid)
             images = [(lab.omega_class(side, cid), syzygy(R, tables)),
                       (lab.tau_classes(side, cid), tau(R, tables))]
@@ -228,57 +229,120 @@ def test_class_maps_match_the_decomposing_route(pair):
 CERTIFICATE_PAIRS = ["a4s4-gf4", "c3s3-gf4", "a4s4-gf3", "v4a4-gf3"]
 
 
-def _swept(pair):
-    """A PairLab after a theorem-1 sweep, with the simples of both sides
-    registered and one round of tau_classes over every class: each class
-    then has a top, and each tau image a socle."""
+def _classes_with_taus(pair):
+    """A PairLab with the corpus, the induced classes and the simples of both
+    sides registered and one round of tau_classes over every class, but no
+    rigidity question asked yet; with the class ids of that round per side.
+    Every class of the round, and every Omega image, then has a cover."""
     small, big, p, m = TWO_ROUTE_PAIRS[pair]
     lab = PairLab(group(small), group(big), field_make(p, m))
-    for entry in build_corpus(lab):
-        check_theorem1_classes(entry.classes, lab)
+    build_corpus(lab)
+    for cid in range(len(lab.class_reps("small"))):
+        lab.ind_classes(cid)
+    ids = {}
     for side in ("small", "big"):
         for S in lab.tables[side].simples.simples:
             lab.register(S, side)
-        for cid in range(len(lab._classes[side])):
+        ids[side] = range(len(lab.class_reps(side)))
+        for cid in ids[side]:
             lab.tau_classes(side, cid)
-    return lab
+    return lab, ids
 
 
 @pytest.mark.parametrize("pair", CERTIFICATE_PAIRS)
-def test_rigidity_decisions_match_hom_space(pair):
-    """Every Hom(X, tau Y) != 0 decision, of the sweep and of every class X
-    against every tau image, whether read from tops, socles and composition
-    factors or from homdim, equals the hom space's own answer."""
-    lab = _swept(pair)
+def test_rigidity_decisions_match_hom_space(pair, monkeypatch):
+    """stt_counts decides Hom(X, tau Y) != 0 once per class pair: yes when
+    top(X) meets top(Omega Y) = soc(tau Y), no when top(X) meets no
+    composition factor of tau Y or soc(tau Y) none of X, else by a hom
+    space.  On every multiset of one or two classes, in both orders, its
+    rigidity equals the hom spaces' answer, and it asks a hom space exactly
+    for the pairs it reaches that neither certificate settles, each once."""
+    import sttlab.theoremlab as tl
+
+    lab, ids = _classes_with_taus(pair)
+    asked = []
+    monkeypatch.setattr(tl, "hom_space",
+                        lambda X, Z: asked.append((X, Z)) or hom_space(X, Z))
+    rules = Counter()
     for side in ("small", "big"):
-        for ci in lab._tops[side]:
-            for ct in lab._socles[side]:
-                lab._hom_nonzero(side, ci, ct)
-    decided = lab._memo["_hom_nonzero"]
-    # tops and socles settle some nonzero questions, factors some zero ones
-    assert {nonzero for key, nonzero in decided.items()
-            if key not in lab._memo["homdim"]} == {True, False}
-    for (side, ci, ct), nonzero in decided.items():
-        X, Z = lab.class_rep(side, ci), lab.class_rep(side, ct)
-        assert nonzero == (hom_space(X, Z).dim > 0)
+        cid_of = {id(R): cid for cid, R in enumerate(lab.class_reps(side))}
+        taus = {cj: next(iter(lab.tau_classes(side, cj)), None) for cj in ids[side]}
+        nonzero, rule = {}, {}  # per pair (ci, cj) with tau Y != 0
+        for ci in ids[side]:
+            for cj, ct in taus.items():
+                if ct is None:
+                    continue
+                X, Z = lab.class_rep(side, ci), lab.class_rep(side, ct)
+                nonzero[ci, cj] = hom_space(X, Z).dim > 0
+                (cw,) = lab.omega_class(side, cj)
+                top, socle = lab.top(side, ci), lab.top(side, cw)
+                if not top.isdisjoint(socle):
+                    rule[ci, cj] = "top"
+                elif socle.isdisjoint(lab.chop_class(side, ci)) or \
+                        top.isdisjoint(lab.chop_class(side, ct)):
+                    rule[ci, cj] = "factors"
+                else:
+                    rule[ci, cj] = "hom space"
+        reached = set()
+        asked.clear()
+        for ci in ids[side]:
+            for cj in ids[side]:
+                counter = Counter([ci, cj])
+                pairs = [(a, b) for a in counter for b in counter if (a, b) in rule]
+                hits = [k for k, pk in enumerate(pairs) if nonzero[pk]]
+                reached.update(pairs[:hits[0] + 1] if hits else pairs)
+                assert lab.stt_counts(counter, side).rigid == (not hits), (side, ci, cj)
+        tau_of = {ct: cj for cj, ct in taus.items() if ct is not None}
+        got = [(cid_of[id(X)], tau_of[cid_of[id(Z)]]) for X, Z in asked]
+        assert sorted(got) == sorted(k for k in reached if rule[k] == "hom space")
+        rules.update(rule[k] for k in reached)
+    # on C3 in S3 over GF(4) and V4 in A4 over GF(3) the certificates settle
+    # every question; on A4 in S4 over GF(4) and GF(3) some need a hom space
+    assert set(rules) == {"top", "factors"} | \
+        ({"hom space"} if pair.startswith("a4s4") else set())
 
 
 @pytest.mark.parametrize("pair", CERTIFICATE_PAIRS)
 def test_tops_and_socles_match_hom_dimensions(pair):
     """top(X), read off the minimal cover, holds the simples S with
-    Hom(X, S) != 0; soc(Omega W), read as top(W), holds the S with
-    Hom(S, Omega W) != 0."""
-    lab = _swept(pair)
-    assert lab._socles["small"] or lab._socles["big"]
+    Hom(X, S) != 0.  For every tau image, soc(tau Y), the S with
+    Hom(S, tau Y) != 0, equals top(Omega Y)."""
+    lab, ids = _classes_with_taus(pair)
+    taus = 0
     for side in ("small", "big"):
         simples = lab.tables[side].simples
         pairs = list(zip(simples.labels, simples.simples))
-        for cid, top in lab._tops[side].items():
+        for cid in ids[side]:
             R = lab.class_rep(side, cid)
-            assert top == {lb for lb, S in pairs if hom_space(R, S).dim}
-        for cid, socle in lab._socles[side].items():
-            R = lab.class_rep(side, cid)
-            assert socle == {lb for lb, S in pairs if hom_space(S, R).dim}
+            assert lab.top(side, cid) == {lb for lb, S in pairs if hom_space(R, S).dim}
+            for ct in lab.tau_classes(side, cid):
+                (cw,) = lab.omega_class(side, cid)
+                Z = lab.class_rep(side, ct)
+                assert lab.top(side, cw) == {lb for lb, S in pairs if hom_space(S, Z).dim}
+                taus += 1
+    assert taus
+
+
+def test_a4s4_sweep_registers_pinned_classes():
+    """The theorem-1 sweep of A4 in S4 over GF(4) at seed 0 registers 24
+    small and 15 big classes, and their representatives hash to pinned
+    digests: a change to which classes register, in what order, or to a
+    representative's matrices shows here."""
+    lab = PairLab(group(A4), group(S4), field_make(2, 2), seed=0)
+    for entry in build_corpus(lab):
+        check_theorem1_classes(entry.classes, lab)
+    digests = {}
+    for side in ("small", "big"):
+        h = hashlib.sha256()
+        for R in lab.class_reps(side):
+            h.update(R.dim.to_bytes(4, "little"))
+            for X in R.gen_mats:
+                h.update(X.a.tobytes())
+        digests[side] = (len(lab.class_reps(side)), h.hexdigest())
+    assert digests == {
+        "small": (24, "9d0d5401e0847ef7000aff1a7c3ea42bdb5170b7cb55d5049e39fd30f7936730"),
+        "big": (15, "bddd80459bbf037571d01a6c9b8bb1e2e80d026b4b598621fee7ce1d02882ccc"),
+    }
 
 
 @pytest.mark.parametrize("pair, green", [
@@ -296,7 +360,7 @@ def test_green_path_matches_classes_of(pair, green, monkeypatch):
     real = lab.classes_of
     monkeypatch.setattr(lab, "classes_of",
                         lambda M, side: streamed.append(M) or real(M, side))
-    count = len(lab._classes["small"])
+    count = len(lab.class_reps("small"))
     got = [lab.ind_classes(cid) for cid in range(count)]
     assert len(streamed) == (0 if green else count)
     for cid, classes in enumerate(got):
@@ -466,7 +530,6 @@ MEMO_LOOKUPS = [
     ("omega_class", ("big", 1), "cover"),
     ("tau_classes", ("small", 1), "cover"),
     ("chop_class", ("big", 1), "multiplicities"),
-    ("homdim", ("small", 0, 1), "hom_space"),
     ("ind_classes", (1,), "induce"),
     ("res_ind_classes", (2,), "induce"),
     ("conj_classes", (1, 1), "conjugate_rep"),
