@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blockdec import blocks
 from .exactfield import Field, Matrix, Scalar, field_make
 from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce, \
     rep_make, trivial_rep
@@ -284,7 +283,7 @@ def cmd_check_stt(args, report: Report) -> int:
     tables = Tables(G, M.field, seed=args.seed)
     block = None
     if args.block is not None:
-        blist = blocks(G, M.field, simples=tables.simples, seed=args.seed)
+        blist = tables.blocks
         if not 0 <= args.block < len(blist):
             raise InputError(f"--block: index {args.block} out of range")
         block = blist[args.block]
@@ -334,8 +333,7 @@ def cmd_blocks(args, report: Report) -> int:
     G = parse_group_file(args.group)
     report.add_input(args.group)
     field = _field_from_flag(args, [G])
-    table = simples_of(G, field, seed=args.seed)
-    blist = blocks(G, field, simples=table, seed=args.seed)
+    blist = Tables(G, field, seed=args.seed).blocks
     report.verdict("field", f"GF({field.p}^{field.m})")
     report.verdict("block_count", len(blist))
     for b in blist:

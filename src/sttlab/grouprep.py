@@ -447,12 +447,14 @@ def _spin_hom(M: Rep, N: Rep) -> HomBasis:
     return HomBasis(M, N, build, dim=r)
 
 
+def _same_group(G: Group, H: Group) -> bool:
+    """One group, or two with the same elements and generators."""
+    return G is H or (G.elements == H.elements and G.generators == H.generators)
+
+
 def check_common(M: Rep, N: Rep) -> None:
     """ValueError unless M and N are modules over one group and one field."""
-    if M.group is not N.group and (
-        M.group.elements != N.group.elements
-        or M.group.generators != N.group.generators
-    ):
+    if not _same_group(M.group, N.group):
         raise ValueError("modules over different groups")
     if M.field != N.field:
         raise ValueError("modules over different fields")
@@ -546,7 +548,7 @@ def direct_sum(Ms: list[Rep], *, group: Group = None, field: Field = None) -> Re
     group = Ms[0].group
     field = Ms[0].field
     for M in Ms[1:]:
-        if M.group is not group or M.field != field:
+        if not _same_group(M.group, group) or M.field != field:
             raise ValueError("direct sum requires a common group and field")
     dim = sum(M.dim for M in Ms)
     mats = []

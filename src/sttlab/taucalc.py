@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
+import weakref
 
 import numpy as np
 
@@ -75,12 +76,28 @@ class PimTable:
 
 
 class Tables:
-    """Shared simple-module and projective data for one (group, field)."""
+    """Simple modules, PIMs and blocks of one (group, field, seed), each
+    computed on first read.
+
+    While one is alive, Tables.shared returns it for every group with the
+    same degree, generators and element list, so the pairs of a sweep that
+    share a group compute its tables once.  The registry holds them weakly:
+    they go with their last holder."""
+
+    _registry: "weakref.WeakValueDictionary[tuple, Tables]" = weakref.WeakValueDictionary()
 
     def __init__(self, group: Group, field: Field, seed: int = 0):
         self.group = group
         self.field = field
         self.seed = seed
+
+    @classmethod
+    def shared(cls, group: Group, field: Field, seed: int = 0) -> "Tables":
+        key = (group.degree, tuple(group.generators), tuple(group.elements), field, seed)
+        tables = cls._registry.get(key)
+        if tables is None:
+            tables = cls._registry[key] = cls(group, field, seed=seed)
+        return tables
 
     @cached_property
     def simples(self) -> SimpleTable:
@@ -89,6 +106,10 @@ class Tables:
     @cached_property
     def pimtable(self) -> PimTable:
         return pims(self.group, self.field, seed=self.seed, simples=self.simples)
+
+    @cached_property
+    def blocks(self) -> list[blockdec.Block]:
+        return blockdec.blocks(self.group, self.field, simples=self.simples, seed=self.seed)
 
     def chop(self, M: Rep):
         return chop(M, self.simples, seed=self.seed)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Optional
 
-from .blockdec import Block, block_of_module, blocks, covering_blocks, \
-    inertial_group, module_in_block
+from .blockdec import Block, block_of_module, covering_blocks, inertial_group, \
+    module_in_block
 from .exactfield import Field
 from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
     restrict
@@ -122,7 +122,11 @@ def _memo(fn, key=lambda *args: args):
 
 
 class PairLab:
-    """Shared context for one pair G normal in Gtilde over one field."""
+    """Shared context for one pair G normal in Gtilde over one field.
+
+    The two Tables come from Tables.shared: labs alive at once that use one
+    group share its simples, PIMs and blocks.  Class registries and memos
+    are per lab, and small and big stay the group objects passed in."""
 
     def __init__(self, small: Group, big: Group, field: Field, seed: int = 0):
         self.small = small
@@ -132,8 +136,8 @@ class PairLab:
         self.trans = transversal(big, small)
         if not self.trans.normal:
             raise ValueError("the small group must be normal in the big group")
-        self.tables = {"small": Tables(small, field, seed=seed),
-                       "big": Tables(big, field, seed=seed)}
+        self.tables = {"small": Tables.shared(small, field, seed=seed),
+                       "big": Tables.shared(big, field, seed=seed)}
         self._classes: dict[str, list[Rep]] = {"small": [], "big": []}
         self._memo: defaultdict[str, dict] = defaultdict(dict)
         index = len(self.trans.reps)
@@ -255,10 +259,8 @@ class PairLab:
         return sum((self.conj_classes(cid, ri) for ri in rep_indices), Counter())
 
     # -- blocks -------------------------------------------------------------
-    @_memo
     def side_blocks(self, side: str) -> list[Block]:
-        return blocks(self.group_of(side), self.field,
-                      simples=self.tables[side].simples, seed=self.seed)
+        return self.tables[side].blocks
 
     @_memo
     def class_block(self, side: str, cid: int) -> int:

@@ -110,6 +110,17 @@ def test_direct_sum_dims(cast):
     assert both.dim == cast.kS.dim + cast.T.dim
 
 
+def test_direct_sum_accepts_content_equal_groups(a4, s4, f4):
+    """Parts over two separately closed copies of one group sum, over the
+    first part's group; parts over different groups still raise."""
+    twin = group_close(4, list(a4.generators))
+    assert twin is not a4
+    s = direct_sum([trivial_rep(a4, f4), trivial_rep(twin, f4)])
+    assert s.group is a4 and s.dim == 2
+    with pytest.raises(ValueError):
+        direct_sum([trivial_rep(a4, f4), trivial_rep(s4, f4)])
+
+
 def test_is_isomorphic_basics(cast, f4):
     r = is_isomorphic(cast.k, cast.k)
     assert r and r.witness == Matrix.identity(f4, 1)

@@ -1,9 +1,12 @@
+import gc
 import hashlib
+import weakref
 from collections import Counter
 
 import pytest
 
-from sttlab.blockdec import covering_blocks
+from sttlab import blockdec, taucalc
+from sttlab.blockdec import block_cut_induce, covering_blocks
 from sttlab.exactfield import Matrix, field_make
 from sttlab.grouprep import (
     conjugate_rep,
@@ -18,7 +21,7 @@ from sttlab.grouprep import (
 )
 from sttlab.meataxe import add_compare, chop, decompose, is_isomorphic, summand_stream
 from sttlab.permgroup import group_close, parse_cycles
-from sttlab.taucalc import is_stt, syzygy, tau
+from sttlab.taucalc import Tables, is_stt, syzygy, tau
 from sttlab.theoremlab import (
     PairLab,
     build_corpus,
@@ -533,15 +536,15 @@ MEMO_LOOKUPS = [
     ("ind_classes", (1,), "induce"),
     ("res_ind_classes", (2,), "induce"),
     ("conj_classes", (1, 1), "conjugate_rep"),
-    ("side_blocks", ("big",), "blocks"),
     ("class_block", ("small", 2), "block_of_module"),
 ]
 
 
-def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
+def test_pair_lab_lookups_are_memoized(c3, s3, f4, c3s3, monkeypatch):
     """A second lookup with the same key returns the same object and calls
     nothing underneath; so does the inertial group behind
-    inertial_rep_indices."""
+    inertial_rep_indices.  The blocks are the lab's shared Tables.blocks,
+    which the session's C3 in S3 lab may have computed already."""
     import sttlab.theoremlab as tl
 
     calls = Counter()
@@ -552,8 +555,8 @@ def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("induce", "conjugate_rep", "hom_space", "blocks",
-                 "block_of_module", "inertial_group"):
+    for name in ("induce", "conjugate_rep", "hom_space", "block_of_module",
+                 "inertial_group"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name)))
     lab = PairLab(c3, s3, f4)
     for side in ("small", "big"):
@@ -561,6 +564,7 @@ def test_pair_lab_lookups_are_memoized(c3, s3, f4, monkeypatch):
         for name in ("multiplicities", "cover"):
             monkeypatch.setattr(tables, name, counted(name, getattr(tables, name)))
         lab.classes_of(direct_sum(tables.simples.simples), side)
+        assert lab.side_blocks(side) is tables.blocks is c3s3.side_blocks(side)
     for method, key, computes_through in MEMO_LOOKUPS:
         first = getattr(lab, method)(*key)
         assert calls[computes_through] > 0
@@ -587,3 +591,158 @@ def test_classes_of_matches_decompose(cast, a4, s4, f4):
         for rep, mult in decompose(M, seed=lab.seed).summands:
             want[lab.register(rep, "small")] += mult
         assert list(lab.classes_of(M, "small").items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# tables shared across the pairs that use a group
+
+def _spy_tables(monkeypatch) -> Counter:
+    """Count simples_of, pims and blockdec.blocks calls by group order."""
+    calls = Counter()
+    for mod, name in ((taucalc, "simples_of"), (taucalc, "pims"), (blockdec, "blocks")):
+        def spy(G, *args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name, G.order] += 1
+            return _real(G, *args, **kwargs)
+        monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_pairs_on_equal_groups_share_one_tables(monkeypatch):
+    """Two labs on separately closed copies of C3 in S3 hold one Tables per
+    side and keep their own group objects; each side's simples, PIMs and
+    blocks are computed once, for both labs.  Seed 11 is used nowhere else,
+    so no other live lab holds these tables."""
+    calls = _spy_tables(monkeypatch)
+    f3 = field_make(3, 1)
+    labs = [PairLab(group(C3), group(S3), f3, seed=11) for _ in range(2)]
+    assert labs[0].small is not labs[1].small and labs[0].big is not labs[1].big
+    for side in ("small", "big"):
+        assert labs[0].tables[side] is labs[1].tables[side]
+    for lab in labs:
+        for side in ("small", "big"):
+            lab.tables[side].pimtable
+            lab.side_blocks(side)
+        build_corpus(lab)
+    # at p = 3, the PIMs of C3 come from H = 1 and those of S3 from H = C2
+    assert calls == {("simples_of", order): 1 for order in (3, 6, 1, 2)} | {
+        (name, order): 1 for name in ("pims", "blocks") for order in (3, 6)}
+
+
+def test_tables_are_shared_per_group_field_and_seed():
+    """Another seed, another field or another generator list gets its own
+    Tables; a group closed again from the same generators does not."""
+    f3, f4 = field_make(3, 1), field_make(2, 2)
+    G = group(S3)
+    tables = Tables.shared(G, f3, seed=11)
+    assert Tables.shared(group(S3), f3, seed=11) is tables
+    others = [Tables.shared(G, f3, seed=12), Tables.shared(G, f4, seed=11),
+              Tables.shared(group((3, ["(0 1 2)", "(0 1)"])), f3, seed=11)]
+    assert all(t is not tables for t in others)
+    assert len({id(t) for t in others}) == 3
+
+
+def test_shared_tables_go_with_the_last_lab():
+    """The registry holds its tables weakly: they outlive the first of two
+    labs that hold them, not the last, and a later lab starts afresh."""
+    f3 = field_make(3, 1)
+    first, second = (PairLab(group(C3), group(S3), f3, seed=13) for _ in range(2))
+    first.tables["big"].simples
+    ref = weakref.ref(first.tables["big"])
+    del first
+    gc.collect()
+    assert ref() is second.tables["big"]
+    del second
+    gc.collect()
+    assert ref() is None
+    assert "simples" not in vars(PairLab(group(C3), group(S3), f3, seed=13).tables["big"])
+
+
+# the blocks-p3 pairs, all over GF(3)
+P3_PAIRS = [(V4, A4), (C3, S3), (A4, S4), (V4, S4)]
+
+
+def _sweep_into(h, lab: PairLab) -> None:
+    """Feed h the corpus names, theorem-1 and theorem-2 verdicts with their
+    certificates, class representatives and block idempotents of one lab."""
+    corpus = build_corpus(lab)
+    for e in corpus:
+        v = check_theorem1_classes(e.classes, lab)
+        h.update(repr((e.name, v.lhs, v.rhs, v.certificates)).encode())
+    big = lab.side_blocks("big")
+    for B in lab.side_blocks("small"):
+        for Bt in covering_blocks(B, lab.big, big):
+            for e in corpus:
+                if all(lab.class_block("small", c) == B.index for c in e.classes):
+                    v = check_theorem2_classes(e.classes, B, Bt, lab)
+                    h.update(repr((B.index, Bt.index, e.name, v.lhs, v.rhs,
+                                   v.certificates)).encode())
+    for side in ("small", "big"):
+        for R in lab.class_reps(side):
+            h.update(R.dim.to_bytes(4, "little"))
+            for X in R.gen_mats:
+                h.update(X.a.tobytes())
+        for B in lab.side_blocks(side):
+            h.update(B.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "1b2bdc059b3a134d378f188fc4d60e03d7e90f5d75e2116247b38e1b88a94538"),
+    (3, "f2447c9ffd3796ee1b4323b223a7ef8eecd768972bd90d9d30885b1fbbf6c2a2"),
+], ids=["seed0", "seed3"])
+def test_blocks_p3_sweep_is_the_same_with_shared_tables(seed, digest):
+    """The four GF(3) pairs give one pinned digest whether their labs are
+    alive together, sharing the tables of A4, S4 and V4, or built one at a
+    time, each on tables of its own."""
+    f3 = field_make(3, 1)
+    together = hashlib.sha256()
+    labs = [PairLab(group(small), group(big), f3, seed=seed) for small, big in P3_PAIRS]
+    assert labs[2].tables["big"] is labs[3].tables["big"]
+    for lab in labs:
+        _sweep_into(together, lab)
+    del labs, lab
+    alone = hashlib.sha256()
+    for small, big in P3_PAIRS:
+        gc.collect()
+        lab = PairLab(group(small), group(big), f3, seed=seed)
+        assert "simples" not in vars(lab.tables["small"])
+        _sweep_into(alone, lab)
+        del lab
+    assert together.hexdigest() == alone.hexdigest() == digest
+
+
+C3A4 = (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)"])
+S3A4 = (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)", "(4 5)"])
+
+
+def test_theorem2_where_the_big_group_moves_a_non_semisimple_block():
+    """C3 x A4 in S3 x A4 over GF(4): kG has three blocks of three simples,
+    none semisimple (defect group V4), and S3 x A4 swaps two of them.
+    Theorem 2 holds on every corpus entry in a block, for each block
+    covering it; on a sample, the classwise cut of Ind M by the covering
+    block equals blockdec.block_cut_induce on the materialized module."""
+    lab = PairLab(group(C3A4), group(S3A4), field_make(2, 2))
+    corpus = build_corpus(lab)
+    assert len(corpus) == 26290
+    small, big = lab.side_blocks("small"), lab.side_blocks("big")
+    assert [len(B.simple_labels) for B in small] == [3, 3, 3] and len(big) == 2
+    assert [lab.inertial(B).order // lab.small.order for B in small] == [1, 2, 1]
+    verdicts = []
+    for B in small:
+        members = [e for e in corpus
+                   if all(lab.class_block("small", c) == B.index for c in e.classes)]
+        for Bt in covering_blocks(B, lab.big, big):
+            verdicts += [(e, Bt, check_theorem2_classes(e.classes, B, Bt, lab))
+                         for e in members]
+    assert len(verdicts) == 2964
+    assert all(v.agree for _, _, v in verdicts)
+    assert sum(v.lhs for _, _, v in verdicts) == 60
+    # the oracle registers big classes of its own, so it runs after the verdicts
+    sample = verdicts[::150]
+    assert len(sample) == 20
+    for e, Bt, _ in sample:
+        ind = sum((Counter({cj: mult * mj for cj, mj in lab.ind_classes(cid).items()})
+                   for cid, mult in e.classes.items()), Counter())
+        cut = Counter({cj: mj for cj, mj in ind.items()
+                       if lab.class_block("big", cj) == Bt.index})
+        M = lab.materialize(e.classes, "small")
+        assert lab.classes_of(block_cut_induce(M, Bt, lab.trans), "big") == cut, e.name
