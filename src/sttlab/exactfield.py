@@ -4,10 +4,10 @@ A field element with coefficient vector (c0, ..., c_{m-1}) over GF(p) is
 stored as the integer code sum(c_i * p^i).  Scalar and elementwise
 arithmetic goes through precomputed q x q tables, so whole-array operations
 are single numpy fancy-index gathers.  For p = 2 the codes are bit masks and
-addition is a plain XOR.  Matrix products run on exact float64 BLAS, over
-the codes of a prime field or over the base-p coefficient planes of
-GF(p^m), except small products over GF(2^m), which are one table gather and
-an XOR reduction (see _matmul).
+addition is a plain XOR.  Matrix products run on exact float32 or float64
+BLAS, over the codes of a prime field or over the base-p coefficient planes
+of GF(p^m), except small products over GF(2^m), which are one table gather
+and an XOR reduction (see _matmul).
 """
 
 from __future__ import annotations
@@ -381,23 +381,38 @@ class Matrix:
 # Over GF(2^m) with m > 1 a product of at most _GATHER_LIMIT scalar
 # products is one table gather followed by an XOR reduction (adding codes is
 # XOR).  Everything else, GF(2) at every shape included, runs on base-p
-# coefficient planes in float64 BLAS, which is exact while every accumulated
-# sum stays below 2^53.
+# coefficient planes in BLAS: float32 while every accumulated sum stays below
+# 2^24, where float32 holds every integer exactly, float64 below 2^53.
 
 _GATHER_LIMIT = 1 << 15
+_EXACT_FLOAT32 = 1 << 24
 _EXACT_FLOAT = 1 << 53
-# _rref runs on Python lists up to this many cells over fields with q <= 256
-# (README.md, "Field kernel").
+# _rref runs on Python lists up to this many cells over fields with q <= 256,
+# and over GF(2) on Python int rows up to this many rows (README.md, "Field
+# kernel").
 _LIST_CELLS = 256
+_BIT_ROWS = 128
 
 
-def _digits(f: Field) -> np.ndarray:
-    """digits[code] holds the m base-p coefficients of a code, as float64;
-    built on first use."""
+def _blas_dtype(f: Field, r: int):
+    """The float type of an exact BLAS product with inner dimension r: each
+    entry is a sum of r m integer products of at most (p - 1)^2."""
+    bound = r * f.m * (f.p - 1) ** 2
+    if bound < _EXACT_FLOAT32:
+        return np.float32
+    if bound < _EXACT_FLOAT:
+        return np.float64
+    raise ValueError(f"inner dimension {r} too large for an exact product over {f}")
+
+
+def _digits(f: Field, dtype) -> np.ndarray:
+    """digits[code] holds the m base-p coefficients of a code, as dtype
+    (float32 or float64); both tables are built on first use."""
     if f._digits is None:
         place = f.p ** np.arange(f.m)
-        f._digits = ((np.arange(f.q)[:, None] // place) % f.p).astype(np.float64)
-    return f._digits
+        d = (np.arange(f.q)[:, None] // place) % f.p
+        f._digits = {np.float32: d.astype(np.float32), np.float64: d.astype(np.float64)}
+    return f._digits[dtype]
 
 
 def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -410,27 +425,34 @@ def _matmul(f: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if f.p == 2 and f.m > 1 and n * r * k <= _GATHER_LIMIT:
         return np.bitwise_xor.reduce(f.MUL[A[:, :, None], B[None, :, :]], axis=1)
     p, m = f.p, f.m
-    if r * m * (p - 1) ** 2 >= _EXACT_FLOAT:
-        raise ValueError(f"inner dimension {r} too large for an exact product over {f}")
+    dtype = _blas_dtype(f, r)
+    # below 2^24 the sums fit int32, above it int64
+    itype = np.int32 if dtype is np.float32 else np.int64
     if m == 1:
-        prod = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        prod %= p  # an integer % costs less than np.fmod on float64
+        prod = (A.astype(dtype) @ B.astype(dtype)).astype(itype)
+        prod %= p  # an integer % costs less than np.fmod
         return prod.astype(f.dtype)
-    digits = _digits(f)
-    place = p ** np.arange(m)  # p^a is both the code of x^a and a place value
+    digits = _digits(f, dtype)
+    place = p ** np.arange(m, dtype=itype)  # p^a: the code of x^a and a place value
     # A B = sum_a A_a (x^a B), where A_a is coefficient plane a of A: one
     # BLAS product of the planes of A, side by side, with the planes of
     # x^a B, stacked, gives every coefficient plane of the result.
     Ap = np.moveaxis(digits[A], 2, 1).reshape(n, m * r)
     Bp = digits[f.MUL[place[:, None, None], B]].reshape(m * r, k * m)
     planes = Ap @ Bp
-    # in place: an integer copy of the planes would raise the peak memory
-    np.fmod(planes, p, out=planes)
+    if dtype is np.float32:
+        planes = planes.astype(itype)
+        planes %= p
+    else:
+        # in place: an integer copy of the planes would raise the peak memory
+        np.fmod(planes, p, out=planes)
     return (planes.reshape(n, k, m) @ place).astype(f.dtype)
 
 
 def _rref(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot column list)."""
+    if f.q == 2 and A.shape[0] <= _BIT_ROWS:
+        return _rref_bits(A)
     if A.size <= _LIST_CELLS and f.q <= 256:
         return _rref_lists(f, A)
     if f.q == 2:
@@ -499,6 +521,39 @@ def _rref_lists(f: Field, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return np.array(R, dtype=A.dtype).reshape(nrows, ncols), pivots
+
+
+def _rref_bits(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """_rref over GF(2) with each row a Python int, column c at bit
+    width - 1 - c, so a row's pivot is its top bit.  The echelon form grows
+    one row at a time and stays fully reduced: a new row is cleared at every
+    pivot by one XOR each, and if anything is left, its top bit becomes a
+    pivot and is cleared from the rows before it.  The reduced form is
+    unique, so sorting the rows by pivot gives R."""
+    nrows, ncols = A.shape
+    nbytes = -(-ncols // 8)
+    data = np.packbits(A, axis=1).tobytes()
+    rows: list[int] = []
+    tops: list[int] = []
+    for i in range(nrows):
+        x = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
+        for top, row in zip(tops, rows):
+            if x & top:
+                x ^= row
+        if x:
+            top = 1 << (x.bit_length() - 1)
+            for j, row in enumerate(rows):
+                if row & top:
+                    rows[j] = row ^ x
+            rows.append(x)
+            tops.append(top)
+    order = sorted(range(len(rows)), key=tops.__getitem__, reverse=True)
+    R = np.zeros((nrows, ncols), dtype=A.dtype)
+    if rows:
+        packed = b"".join(rows[j].to_bytes(nbytes, "big") for j in order)
+        R[:len(rows)] = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, nbytes),
+                                      axis=1, count=ncols)
+    return R, [8 * nbytes - tops[j].bit_length() for j in order]
 
 
 def _rref_gf2(A: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -8,7 +8,8 @@ a piece is certified indecomposable if its endomorphism algebra is k.1 + N
 with N a nilpotent ideal; only when that and the Fitting attempts fail is
 the Jacobson radical computed, for the deterministic split off End/J.
 Both walks are lazy streams, so the simple and PIM tables stop at their
-certificates: l(G) simples (Brauer's count of p-regular classes), one PIM each.
+certificates: l(G) simples (Brauer's count of p-regular classes), the last
+one the trivial module once the others are not, and one PIM each.
 Everything randomized takes a seed, runs on the fixed budget BUDGET (not a
 parameter) and raises InconclusiveError instead of ever guessing.
 """
@@ -51,6 +52,7 @@ from .grouprep import (
     regular_rep,
     spin,
     sub_rep,
+    trivial_rep,
     verify_witness,
 )
 from .permgroup import Group, p_regular_class_count
@@ -98,8 +100,8 @@ def _random_algebra_element(f: Field, mats, dim: int, rng,
     terms = rng.randrange(2, 4)
     for _ in range(terms):
         word_len = rng.randrange(1, max_word + 1)
-        w = np.eye(dim, dtype=f.dtype)
-        for _ in range(word_len):
+        w = mats[rng.randrange(len(mats))]
+        for _ in range(word_len - 1):
             w = _matmul(f, w, mats[rng.randrange(len(mats))])
         c = rng.randrange(1, f.q)
         out = f.arr_add(out, f.MUL[c, w])
@@ -204,23 +206,41 @@ class SimpleTable:
 
     def trivial_label(self) -> str:
         for S, lab in zip(self.simples, self.labels):
-            if S.dim == 1 and all(m.a[0, 0] == 1 for m in S.gen_mats):
+            if _is_trivial(S):
                 return lab
         raise ValueError("no trivial module in the table")  # pragma: no cover
 
 
+def _is_trivial(S: Rep) -> bool:
+    return S.dim == 1 and all(m.a[0, 0] == 1 for m in S.gen_mats)
+
+
 def simples_of(group: Group, field: Field, seed: int = 0) -> SimpleTable:
     """All simple modules, found as composition factors of the regular
-    module and labelled in discovery order.  The chop stops once l(G)
-    simples are found, as no field of characteristic p has more; over a
-    field that does not split G there are fewer, so it runs to the end."""
+    module and labelled in discovery order.
+
+    No field of characteristic p has more than l(G) simples (Brauer's
+    count of p-regular classes), so the chop stops at l(G).  It stops one
+    earlier when the l(G) - 1 simples found so far are all non-trivial:
+    the trivial module is simple and not among them, so it is the only
+    simple left, and the chop would find it as its next new factor, in
+    the bytes of trivial_rep (a 1-dimensional module with every generator
+    acting as 1 is unique), with the next label.  So trivial_rep is
+    appended in its place.  Over a field that does not split G there are
+    fewer than l(G) simples, neither stop is reached, and the chop runs to
+    the end."""
     bound = p_regular_class_count(group, field.p)
     found: list[Rep] = []
-    for F in _composition_stream(regular_rep(group, field), seed):
+    stream = _composition_stream(regular_rep(group, field), seed)
+    while len(found) < bound:
+        if len(found) == bound - 1 and not any(map(_is_trivial, found)):
+            found.append(trivial_rep(group, field))
+            break
+        F = next(stream, None)
+        if F is None:
+            break
         if iso_class(F, found) is None:
             found.append(F)
-            if len(found) == bound:
-                break
     return SimpleTable(group=group, field=field, simples=found,
                        labels=[f"S{i + 1}" for i in range(len(found))])
 
@@ -372,44 +392,41 @@ def _products(f: Field, X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     return prod.transpose(0, 2, 1, 3).reshape(-1, n * n)
 
 
-def _is_nilpotent(f: Field, z: np.ndarray) -> bool:
-    """Whether z^(2^k) = 0 for 2^k >= n, after ceil(log2 n) squarings."""
-    n = z.shape[0]
-    while n > 1 and z.any():
-        z = _matmul(f, z, z)
-        n = (n + 1) // 2
-    return not z.any()
-
-
 def _is_split_local(basis: list[Matrix]) -> bool:
     """Whether the unital algebra with this linearly independent basis is
     local with residue field k, certified without its radical.
 
-    Each b gets the eigenvalue lambda_b it has if its characteristic
-    polynomial is (t - lambda)^n: with n = p^a m and p not dividing m, the
-    coefficient of t^(n - p^a) is -m lambda^(p^a).  With N the span of the
-    b - lambda_b, the algebra is k.1 + N with N a nilpotent ideal exactly
-    when dim N = d - 1, N.N lies in N and the powers of N reach 0 (then
-    every element of N is nilpotent, so 1 is not in N); N is then the
-    radical, of codimension 1.  Conversely, in a local algebra with residue
-    field k every b - lambda_b lies in the radical, so this decides what
-    dim - len(algebra_radical(basis)) == 1 decides.  The answer is False as
-    soon as one b - lambda_b is not nilpotent, before N is built.
+    Each n x n basis element b is raised to b^(p^e), with p^e >= n the
+    least such power of p.  That is a scalar mu exactly when b - lambda_b
+    is nilpotent for lambda_b = mu^(p^-e): b and lambda_b commute, so in
+    characteristic p (b - lambda_b)^(p^e) = b^(p^e) - lambda_b^(p^e), and an
+    n x n matrix is nilpotent exactly when its p^e-th power is 0 (p^e >= n).
+    So b has the one eigenvalue lambda_b in k, or the answer is False before
+    N is built.  With N the span of the b - lambda_b, the algebra is k.1 + N
+    with N a nilpotent ideal exactly when dim N = d - 1, N.N lies in N and
+    the powers of N reach 0 (then every element of N is nilpotent, so 1 is
+    not in N); N is then the radical, of codimension 1.  Conversely, in a
+    local algebra with residue field k every b - lambda_b lies in the
+    radical, so this decides what dim - len(algebra_radical(basis)) == 1
+    decides.
     """
     f = basis[0].field
     n = basis[0].rows
-    a, pa = 0, 1
-    while n % (pa * f.p) == 0:
-        a, pa = a + 1, pa * f.p
-    neg_inv_m = f.neg(f.inv(n // pa % f.p))
+    e, pe = 0, 1
+    while pe < n:
+        e, pe = e + 1, pe * f.p
     eye = np.eye(n, dtype=f.dtype)
     shifted = []
     for b in basis:
-        lam = f.frob(f.mul(neg_inv_m, charpoly(b).c[n - pa]), -a)
-        z = f.arr_sub(b.a, f.MUL[lam, eye])
-        if not _is_nilpotent(f, z):
+        w = b.a
+        for bit in bin(pe)[3:]:  # left-to-right square and multiply
+            w = _matmul(f, w, w)
+            if bit == "1":
+                w = _matmul(f, w, b.a)
+        mu = int(w[0, 0])
+        if not np.array_equal(w, f.MUL[mu, eye]):
             return False
-        shifted.append(z.reshape(-1))
+        shifted.append(f.arr_sub(b.a, f.MUL[f.frob(mu, -e), eye]).reshape(-1))
     nil = RowSpace(f, n * n, shifted)
     if nil.dim != len(basis) - 1:
         return False

@@ -289,26 +289,31 @@ def transversal(big: Group, small: Group) -> Transversal:
 
 
 def class_sums(G: Group) -> list[list[int]]:
-    """Conjugacy classes as sorted index lists, ordered by (size, least index)."""
+    """Conjugacy classes as sorted index lists, ordered by (size, least index).
+
+    Each generator a conjugates every element at once on the array of point
+    images, as (a g a^-1)(x) = a(g(a^-1(x))), and one lookup per image tuple
+    gives the index of a g a^-1: no Perm products and no Cayley table."""
     n = G.order
+    images = np.array([g.images for g in G.elements], dtype=np.intp).reshape(n, G.degree)
+    lookup = {g.images: i for i, g in enumerate(G.elements)}
+    conj = []
+    for a in G.generators:
+        moved = np.asarray(a.images)[images[:, np.argsort(a.images)]]
+        conj.append([lookup[t] for t in map(tuple, moved.tolist())])
     seen = [False] * n
     classes = []
     for start in range(n):
         if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
         seen[start] = True
-        while frontier:
-            i = frontier.pop()
-            g = G.elements[i]
-            for a in G.generators:
-                c = a * g * a.inverse()
-                ci = G.index[c]
-                if ci not in orbit:
-                    orbit.add(ci)
-                    seen[ci] = True
-                    frontier.append(ci)
+        orbit = [start]
+        for i in orbit:  # the orbit grows while it is walked
+            for row in conj:
+                j = row[i]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
         classes.append(sorted(orbit))
     classes.sort(key=lambda cls: (len(cls), cls[0]))
     return classes

@@ -351,6 +351,60 @@ def test_matmul_rejects_inexact_inner_dimension():
         _matmul(f, A, B)
 
 
+def int_mul(f, a, b):
+    """a * b in GF(p^m) on Python ints: the base-p digits multiplied as
+    polynomials and reduced by the field's modulus, no tables."""
+    p, m = f.p, f.m
+    x = [a // p**i % p for i in range(m)]
+    y = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            prod[i + j] += u * v
+    for d in range(2 * m - 2, m - 1, -1):  # x^m = -(c_0 + ... + c_(m-1) x^(m-1))
+        t, prod[d] = prod[d], 0
+        for i, c in enumerate(f.modulus[:m]):
+            prod[d - m + i] -= t * c
+    return sum(c % p * p**i for i, c in enumerate(prod[:m]))
+
+
+def int_matmul(f, A, B):
+    p, m = f.p, f.m
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=f.dtype)
+    for i, row in enumerate(A.tolist()):
+        for j, col in enumerate(B.T.tolist()):
+            digits = [0] * m
+            for a, b in zip(row, col):
+                c = int_mul(f, a, b)
+                for d in range(m):
+                    digits[d] += c // p**d % p
+            out[i, j] = sum(c % p * p**d for d, c in enumerate(digits))
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_matmul_matches_python_int_arithmetic(p, m):
+    f = field_make(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for n, r, k in [(1, 1, 1), (3, 5, 2), (7, 33, 6), (2, 120, 3), (12, 12, 12), (40, 9, 40)]:
+        A, B = random_matrix(f, rng, n, r), random_matrix(f, rng, r, k)
+        assert np.array_equal(_matmul(f, A, B), int_matmul(f, A, B))
+
+
+def test_matmul_float32_exactness_boundary():
+    # GF(4093), built outside the field cache so its tables go with the test:
+    # 4092^2 < 2^24 <= 2 * 4092^2, so one product of 4092s may run in
+    # float32 and a sum of two must not.
+    f = exactfield.Field(4093, 1)
+    assert exactfield._blas_dtype(f, 1) is np.float32
+    assert exactfield._blas_dtype(f, 2) is np.float64
+    for r in (1, 2):
+        A = np.full((1, r), 4092, dtype=f.dtype)
+        B = np.full((r, 1), 4092, dtype=f.dtype)
+        assert int(_matmul(f, A, B)[0, 0]) == r * 4092**2 % 4093
+        assert np.array_equal(_matmul(f, A, B), int_matmul(f, A, B))
+
+
 def test_matmul_rejects_mismatched_shapes():
     f = field_make(2, 2)
     with pytest.raises(ValueError, match="mismatch"):
@@ -429,19 +483,72 @@ def test_rref_both_paths_match_reference(p, m, path, monkeypatch):
 
 
 def test_rref_path_follows_cells_and_field(monkeypatch):
-    listed = []
-    lists = exactfield._rref_lists
-    monkeypatch.setattr(exactfield, "_rref_lists",
-                        lambda f, A: listed.append(A.shape) or lists(f, A))
-    bound = exactfield._LIST_CELLS
+    taken = []
+    for name in ("_rref_lists", "_rref_bits"):
+        real = getattr(exactfield, name)
+        monkeypatch.setattr(exactfield, name,
+                            lambda *args, name=name, real=real: taken.append(name) or real(*args))
+    bound, rows = exactfield._LIST_CELLS, exactfield._BIT_ROWS
     for p, m in FIELDS:
         f = field_make(p, m)
-        for shape in [(1, bound), (bound, 1), (16, 16), (1, bound + 1), (16, 17)]:
-            listed.clear()
+        for shape in [(1, bound), (bound, 1), (16, 16), (1, bound + 1), (16, 17),
+                      (rows, 3), (rows + 1, 3)]:
+            taken.clear()
             A = np.ones(shape, dtype=f.dtype)
             assert _rref(f, A)[1] == [0]
-            on_lists = f.q <= 256 and A.size <= bound
-            assert listed == ([shape] if on_lists else [])
+            if f.q == 2 and shape[0] <= rows:
+                assert taken == ["_rref_bits"]
+            elif f.q <= 256 and A.size <= bound:
+                assert taken == ["_rref_lists"]
+            else:
+                assert taken == []
+
+
+def _gf2_cases(f, rng):
+    """1 to 200 rows and 1 to 300 columns, widths off the byte and word
+    boundaries, uniform, rank-deficient, zero and repeated rows."""
+    for rows, cols in [(1, 1), (1, 300), (3, 7), (8, 8), (9, 63), (17, 65), (64, 64),
+                       (100, 129), (128, 300), (129, 5), (200, 1), (200, 300), (50, 255)]:
+        yield random_matrix(f, rng, rows, cols)
+        yield random_matrix(f, rng, rows, cols, min(rows, cols) // 2)
+        A = random_matrix(f, rng, rows, cols)
+        A[::3] = 0
+        A[1::3] = A[-1]
+        yield A
+
+
+def test_rref_bits_matches_packed_words_and_sympy():
+    f = field_make(2, 1)
+    rng = np.random.default_rng(24)
+    for A in _gf2_cases(f, rng):
+        A0 = A.copy()
+        R, pivots = exactfield._rref_bits(A)
+        R0, pivots0 = exactfield._rref_gf2(A)
+        assert pivots == pivots0 and R.dtype == A.dtype and R.shape == A.shape
+        assert np.array_equal(R, R0) and np.array_equal(A, A0)
+        if A.size <= 10000:  # sympy's own elimination is slow beyond this
+            D, dpivots = sympy_matrix(f, A).rref()
+            assert pivots == list(dpivots)
+            assert np.array_equal(R[: D.shape[0]], sympy_array(f, D))
+            assert not R[D.shape[0]:].any()
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 200), st.integers(1, 300), st.none() | st.integers(0, 200), seeds)
+def test_rref_bits_matches_packed_words(rows, cols, rank, seed):
+    f = field_make(2, 1)
+    rng = np.random.default_rng(seed)
+    A = random_matrix(f, rng, rows, cols, None if rank is None else min(rank, rows, cols))
+    R, pivots = exactfield._rref_bits(A)
+    R0, pivots0 = exactfield._rref_gf2(A)
+    assert pivots == pivots0 and np.array_equal(R, R0)
+
+
+def test_rref_bits_empty_shapes():
+    f = field_make(2, 1)
+    for shape in [(0, 0), (0, 9), (9, 0)]:
+        R, pivots = exactfield._rref_bits(np.zeros(shape, dtype=f.dtype))
+        assert pivots == [] and R.shape == shape and R.dtype == f.dtype
 
 
 @settings(max_examples=60)

@@ -24,7 +24,8 @@ from sttlab.meataxe import (
     simples_of,
     _is_split_local,
 )
-from sttlab.permgroup import group_close, parse_cycles
+from sttlab.permgroup import group_close, p_regular_class_count, parse_cycles
+from sttlab.theoremlab import PairLab, build_corpus, check_theorem1_classes
 
 
 def test_is_irreducible_dim1(cast):
@@ -452,6 +453,14 @@ def _units(f, n, pairs):
     return out
 
 
+def _powers(f, X, d):
+    """I, X, ..., X^(d-1): a basis of k[X] when X has a minimal polynomial of degree d."""
+    out = [Matrix.identity(f, X.shape[0])]
+    for _ in range(1, d):
+        out.append(out[-1] @ Matrix(f, X))
+    return out
+
+
 # (p, m, basis builder, expected); over GF(4) the code 2 is a primitive
 # cube root of unity w and 3 is w^2
 SPLIT_LOCAL_CASES = {
@@ -462,6 +471,16 @@ SPLIT_LOCAL_CASES = {
     "n = 4 over GF(2)": (2, 1, lambda f: _shift_algebra(f, 4, 1), True),
     "n = 3 over GF(3)": (3, 1, lambda f: _shift_algebra(f, 3, 2), True),
     "n = 6 over GF(3)": (3, 1, lambda f: _shift_algebra(f, 6, 2), True),
+    "eigenvalue w, n = 5 over GF(4)": (2, 2, lambda f: _shift_algebra(f, 5, 2), True),
+    "n = 2 over GF(5)": (5, 1, lambda f: _shift_algebra(f, 2, 3), True),
+    "n = 7 over GF(3)": (3, 1, lambda f: _shift_algebra(f, 7, 1), True),
+    # k[X] for X = diag(J_2(1), J_3(2)): two eigenvalues, so X^9 is no scalar
+    "two eigenvalues, n = 5 over GF(3)": (3, 1, lambda f: _powers(f, np.array(
+        [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 0, 2, 1],
+         [0, 0, 0, 0, 2]], dtype=f.dtype), 5), False),
+    "GF(9) inside M_2(GF(3))": (
+        3, 1, lambda f: [Matrix.identity(f, 2), Matrix.from_rows(f, [[0, 2], [1, 0]])],
+        False),
     "upper triangular 2x2": (
         2, 2, lambda f: _units(f, 2, [(0, 0), (1, 1), (0, 1)]), False),
     "M_2(k)": (
@@ -489,6 +508,38 @@ def test_is_split_local_agrees_with_the_radical(a4, f4, cast):
         end = hom_space(M, M)
         local = end.dim - len(algebra_radical(end.basis)) == 1
         assert _is_split_local(end.basis) is local
+
+
+def _sweep_labs():
+    """The A4 < S4 pair over GF(4) and the four GF(3) pairs of the block
+    benchmark, each after its theorem-1 sweep."""
+    def group(degree, *cycles):
+        return group_close(degree, [parse_cycles(c, degree) for c in cycles])
+
+    a4, s4 = group(4, "(0 1 2)", "(0 1)(2 3)"), group(4, "(0 1)", "(0 1 2 3)")
+    v4 = group(4, "(0 1)(2 3)", "(0 2)(1 3)")
+    c3, s3 = group(3, "(0 1 2)"), group(3, "(0 1)", "(0 1 2)")
+    f3 = field_make(3, 1)
+    labs = [PairLab(a4, s4, field_make(2, 2)), PairLab(v4, a4, f3), PairLab(c3, s3, f3),
+            PairLab(a4, s4, f3), PairLab(v4, s4, f3)]
+    for lab in labs:
+        for entry in build_corpus(lab):
+            check_theorem1_classes(entry.classes, lab)
+    return labs
+
+
+def test_is_split_local_agrees_with_the_radical_on_sweep_classes():
+    checked = nonscalar = 0
+    for lab in _sweep_labs():
+        for side in ("small", "big"):
+            for X in lab.class_reps(side):
+                end = hom_space(X, X)
+                local = end.dim - len(algebra_radical(end.basis)) == 1
+                assert local  # class representatives are indecomposable over a splitting field
+                assert _is_split_local(end.basis) is local
+                checked += 1
+                nonscalar += end.dim > 1
+    assert (checked, nonscalar) == (74, 35)
 
 
 def test_decompose_rescues_when_quick_splits_fail(cast, monkeypatch):
@@ -543,6 +594,29 @@ def full_chop_simples(group, field, seed):
     return found
 
 
+def brauer_chop_simples(group, field, seed):
+    """simples_of without its trivial-module stop: the chop reads factors
+    until l(G) simples are found, or to its end."""
+    bound = p_regular_class_count(group, field.p)
+    found = []
+    for F in meataxe._composition_stream(regular_rep(group, field), seed):
+        if iso_class(F, found) is None:
+            found.append(F)
+            if len(found) == bound:
+                break
+    return found
+
+
+def _assert_same_table(table, ref):
+    assert table.labels == [f"S{i + 1}" for i in range(len(ref))]
+    assert len(table.simples) == len(ref)
+    for S, R in zip(table.simples, ref):
+        assert S.dim == R.dim and S.field == R.field and S.block_dims == R.block_dims
+        assert len(S.gen_mats) == len(R.gen_mats)
+        for a, b in zip(S.gen_mats, R.gen_mats):
+            assert a.a.dtype == b.a.dtype and a.a.tobytes() == b.a.tobytes()
+
+
 @pytest.mark.parametrize("fq", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
 @pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
 def test_simples_of_equals_full_chop(name, fq):
@@ -550,13 +624,31 @@ def test_simples_of_equals_full_chop(name, fq):
     G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
     f = field_make(*fq)
     for seed in range(6):
-        ref = full_chop_simples(G, f, seed)
+        _assert_same_table(simples_of(G, f, seed=seed), full_chop_simples(G, f, seed))
+
+
+# (generators, oracle, seeds).  A5 is chopped in full.  PGL(2,7) takes
+# about 1.2 s a seed over GF(2) and 10 s over GF(3) and GF(4), so it runs
+# over GF(2) at the seeds whose chop finds the trivial module last, where
+# simples_of stops early.
+LARGER_GROUPS = {
+    "A5": ((5, ["(0 1 2 3 4)", "(0 1 2)"]), full_chop_simples, range(6)),
+    "PGL27": ((8, ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 7)(1 6)(2 3)(4 5)"]),
+              brauer_chop_simples, (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name,fq", [("A5", (2, 1)), ("A5", (3, 1)), ("A5", (2, 2)),
+                                     ("PGL27", (2, 1))])
+def test_simples_of_equals_the_chop_on_larger_groups(name, fq):
+    (degree, cycles), oracle, seeds = LARGER_GROUPS[name]
+    G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
+    f = field_make(*fq)
+    for seed in seeds:
         table = simples_of(G, f, seed=seed)
-        assert table.labels == [f"S{i + 1}" for i in range(len(ref))]
-        assert len(table.simples) == len(ref)
-        for S, R in zip(table.simples, ref):
-            assert len(S.gen_mats) == len(R.gen_mats)
-            assert all(np.array_equal(a.a, b.a) for a, b in zip(S.gen_mats, R.gen_mats))
+        _assert_same_table(table, oracle(G, f, seed))
+        if name == "PGL27":
+            assert table.trivial_label() == table.labels[-1]
 
 
 def test_simples_of_stops_at_brauer_count(monkeypatch):
@@ -576,3 +668,8 @@ def test_simples_of_stops_at_brauer_count(monkeypatch):
     mode = "table"
     assert simples_of(G, f2).count == 2  # l(S4 x C2) at p = 2
     assert calls["table"] < calls["full"]
+    mode = "brauer"
+    assert [S.dim for S in brauer_chop_simples(G, f2, 0)] == [2, 1]
+    # the 2-dimensional simple comes first, so the trivial module is the
+    # only one left: the table stops with it instead of chopping on to it
+    assert (calls["table"], calls["brauer"]) == (3, 16)
