@@ -1,14 +1,14 @@
 """Block decomposition of group algebras in characteristic p.
 
 The center Z is carried on the class-sum basis, with one multiplication
-matrix per class sum.  Primitive central idempotents are found by a fully
-deterministic recursion: for the current block idempotent e, the algebra
-eZ and its radical e.rad(Z) go to meataxe.frobenius_fixed_element as
-multiplication matrices.  A Frobenius-fixed element z off k.e + e.rad(Z)
-has at least two eigenvalues, and e is the sum of the identities of z's
-Fitting kernels on eZ, found with one linsolve.  When there is no such
-z, eZ/e.rad(Z) is a field and e is primitive.  No character theory and
-no randomness anywhere.
+matrix per class sum.  Z is commutative, so Frobenius z -> z^q is
+k-linear on it, and its fixed space is the k-span of the primitive
+central idempotents.  Fitting kernels of multiplication by the basis of
+that space cut it into lines, one per block, and each line is scaled to
+its idempotent.  blocks() certifies the result exactly: the idempotents
+are orthogonal, sum to 1, and act as 1 or 0 on every simple module.  No
+radical and no character theory; the factoring behind the Fitting kernels
+is seeded, and the idempotents, being unique, do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, RowSpace, linsolve, _matmul
+from .exactfield import Field, Matrix, RowSpace, _matmul, _nullspace
 from .grouprep import Rep, induce, rep_apply_algebra, sub_rep, zero_rep
-from .meataxe import SimpleTable, algebra_radical, fitting_kernels, \
-    frobenius_fixed_element, simples_of
+from .meataxe import SimpleTable, fitting_kernels, simples_of
 from .permgroup import Group, Perm, Transversal, class_sums, group_close, transversal
 
 __all__ = [
@@ -127,63 +126,53 @@ class _Center:
         s = self.s
         return _matmul(self.field, V, self.R.reshape(s, s * s)).reshape(-1, s, s)
 
-    def identity_vec(self) -> np.ndarray:
-        out = np.zeros(self.s, dtype=self.field.dtype)
-        out[0] = 1  # the identity element is a singleton class, listed first
-        return out
-
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Class coordinates to a kG coefficient vector."""
         return _matmul(self.field, v[None, :], self.basis)[0]
 
-    def radical_rows(self) -> np.ndarray:
-        """Rows spanning rad(Z), in class coordinates."""
-        f, s = self.field, self.s
-        rad_mats = algebra_radical([Matrix(f, R) for R in self.R])
-        if not rad_mats:
-            return np.zeros((0, s), dtype=f.dtype)
-        sol = linsolve(Matrix(f, self.R.reshape(s, s * s).T.copy()),
-                       Matrix(f, np.stack([J.a.reshape(-1) for J in rad_mats], axis=1)))
-        if sol.particular is None:
-            raise AssertionError("radical element outside the center")
-        return sol.particular.a.T
 
+def _primitive_idempotents(center: _Center) -> list[np.ndarray]:
+    """The primitive idempotents of Z, in class coordinates.
 
-def _split_primitive(center: _Center, e: np.ndarray, jrows: np.ndarray):
-    """Recursively split the central idempotent e into primitive ones."""
-    f = center.field
-    Le = center.operators(e[None, :])[0]
-    ez = RowSpace(f, center.s, Le.T)  # eZ is spanned by the e c_j
-    # eZ and its radical e rad(Z), as multiplication matrices
-    ops = center.operators(np.concatenate([ez.rows, _matmul(f, jrows, Le.T)]))
-    Lz = frobenius_fixed_element(f, ops[:ez.dim], ops[ez.dim:], Le)
-    if Lz is None:
-        return [e]  # eZ/e.rad(Z) is a field: e is primitive
-    # multiplication by z on eZ, in the coordinates of the rows of ez
-    restr = Matrix(f, _matmul(f, ez.rows, Lz.T)[:, ez.pivots].T.copy())
-    kernels = fitting_kernels(restr, random.Random(0))
-    if kernels is None:
-        raise AssertionError("Frobenius-fixed element failed to split the block")
-    # eZ is the direct sum of the Fitting kernels of z, which are ideals, so
-    # e is the sum of their identities
-    parts = [_matmul(f, null.T, ez.rows) for null in kernels]
-    K = np.concatenate(parts)
-    sol = linsolve(Matrix(f, K.T.copy()), Matrix(f, e[:, None].copy()))
-    if len(K) != ez.dim or sol.rank != ez.dim or sol.particular is None:
-        raise AssertionError("Fitting kernels do not split the block")
-    coords = np.split(sol.particular.a[:, 0], np.cumsum([len(P) for P in parts])[:-1])
-    out = [_matmul(f, c[None, :], P)[0] for c, P in zip(coords, parts)]
-    total = np.zeros(center.s, dtype=f.dtype)
-    for e_i in out:
-        if not np.array_equal(center.mul(e_i, e_i), e_i):
-            raise AssertionError("Fitting split not idempotent")
-        total = f.arr_add(total, e_i)
-    if not np.array_equal(total, e):
-        raise AssertionError("Fitting split does not sum to the block")
-    result = []
-    for e_i in out:
-        result.extend(_split_primitive(center, e_i, jrows))
-    return result
+    Z is commutative, so z -> z^q is k-linear on it; F, whose row j is
+    c_j^q, is its matrix.  Its fixed space E is the k-span of the
+    primitive idempotents: for z in eZ with z^q = z, the minimal
+    polynomial divides x^q - x, and it is a power of one irreducible, as
+    eZ is local, so z is a multiple of e (Ronyai, "Computing the structure
+    of finite algebras", J. Symb. Comput. 1990).  So E is k x ... x k, and
+    a basis of E separates the idempotents: the Fitting kernels of
+    multiplication by each basis row cut E into the lines k.e.
+    """
+    f, s = center.field, center.s
+    eye = np.eye(s, dtype=f.dtype)
+    F = np.empty((s, s), dtype=f.dtype)
+    for j in range(s):
+        w = eye[j]
+        for bit in bin(f.q)[3:]:  # left-to-right square and multiply
+            w = center.mul(w, w)
+            if bit == "1":
+                w = center.mul(w, eye[j])
+        F[j] = w
+    fixed = RowSpace(f, s, _nullspace(f, f.arr_sub(F, eye).T).T)
+    rng = random.Random(0)
+    pieces = [fixed]
+    for u in center.operators(fixed.rows):
+        cut = []
+        for P in pieces:
+            # multiplication by u on the ideal P of E, in the coordinates
+            # of the rows of P; a line is not cut further
+            kernels = P.dim > 1 and fitting_kernels(
+                Matrix(f, _matmul(f, P.rows, u.T)[:, P.pivots].T.copy()), rng)
+            if kernels:
+                cut.extend(RowSpace(f, s, _matmul(f, null.T, P.rows)) for null in kernels)
+            else:
+                cut.append(P)
+        pieces = cut
+    if any(P.dim != 1 for P in pieces):
+        raise AssertionError("the Frobenius-fixed space of the centre is not cut into lines")
+    # v = c.e has v.v = c.v, and c = (v.v)[pivot] as v[pivot] = 1
+    return [f.MUL[f.inv(int(center.mul(P.rows[0], P.rows[0])[P.pivots[0]])), P.rows[0]]
+            for P in pieces]
 
 
 def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
@@ -192,9 +181,7 @@ def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
     if simples is None:
         simples = simples_of(group, field, seed=seed)
     center = _Center(group, field)
-    jrows = center.radical_rows()
-    idems = _split_primitive(center, center.identity_vec(), jrows)
-    expanded = [center.expand(e) for e in idems]
+    expanded = [center.expand(e) for e in _primitive_idempotents(center)]
     # verify the central orthogonal decomposition of 1 exactly
     total = np.zeros(group.order, dtype=field.dtype)
     for v in expanded:

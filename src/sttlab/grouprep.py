@@ -47,7 +47,6 @@ __all__ = [
     "rep_make",
     "act",
     "hom_space",
-    "hom_dim",
     "iso_indecomposable",
     "InconclusiveError",
     "direct_sum",
@@ -352,7 +351,7 @@ def _hom_kron(M: Rep, N: Rep) -> list[Matrix]:
 
 
 def _spin_source(M: Rep) -> tuple:
-    """The half of _hom_spin that depends on M alone, built on first use and
+    """The half of _spin_hom that depends on M alone, built on first use and
     kept on M: the seed count s, the seed each spun basis vector b_k grew
     from, the tree edges grouped by (depth, generator) as (generator, nodes,
     parents), and the non-tree edges (g, k) with the coordinates of g b_k
@@ -389,11 +388,6 @@ def _spin_source(M: Rep) -> tuple:
     coords = _matmul(f, imgs[ks, gs], Q)  # g b_k = sum_l coords[e, l] b_l
     M._spin_source = (s, seed_of, levels, gs, ks, np.concatenate([coords, Q]))
     return M._spin_source
-
-
-def _hom_spin(M: Rep, N: Rep) -> list[Matrix]:
-    """The basis of the spin regime; see _spin_hom."""
-    return _spin_hom(M, N).basis
 
 
 def _spin_hom(M: Rep, N: Rep) -> HomBasis:
@@ -476,10 +470,6 @@ def hom_space(M: Rep, N: Rep) -> HomBasis:
         memo[key] = basis
     return HomBasis(M, N, lambda: [Matrix(M.field, x.reshape(N.dim, M.dim)) for x in basis],
                     dim=len(basis))
-
-
-def hom_dim(M: Rep, N: Rep) -> int:
-    return hom_space(M, N).dim
 
 
 @dataclass

@@ -449,20 +449,19 @@ def split_local(end: HomBasis) -> bool:
     return end.dim == 1 or _is_split_local(end.basis)
 
 
-def frobenius_fixed_element(f: Field, basis, radical,
-                            one: np.ndarray) -> Optional[np.ndarray]:
+def frobenius_fixed_element(f: Field, basis, radical) -> Optional[np.ndarray]:
     """An element z of the algebra A spanned by the n x n matrices in basis,
-    fixed by x -> x^q modulo J and outside k.one + J; None when A/J is
+    fixed by x -> x^q modulo J and outside k.I + J; None when A/J is
     noncommutative or a field (k included).
 
-    radical spans J = rad A, and one is the identity of A, which need not
-    be I.  A commutative A/J is a product of fields, and its Frobenius-fixed
-    elements are the k-combinations of its primitive idempotents (Ronyai,
-    "Computing the structure of finite algebras", J. Symb. Comput. 1990).
-    So the fixed space is k.one exactly when A/J is a field, and otherwise
-    the minimal polynomial of z has at least two distinct roots, all in k.
+    radical spans J = rad A, and A contains the identity I.  A commutative
+    A/J is a product of fields, and its Frobenius-fixed elements are the
+    k-combinations of its primitive idempotents (Ronyai, "Computing the
+    structure of finite algebras", J. Symb. Comput. 1990).  So the fixed
+    space is k.I exactly when A/J is a field, and otherwise the minimal
+    polynomial of z has at least two distinct roots, all in k.
     """
-    n = one.shape[0]
+    n = basis[0].shape[0]
     jspace = RowSpace(f, n * n, [J.reshape(-1) for J in radical])
     # coset representatives of A/J picked from the basis: b is new exactly
     # when its normal form mod J is new
@@ -481,7 +480,7 @@ def frobenius_fixed_element(f: Field, basis, radical,
             if not jspace.contains(commutator.reshape(-1)):
                 return None  # noncommutative quotient: nothing deterministic here
 
-    # the q-th powers of comp, then one, in the comp coordinates mod J
+    # the q-th powers of comp, then I, in the comp coordinates mod J
     targets = []
     for c in comp:
         w = c.copy()
@@ -491,7 +490,7 @@ def frobenius_fixed_element(f: Field, basis, radical,
                 acc = _matmul(f, acc, w)
             w = acc
         targets.append(w.reshape(-1))
-    targets.append(one.reshape(-1))
+    targets.append(np.eye(n, dtype=f.dtype).reshape(-1))
     sol = linsolve(Matrix(f, reduced[picked].T.copy()),
                    Matrix(f, jspace.reduce(np.stack(targets)).T.copy()))
     if sol.particular is None:
@@ -524,8 +523,7 @@ def _semisimple_quotient_split(rep: Rep, end_basis: list[Matrix],
     split over k).
     """
     f = rep.field
-    z = frobenius_fixed_element(f, [b.a for b in end_basis], [J.a for J in radical],
-                                np.eye(rep.dim, dtype=f.dtype))
+    z = frobenius_fixed_element(f, [b.a for b in end_basis], [J.a for J in radical])
     if z is None:
         return None
     return _fitting_split(rep, Matrix(f, z), rng)

@@ -271,6 +271,11 @@ class PairLab:
         """Inertial group of a small-side block."""
         return inertial_group(B, self.big)
 
+    @partial(_memo, key=lambda B: B.index)
+    def _covering(self, B: Block) -> list[Block]:
+        """Big-side blocks covering a small-side block."""
+        return covering_blocks(B, self.big, self.side_blocks("big"))
+
     def inertial_rep_indices(self, B: Block) -> list[int]:
         """Positions in the big transversal of the coset reps lying in I(B).
 
@@ -362,8 +367,7 @@ def check_theorem1(M: Rep, lab: PairLab) -> TheoremVerdict:
 def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
                            lab: PairLab) -> TheoremVerdict:
     """check_theorem2 on a Krull-Schmidt class multiset inside block B."""
-    cover = covering_blocks(B, lab.big, lab.side_blocks("big"))
-    if Btilde.index not in [b.index for b in cover]:
+    if Btilde.index not in [b.index for b in lab._covering(B)]:
         raise ValueError("the big block does not cover the small block")
     for cid in classes:
         if lab.class_block("small", cid) != B.index:

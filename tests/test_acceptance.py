@@ -23,7 +23,7 @@ from sttlab.blockdec import (
 )
 from sttlab.cli import main as cli_main
 from sttlab.exactfield import Matrix
-from sttlab.grouprep import hom_dim
+from sttlab.grouprep import hom_space
 from sttlab.meataxe import is_isomorphic, simples_of
 from sttlab.taucalc import tau_routes
 from sttlab.theoremlab import (
@@ -176,7 +176,7 @@ def test_criterion_5_homological_cross_checks(a4s4, a4, s4, f4, a4_tables,
         M = a4s4.class_rep("small", cid)
         counts = a4_tables.chop(M)
         for label, P in zip(pt.simples.labels, pt.pims):
-            ok = ok and hom_dim(P, M) == counts.get(label, 0)
+            ok = ok and hom_space(P, M).dim == counts.get(label, 0)
     # Cartan size bookkeeping: sum dim S_i * dim P_i = |G|
     s_a4 = sum(S.dim * P.dim for S, P in zip(pt.simples.simples, pt.pims))
     pt_s4 = s4_tables.pimtable

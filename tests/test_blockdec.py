@@ -207,8 +207,10 @@ def test_conjugation_permutes_blocks(c3, s3, f4, c3_blocks):
 
 
 # Primitive central idempotents and simple labels of blocks(), as recorded
-# before the block split moved onto meataxe.frobenius_fixed_element.  Each
-# idempotent is written as its coefficient codes over the element list.
+# when blocks were split off the radical of the centre; primitive central
+# idempotents are unique, so reading them off the Frobenius-fixed space of
+# the centre must give the same codes.  Each idempotent is written as its
+# coefficient codes over the element list.
 # C3 and C7 over GF(2) and A5 over GF(2) do not split: their centres have
 # blocks whose eZ/eJ is a proper extension field of k.  The centres of A4
 # and S4 over GF(3) have a nonzero radical.
@@ -232,16 +234,100 @@ PINNED_GROUPS = {
     "A5": (5, ["(0 1 2 3 4)", "(0 1 2)"]),
     "A4": (4, ["(0 1 2)", "(0 1)(2 3)"]),
     "S4": (4, ["(0 1)", "(0 1 2 3)"]),
+    "S5": (5, ["(0 1)", "(0 1 2 3 4)"]),
+    "D10": (5, ["(0 1 2 3 4)", "(1 4)(2 3)"]),
+    "S4xC2": (6, ["(0 1)", "(0 1 2 3)", "(4 5)"]),
+    "C3xA4": (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)"]),
+    "S3xA4": (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)", "(4 5)"]),
+    "PSL(2,7)": (8, ["(0 1 2 3 4 5 6)", "(0 7)(1 6)(2 3)(4 5)"]),
 }
+
+
+def _pinned_group(name):
+    from sttlab.permgroup import group_close, parse_cycles
+
+    degree, gens = PINNED_GROUPS[name]
+    return group_close(degree, [parse_cycles(c, degree) for c in gens])
 
 
 @pytest.mark.parametrize("name,p", sorted(PINNED_BLOCKS))
 def test_blocks_match_pinned_idempotents(name, p):
     from sttlab.exactfield import field_make
-    from sttlab.permgroup import group_close, parse_cycles
 
-    degree, gens = PINNED_GROUPS[name]
-    group = group_close(degree, [parse_cycles(c, degree) for c in gens])
     got = [("".join(str(int(c)) for c in b.coeffs), b.simple_labels)
-           for b in blocks(group, field_make(p, 1))]
+           for b in blocks(_pinned_group(name), field_make(p, 1))]
     assert got == PINNED_BLOCKS[(name, p)]
+
+
+# sha256 over every block of (coefficient bytes, simple_labels, index), as
+# recorded before the idempotents were read off the Frobenius-fixed space of
+# the centre.  The pairs have 2 to 7 blocks.  Only the centre of PSL(2,7)
+# over GF(3) does not split: dim Z/J(Z) is 4 for its 3 blocks.  The centres
+# of C3xA4, S3xA4, S4xC2, PSL(2,7) and S5 have a nonzero radical.
+PINNED_BLOCK_DIGESTS = {
+    ("C3xA4", (2, 2)):
+        "b892e1e30754220cc5a3abaa5208f7513d682b583489eefd994deeff80adb46a",
+    ("S3xA4", (2, 2)):
+        "1c75ebbd4892951de2cf27e1805f1580edefd48c10b573d33da90dd9f5be460f",
+    ("S4xC2", (3, 1)):
+        "7453eadf230f429293d6577ba6c5b83cc9a14a9c98b2887dfe872e103e94709b",
+    ("PSL(2,7)", (3, 1)):
+        "a89a2e2581f8d08396225960b3bc7bd1a15e5fa359984e3db6988e7e53e57c95",
+    ("C7", (2, 3)):
+        "5ace18bcb9ed2c166a0d78ec678466629b495d6b1d1e5fb02095f2b00ec2ca90",
+    ("S5", (3, 1)):
+        "4ea60adf40911893fd71c33a1d4db6bf4a2497c13606f00baa5ed96bcc6df07c",
+    ("D10", (3, 2)):
+        "97d6656fcf0d76882d95d5aca3a78d8b1b147ae6aa640bf8e5474e0d4c7b068f",
+}
+
+
+def _field_id(value):
+    return f"GF({value[0] ** value[1]})" if isinstance(value, tuple) else None
+
+
+def _blocks_digest(block_list):
+    import hashlib
+
+    h = hashlib.sha256()
+    for b in block_list:
+        h.update(b.coeffs.tobytes())
+        h.update(repr((b.simple_labels, b.index)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,pm", sorted(PINNED_BLOCK_DIGESTS), ids=_field_id)
+def test_blocks_match_pinned_digests(name, pm):
+    from sttlab.exactfield import field_make
+
+    got = _blocks_digest(blocks(_pinned_group(name), field_make(*pm)))
+    assert got == PINNED_BLOCK_DIGESTS[(name, pm)]
+
+
+@pytest.mark.parametrize("name,pm", [
+    ("A4", (3, 1)), ("S4", (3, 1)), ("C3xA4", (2, 2)), ("S4xC2", (3, 1)),
+    ("PSL(2,7)", (2, 1)), ("A5", (2, 2)), ("S5", (3, 1)),
+], ids=_field_id)
+def test_blocks_are_the_cartan_components(name, pm):
+    """An oracle that never sees the centre: S and T lie in one block
+    exactly when they are joined by a chain of simples each occurring in
+    the PIM of the one before, [P(S) : T] > 0."""
+    from sttlab.exactfield import field_make
+
+    tables = Tables(_pinned_group(name), field_make(*pm))
+    pt = tables.pimtable
+    parent = {lab: lab for lab in pt.simples.labels}
+
+    def root(lab):
+        while parent[lab] != lab:
+            lab = parent[lab]
+        return lab
+
+    for lab, P in zip(pt.simples.labels, pt.pims):
+        for other in tables.multiplicities(P):
+            parent[root(other)] = root(lab)
+    components = {}
+    for lab in pt.simples.labels:
+        components.setdefault(root(lab), set()).add(lab)
+    assert sorted(map(sorted, components.values())) == \
+        sorted(sorted(b.simple_labels) for b in tables.blocks)

@@ -390,30 +390,13 @@ def _unit(f, n, *cells):
     return out
 
 
-def test_frobenius_fixed_element_with_unit_other_than_identity(f4):
-    from sttlab.meataxe import frobenius_fixed_element
-
-    # A = k E00 + k E11 + k E01 in M_3(k): its unit is diag(1, 1, 0),
-    # J = k E01 and A/J = k x k
-    basis = [_unit(f4, 3, (0, 0)), _unit(f4, 3, (1, 1)), _unit(f4, 3, (0, 1))]
-    one = _unit(f4, 3, (0, 0), (1, 1))
-    z = frobenius_fixed_element(f4, basis, [basis[2]], one)
-    assert RowSpace(f4, 9, [b.reshape(-1) for b in basis]).contains(z.reshape(-1))
-    zq = z
-    for _ in range(f4.m * (f4.p - 1)):  # z^q with q = 4
-        zq = (Matrix(f4, zq) @ Matrix(f4, z)).a
-    assert RowSpace(f4, 9, [basis[2].reshape(-1)]).contains(f4.arr_sub(zq, z).reshape(-1))
-    assert not RowSpace(f4, 9, [one.reshape(-1), basis[2].reshape(-1)]).contains(z.reshape(-1))
-
-
 def test_frobenius_fixed_element_declines_a_field():
     from sttlab.meataxe import frobenius_fixed_element
 
     # GF(4) = GF(2)[c] inside M_2(GF(2)), with c the companion matrix of t^2 + t + 1
     f2 = field_make(2, 1)
     c = _unit(f2, 2, (0, 1), (1, 0), (1, 1))
-    assert frobenius_fixed_element(f2, [np.eye(2, dtype=f2.dtype), c], [],
-                                   np.eye(2, dtype=f2.dtype)) is None
+    assert frobenius_fixed_element(f2, [np.eye(2, dtype=f2.dtype), c], []) is None
 
 
 def test_frobenius_fixed_element_declines_a_matrix_algebra():
@@ -421,7 +404,7 @@ def test_frobenius_fixed_element_declines_a_matrix_algebra():
 
     f3 = field_make(3, 1)
     basis = [_unit(f3, 2, cell) for cell in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    assert frobenius_fixed_element(f3, basis, [], np.eye(2, dtype=f3.dtype)) is None
+    assert frobenius_fixed_element(f3, basis, []) is None
 
 
 def test_frobenius_fixed_element_rejects_a_basis_inside_its_radical(f4):
@@ -429,7 +412,7 @@ def test_frobenius_fixed_element_rejects_a_basis_inside_its_radical(f4):
 
     nilpotent = _unit(f4, 2, (0, 1))
     with pytest.raises(AssertionError, match="inside its radical"):
-        frobenius_fixed_element(f4, [nilpotent], [nilpotent], np.eye(2, dtype=f4.dtype))
+        frobenius_fixed_element(f4, [nilpotent], [nilpotent])
 
 
 # ---------------------------------------------------------------------------

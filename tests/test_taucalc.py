@@ -11,7 +11,7 @@ from sttlab.grouprep import (
     HomBasis,
     InconclusiveError,
     direct_sum,
-    hom_dim,
+    hom_space,
     iso_class,
     induce,
     iso_indecomposable,
@@ -124,7 +124,7 @@ def test_cover_reads_tops_without_building_radical_or_top(a4_tables, a4, f4, cas
     covers = [a4_tables.cover(M) for M in modules]
     monkeypatch.undo()
     for M, cover in zip(modules, covers):
-        assert cover.top_dims == [hom_dim(M, S) for S in simples]
+        assert cover.top_dims == [hom_space(M, S).dim for S in simples]
         assert cover.omega.dim == cover.cover.dim - M.dim
     rt = radical_top(cast.kS, a4_tables.simples)
     assert "top" not in vars(rt) and rt.top.dim == 1 and rt.top is rt.top
@@ -268,14 +268,14 @@ def test_hom_pim_counts_composition_multiplicity(a4_tables, cast, a4, f4):
     for M in (cast.k, cast.kS, cast.ST, cast.M, regular_rep(a4, f4)):
         counts = chop(M, a4_tables.simples)
         for label, P in zip(pt.simples.labels, pt.pims):
-            assert hom_dim(P, M) == counts.get(label, 0)
+            assert hom_space(P, M).dim == counts.get(label, 0)
 
 
 def test_cosupport_matches_hom_vanishing(a4_tables, cast):
     cert = is_stt(cast.N1, a4_tables)
     pt = a4_tables.pimtable
     for label, P in zip(pt.simples.labels, pt.pims):
-        vanishes = hom_dim(P, cast.N1) == 0
+        vanishes = hom_space(P, cast.N1).dim == 0
         assert (label in cert.cosupport) == vanishes
 
 

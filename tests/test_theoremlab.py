@@ -462,6 +462,18 @@ def test_theorem2_rejects_foreign_module(c3s3, c3, f4):
         check_theorem2(k, B, Bt, c3s3)
 
 
+def test_theorem2_rejects_a_big_block_that_does_not_cover(c3s3):
+    table = c3s3.tables["small"].simples
+    B = next(b for b in c3s3.side_blocks("small")
+             if table.trivial_label() not in b.simple_labels)
+    big_table = c3s3.tables["big"].simples
+    Bt = next(b for b in c3s3.side_blocks("big")
+              if big_table.trivial_label() in b.simple_labels)
+    for _ in range(2):  # the second check reads the memoized covering blocks
+        with pytest.raises(ValueError, match="does not cover"):
+            check_theorem2_classes(Counter(), B, Bt, c3s3)
+
+
 def test_remark_flags(cast, a4s4):
     fl = remark_classify(cast.ST, a4s4)
     assert fl.in_rig_group and not fl.in_sta_group
