@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exactfield import Field, Matrix, RowSpace, _matmul, _nullspace
+from . import exactfield as ef
+from .exactfield import Field, Matrix, RowSpace
 from .grouprep import Rep, induce, rep_apply_algebra, sub_rep, zero_rep
 from .meataxe import SimpleTable, fitting_kernels, simples_of
 from .permgroup import Group, Perm, Transversal, class_sums, group_close, transversal
@@ -101,34 +102,34 @@ class _Center:
     def __init__(self, group: Group, field: Field):
         self.field = field
         classes = class_sums(group)
-        s = len(classes)
-        self.s = s
-        basis = np.zeros((s, group.order), dtype=field.dtype)
-        for i, cls in enumerate(classes):
-            basis[i, cls] = 1
-        self.basis = basis  # rows: class indicator vectors
-        # class functions are constant on classes: read each product off at
-        # the first element of every class
-        firsts = [cls[0] for cls in classes]
-        self.R = np.zeros((s, s, s), dtype=field.dtype)
-        for i in range(s):
-            for j in range(s):
-                self.R[i, :, j] = ga_mul(group, field, basis[i], basis[j])[firsts]
+        self.s = s = len(classes)
+        lookup = {group.elements[x].images: i for i, cls in enumerate(classes) for x in cls}
+        class_of = np.array([lookup[g.images] for g in group.elements])
+        self.basis = (class_of == np.arange(s)[:, None]).astype(field.dtype)  # class indicators
+        # R[i][k, j] = #{x in C_i : x^-1 z_k in C_j} mod p, z_k the first
+        # element of C_k: x^-1 z_k for all x and k at once on point images,
+        # x^-1 being the argsort of x's images.  A count below p is its code.
+        images = np.array([g.images for g in group.elements], dtype=np.intp)
+        moved = np.argsort(images, axis=1)[:, images[[cls[0] for cls in classes]]]
+        j = [lookup[t] for t in map(tuple, moved.reshape(-1, group.degree).tolist())]
+        ijk = (class_of[:, None] * s + np.arange(s)) * s + np.reshape(j, (-1, s))
+        counts = np.bincount(ijk.ravel(), minlength=s ** 3).reshape(s, s, s)
+        self.R = (counts % field.p).astype(field.dtype)
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The product u v: the coefficients u_i v_j against the R[i][:, j]."""
         f, s = self.field, self.s
         uv = f.MUL[u[:, None], v[None, :]].reshape(1, s * s)
-        return _matmul(f, uv, self.R.transpose(0, 2, 1).reshape(s * s, s))[0]
+        return ef._matmul(f, uv, self.R.transpose(0, 2, 1).reshape(s * s, s))[0]
 
     def operators(self, V: np.ndarray) -> np.ndarray:
         """The multiplication matrices of the rows of V, stacked."""
         s = self.s
-        return _matmul(self.field, V, self.R.reshape(s, s * s)).reshape(-1, s, s)
+        return ef._matmul(self.field, V, self.R.reshape(s, s * s)).reshape(-1, s, s)
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Class coordinates to a kG coefficient vector."""
-        return _matmul(self.field, v[None, :], self.basis)[0]
+        return ef._matmul(self.field, v[None, :], self.basis)[0]
 
 
 def _primitive_idempotents(center: _Center) -> list[np.ndarray]:
@@ -153,7 +154,7 @@ def _primitive_idempotents(center: _Center) -> list[np.ndarray]:
             if bit == "1":
                 w = center.mul(w, eye[j])
         F[j] = w
-    fixed = RowSpace(f, s, _nullspace(f, f.arr_sub(F, eye).T).T)
+    fixed = RowSpace(f, s, ef._nullspace(f, f.arr_sub(F, eye).T).T)
     rng = random.Random(0)
     pieces = [fixed]
     for u in center.operators(fixed.rows):
@@ -162,9 +163,9 @@ def _primitive_idempotents(center: _Center) -> list[np.ndarray]:
             # multiplication by u on the ideal P of E, in the coordinates
             # of the rows of P; a line is not cut further
             kernels = P.dim > 1 and fitting_kernels(
-                Matrix(f, _matmul(f, P.rows, u.T)[:, P.pivots].T.copy()), rng)
+                Matrix(f, ef._matmul(f, P.rows, u.T)[:, P.pivots].T.copy()), rng)
             if kernels:
-                cut.extend(RowSpace(f, s, _matmul(f, null.T, P.rows)) for null in kernels)
+                cut.extend(RowSpace(f, s, ef._matmul(f, null.T, P.rows)) for null in kernels)
             else:
                 cut.append(P)
         pieces = cut

@@ -36,8 +36,8 @@ import weakref
 
 import numpy as np
 
-from .exactfield import Field, Matrix, RowSpace, _kernel_from_rref, _matmul, _nullspace, \
-    _rref, rank
+from . import exactfield as ef
+from .exactfield import Field, Matrix, RowSpace, rank
 from .permgroup import Group, Perm, Transversal
 
 __all__ = [
@@ -121,7 +121,7 @@ class Rep:
         E = np.zeros((G.order, d, d), dtype=f.dtype)
         E[0] = np.eye(d, dtype=f.dtype)
         for i in range(1, G.order):
-            E[i] = _matmul(f, self.gen_mats[G.words[i][0]].a, E[G.parents[i]])
+            E[i] = ef._matmul(f, self.gen_mats[G.words[i][0]].a, E[G.parents[i]])
         return E
 
     def act_idx(self, idx: int) -> Matrix:
@@ -159,7 +159,7 @@ def _check_homomorphism(M: Rep) -> None:
     H = np.ascontiguousarray(E.transpose(1, 0, 2)).reshape(d, n * d)
     for i in sorted({G.index[a] for a in G.generators}):
         expect = np.ascontiguousarray(E[table[i]].transpose(1, 0, 2)).reshape(d, n * d)
-        if not np.array_equal(_matmul(f, E[i], H), expect):
+        if not np.array_equal(ef._matmul(f, E[i], H), expect):
             raise ValueError(
                 f"generator matrices violate the group relations (element {i})"
             )
@@ -206,7 +206,7 @@ def rep_apply_algebra(M: Rep, coeffs) -> Matrix:
     if coeffs.shape != (M.group.order,):
         raise ValueError("coefficient vector length must equal the group order")
     E = M.element_mats.reshape(M.group.order, M.dim * M.dim)
-    return Matrix(f, _matmul(f, coeffs[None, :], E).reshape(M.dim, M.dim))
+    return Matrix(f, ef._matmul(f, coeffs[None, :], E).reshape(M.dim, M.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def _spin_tree(f: Field, mats, seed_rows: np.ndarray, space: RowSpace,
         rows = np.array([tree[k][0] for k in frontier])
         new_frontier = []
         for gi, At in enumerate(mats_t):
-            for k, img in zip(frontier, _matmul(f, rows, At)):
+            for k, img in zip(frontier, ef._matmul(f, rows, At)):
                 if space.add(img):
                     new_frontier.append(len(tree))
                     tree.append((img, gi, k))
@@ -258,7 +258,7 @@ def sub_rep(M: Rep, rows) -> Rep:
     W, piv = space.matrix(), space.pivots
     mats = []
     for A in M.gen_mats:
-        img = _matmul(f, W, A.a.T)  # rows are images of the basis rows
+        img = ef._matmul(f, W, A.a.T)  # rows are images of the basis rows
         if not space.contains(img):
             raise ValueError("row space is not invariant under the action")
         C = img[:, piv]  # coefficients in the RREF basis
@@ -286,7 +286,7 @@ def quotient_rep(M: Rep, rows) -> Rep:
     """Action induced on the quotient by an invariant row space."""
     f = M.field
     P, comp = _projection(M, rows)
-    mats = [Matrix(f, _matmul(f, P, A.a[:, comp])) for A in M.gen_mats]
+    mats = [Matrix(f, ef._matmul(f, P, A.a[:, comp])) for A in M.gen_mats]
     return Rep(M.group, f, mats, dim=len(comp))
 
 
@@ -298,7 +298,7 @@ def quotient_projection(M: Rep, rows) -> Matrix:
 def is_invariant_subspace(M: Rep, rows) -> bool:
     space = _row_space(M, rows)
     W = space.matrix()
-    return all(space.contains(_matmul(M.field, W, A.a.T)) for A in M.gen_mats)
+    return all(space.contains(ef._matmul(M.field, W, A.a.T)) for A in M.gen_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def _hom_kron(M: Rep, N: Rep) -> list[Matrix]:
         system = np.concatenate(rows, axis=0)
     else:
         system = np.zeros((0, dn * dm), dtype=f.dtype)
-    null = _nullspace(f, system)
+    null = ef._nullspace(f, system)
     return [Matrix(f, null[:, j].reshape(dn, dm).copy()) for j in range(null.shape[1])]
 
 
@@ -384,8 +384,8 @@ def _spin_source(M: Rep) -> tuple:
              if (gi, k) not in tree_edges]
     gs = [gi for gi, _ in edges]
     ks = [k for _, k in edges]
-    imgs = _matmul(f, B, Am.transpose(2, 0, 1).reshape(dm, -1)).reshape(dm, gens, dm)
-    coords = _matmul(f, imgs[ks, gs], Q)  # g b_k = sum_l coords[e, l] b_l
+    imgs = ef._matmul(f, B, Am.transpose(2, 0, 1).reshape(dm, -1)).reshape(dm, gens, dm)
+    coords = ef._matmul(f, imgs[ks, gs], Q)  # g b_k = sum_l coords[e, l] b_l
     M._spin_source = (s, seed_of, levels, gs, ks, np.concatenate([coords, Q]))
     return M._spin_source
 
@@ -411,7 +411,7 @@ def _spin_hom(M: Rep, N: Rep) -> HomBasis:
     W = np.empty((dm, dn, dn), dtype=f.dtype)
     W[:] = np.eye(dn, dtype=f.dtype)
     for gi, nodes, parents in levels:
-        acted = _matmul(f, An[gi], W[parents].transpose(1, 0, 2).reshape(dn, -1))
+        acted = ef._matmul(f, An[gi], W[parents].transpose(1, 0, 2).reshape(dn, -1))
         W[nodes] = acted.reshape(dn, len(nodes), dn).transpose(1, 0, 2)
     L = np.zeros((dm, dn, s, dn), dtype=f.dtype)
     L[np.arange(dm), :, seed_of, :] = W
@@ -420,19 +420,19 @@ def _spin_hom(M: Rep, N: Rep) -> HomBasis:
     # Psi with Psi_c y = X e_c, since X b_k = L_k y; a product per part, with
     # Psi's left to the basis read, raised the peak RSS of the PIMs of S6
     # over GF(2) from 248 to 271 MB
-    both = _matmul(f, coords_q, L.reshape(dm, -1))
+    both = ef._matmul(f, coords_q, L.reshape(dm, -1))
     moved, psi = both[:len(gs)], both[len(gs):]
-    acted = _matmul(f, An.reshape(-1, dn), L.transpose(1, 0, 2).reshape(dn, -1))
+    acted = ef._matmul(f, An.reshape(-1, dn), L.transpose(1, 0, 2).reshape(dn, -1))
     acted = acted.reshape(gens, dn, dm, s * dn)[gs, :, ks]
     system = f.arr_sub(moved.reshape(-1, dn, s * dn), acted).reshape(-1, s * dn)
-    R, pivots = _rref(f, system[system.any(axis=1)])
+    R, pivots = ef._rref(f, system[system.any(axis=1)])
     r = s * dn - len(pivots)
 
     def build() -> list[Matrix]:
         if r == 0:
             return []
-        U = _kernel_from_rref(f, R, pivots)
-        X = _matmul(f, psi.reshape(dm * dn, s * dn), U)  # rows (c, a), columns j
+        U = ef._kernel_from_rref(f, R, pivots)
+        X = ef._matmul(f, psi.reshape(dm * dn, s * dn), U)  # rows (c, a), columns j
         X = np.ascontiguousarray(X.reshape(dm, dn, r).transpose(2, 1, 0)).reshape(r, -1)
         # the _kernel_from_rref basis is the RREF under reversed column order
         X = RowSpace(f, dn * dm, X[:, ::-1]).matrix()[::-1, ::-1]

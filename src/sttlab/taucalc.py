@@ -23,8 +23,8 @@ import weakref
 
 import numpy as np
 
-from . import blockdec
-from .exactfield import Field, Matrix, RowSpace, _nullspace
+from . import blockdec, exactfield as ef
+from .exactfield import Field, Matrix, RowSpace
 from .grouprep import (
     Rep,
     direct_sum,
@@ -245,7 +245,7 @@ def _cover_data(M: Rep, tables: Tables) -> CoverData:
         raise AssertionError("nonzero module with empty top")
     # minimality and surjectivity certificates; the rank is read off the
     # kernel, from the one echelon form
-    null = _nullspace(f, surj.a)
+    null = ef._nullspace(f, surj.a)
     if surj.cols - null.shape[1] != M.dim:
         raise AssertionError("projective cover map is not surjective")
     top_dims = [H.dim for H in rt.homs]

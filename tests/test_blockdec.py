@@ -240,6 +240,7 @@ PINNED_GROUPS = {
     "C3xA4": (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)"]),
     "S3xA4": (7, ["(0 1 2)", "(0 1)(2 3)", "(4 5 6)", "(4 5)"]),
     "PSL(2,7)": (8, ["(0 1 2 3 4 5 6)", "(0 7)(1 6)(2 3)(4 5)"]),
+    "PGL(2,7)": (8, ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 7)(1 6)(2 3)(4 5)"]),
 }
 
 
@@ -302,6 +303,27 @@ def test_blocks_match_pinned_digests(name, pm):
 
     got = _blocks_digest(blocks(_pinned_group(name), field_make(*pm)))
     assert got == PINNED_BLOCK_DIGESTS[(name, pm)]
+
+
+@pytest.mark.parametrize("name,pm", [
+    ("S4", (3, 1)), ("A5", (2, 2)), ("PGL(2,7)", (2, 2)), ("S5", (3, 1)),
+], ids=_field_id)
+def test_center_structure_constants_are_the_class_sum_products(name, pm):
+    """The counted R[i][:, j] is c_i c_j, the kG product of two class sums,
+    read at the first element of every class and expanded back to kG."""
+    from sttlab.blockdec import _Center
+    from sttlab.exactfield import field_make
+    from sttlab.permgroup import class_sums
+
+    G, f = _pinned_group(name), field_make(*pm)
+    center = _Center(G, f)
+    firsts = [cls[0] for cls in class_sums(G)]
+    assert center.R.dtype == f.dtype
+    for i, ci in enumerate(center.basis):
+        for j, cj in enumerate(center.basis):
+            prod = ga_mul(G, f, ci, cj)
+            assert np.array_equal(center.R[i, :, j], prod[firsts])
+            assert np.array_equal(center.expand(center.R[i, :, j]), prod)
 
 
 @pytest.mark.parametrize("name,pm", [

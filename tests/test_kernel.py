@@ -809,3 +809,24 @@ def test_eval_matrix_matches_reference(case, codes):
     out = poly.eval_matrix(Matrix(f, A)).a
     assert out.dtype == f.dtype
     assert np.array_equal(out, ref_eval_matrix(f, poly, A))
+
+
+# ---------------------------------------------------------------------------
+# the kernel seam
+
+def test_kernels_are_bound_only_in_exactfield():
+    """Every other module calls the kernels as attributes of exactfield, so
+    rebinding exactfield's names swaps the kernel for the whole library
+    (test_pipeline_oracle.py).  meataxe keeps one unused _rref binding,
+    which the benchmark tracer's tests read."""
+    import sys
+
+    import sttlab.cli  # noqa: F401  (imports every module)
+
+    kernels = [getattr(exactfield, name)
+               for name in ("_matmul", "_rref", "_nullspace", "_kernel_from_rref")]
+    held = sorted((modname, attr) for modname, mod in list(sys.modules.items())
+                  if modname.split(".")[0] == "sttlab" and modname != "sttlab.exactfield"
+                  for attr, value in vars(mod).items()
+                  if any(value is kernel for kernel in kernels))
+    assert held == [("sttlab.meataxe", "_rref")]
