@@ -33,7 +33,7 @@ from .meataxe import (
 )
 from .taucalc import PimTable, SttCertificate, Tables, ext1, ext_module, is_stt, \
     pims, projective_cover, syzygy, tau
-from .blockdec import Block, block_cut_induce, block_of_module, blocks, \
+from .blockdec import Block, block_cut_induce, block_of_factors, blocks, \
     covering_blocks, fong_reynolds_block, inertial_group
 from .theoremlab import (
     PairLab,

@@ -8,7 +8,9 @@ that space cut it into lines, one per block, and each line is scaled to
 its idempotent.  blocks() certifies the result exactly: the idempotents
 are orthogonal, sum to 1, and act as 1 or 0 on every simple module.  No
 radical and no character theory; the factoring behind the Fitting kernels
-is seeded, and the idempotents, being unique, do not depend on it.
+is seeded, and the idempotents, being unique, do not depend on it.  Any
+other module's block is read off the labels of its composition factors
+(block_of_factors), with no idempotent applied again.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .permgroup import Group, Perm, Transversal, class_sums, group_close, transv
 __all__ = [
     "Block",
     "blocks",
-    "block_of_module",
-    "module_in_block",
+    "block_of_factors",
     "covering_blocks",
     "inertial_group",
     "fong_reynolds_block",
@@ -199,8 +200,7 @@ def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
     members: list[list[str]] = [[] for _ in expanded]
     for S, label in zip(simples.simples, simples.labels):
         owners = []
-        for bi, v in enumerate(expanded):
-            m = rep_apply_algebra(S, v)
+        for bi, m in enumerate(rep_apply_algebra(S, expanded)):
             if m == Matrix.identity(field, S.dim):
                 owners.append(bi)
             elif not m.is_zero():
@@ -209,9 +209,8 @@ def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
         if len(owners) != 1:
             raise AssertionError("simple module does not belong to a unique block")
         members[owners[0]].append(label)
-    for bi, labs in enumerate(members):
-        if not labs:
-            raise AssertionError("block without simple modules")
+    if not all(members):
+        raise AssertionError("block without simple modules")
     order = sorted(range(len(expanded)),
                    key=lambda bi: simples.labels.index(members[bi][0]))
     out = []
@@ -221,29 +220,16 @@ def blocks(group: Group, field: Field, simples: Optional[SimpleTable] = None,
     return out
 
 
-def module_in_block(M: Rep, block: Block) -> bool:
-    """1_B acts as the identity on M."""
-    if M.dim == 0:
-        return True
-    action = rep_apply_algebra(M, block.coeffs)
-    return action == Matrix.identity(M.field, M.dim)
-
-
-def block_of_module(M: Rep, block_list: list[Block]) -> Block:
-    """The unique block acting as the identity on M."""
-    if M.dim == 0:
-        raise ValueError("the zero module lies in every block")
-    owner = None
-    for b in block_list:
-        action = rep_apply_algebra(M, b.coeffs)
-        if action == Matrix.identity(M.field, M.dim):
-            if owner is not None:
-                raise AssertionError("two blocks act as identity")
-            owner = b
-        elif not action.is_zero():
-            raise ValueError("module is spread over several blocks")
-    if owner is None:
-        raise ValueError("no block acts as the identity on the module")
+def block_of_factors(labels, block_list: list[Block]) -> Block:
+    """The block in block_list of a module whose composition factors carry
+    these simple labels.  M is the sum of the e_B M, and e_B acts as 1 on
+    the simples of B and as 0 on the others, so M lies in B exactly when
+    every factor does (Alperin, "Local Representation Theory", CUP 1986).
+    ValueError when no block holds every label, or there are none."""
+    labels = set(labels)
+    owner = next((b for b in block_list if labels <= set(b.simple_labels)), None)
+    if owner is None or not labels:
+        raise ValueError("module is zero or does not lie in one of the given blocks")
     return owner
 
 
@@ -308,7 +294,7 @@ def block_cut_induce(M: Rep, Btilde: Block,
     if T is None:
         T = transversal(big, M.group)
     ind = induce(M, big, T)
-    pi = rep_apply_algebra(ind, Btilde.coeffs)
+    pi, = rep_apply_algebra(ind, [Btilde.coeffs])
     rows = Matrix(M.field, RowSpace(M.field, ind.dim, pi.a.T).matrix())
     if rows.rows == 0:
         return zero_rep(big, M.field)

@@ -1,9 +1,9 @@
 """Modules over group algebras as matrix representations.
 
-A Rep assigns one matrix per group generator; the matrix of every element
-is derived along its recorded generator word, on first use.  Column-vector
-convention: g sends v to act(g) @ v.  Subspaces are handled as row bases in
-reduced echelon form.
+A Rep keeps one matrix per group generator and no element table: act(g)
+multiplies them along g's recorded word.  Column-vector convention: g
+sends v to act(g) @ v.  Subspaces are handled as row bases in reduced
+echelon form.
 
 The homomorphism law is certified once, in rep_make, where matrices enter
 from outside (cli.parse_rep_file goes through it).  Rep(...) itself checks
@@ -84,8 +84,7 @@ class Rep:
     (rep_make certifies them) and does not mutate them afterwards.
     """
 
-    __slots__ = ("group", "field", "dim", "gen_mats", "block_dims", "_element_mats",
-                 "_spin_source")
+    __slots__ = ("group", "field", "dim", "gen_mats", "block_dims", "_spin_source")
 
     def __init__(self, group: Group, field: Field, gen_mats: list[Matrix],
                  dim: Optional[int] = None, block_dims=None):
@@ -105,51 +104,47 @@ class Rep:
         self.dim = dim
         self.gen_mats = list(gen_mats)
         self.block_dims = tuple(block_dims) if block_dims else None
-        self._element_mats = None
         self._spin_source = None
 
-    @property
-    def element_mats(self) -> np.ndarray:
-        """All |G| element matrices, indexed like group.elements; built on
-        first read."""
-        if self._element_mats is None:
-            self._element_mats = self._build_element_mats()
-        return self._element_mats
-
-    def _build_element_mats(self) -> np.ndarray:
-        G, f, d = self.group, self.field, self.dim
-        E = np.zeros((G.order, d, d), dtype=f.dtype)
-        E[0] = np.eye(d, dtype=f.dtype)
-        for i in range(1, G.order):
-            E[i] = ef._matmul(f, self.gen_mats[G.words[i][0]].a, E[G.parents[i]])
-        return E
-
-    def act_idx(self, idx: int) -> Matrix:
-        return Matrix(self.field, self.element_mats[idx].copy())
-
     def act(self, g) -> Matrix:
-        if isinstance(g, Perm):
-            g = self.group.idx(g)
-        return self.act_idx(int(g))
+        """The matrix of g (a Perm or an element index): the generator
+        matrices multiplied along its word, last letter first."""
+        G, f = self.group, self.field
+        A = np.eye(self.dim, dtype=f.dtype)
+        for gi in reversed(G.words[G.idx(g) if isinstance(g, Perm) else int(g)]):
+            A = ef._matmul(f, self.gen_mats[gi].a, A)
+        return Matrix(f, A)
 
     def __repr__(self):
         return (f"Rep(group order {self.group.order}, dim {self.dim}, "
                 f"field {self.field})")
 
 
+def _element_table(M: Rep) -> np.ndarray:
+    """All |G| element matrices of M, indexed like group.elements, each
+    read off its parent's as act does.  Built afresh on every call and kept
+    by no Rep, for the two readers of every element: the certificate of
+    rep_make and rep_apply_algebra."""
+    G, f, d = M.group, M.field, M.dim
+    E = np.zeros((G.order, d, d), dtype=f.dtype)
+    E[0] = np.eye(d, dtype=f.dtype)
+    for i in range(1, G.order):
+        E[i] = ef._matmul(f, M.gen_mats[G.words[i][0]].a, E[G.parents[i]])
+    return E
+
+
 def _check_homomorphism(M: Rep) -> None:
     """Certify rho(g) rho(h) == rho(gh) for all g, h; ValueError if not.
 
-    element_mats reads each element off one word, so first each generator's
-    matrix must equal the one its word gives (which catches an identity,
-    repeated or redundant generator with a wrong matrix).  Then rho(g) rho(h)
-    == rho(gh) for every generator g and element h; with rho(1) = I this
-    gives the full law by induction on word length, and invertibility from
+    act reads each element off one word, so first each generator's matrix
+    must equal the one its word gives (which catches an identity, repeated
+    or redundant generator with a wrong matrix).  Then rho(g) rho(h) ==
+    rho(gh) for every generator g and element h; with rho(1) = I this gives
+    the full law by induction on word length, and invertibility from
     rho(g) rho(g^-1) = rho(1), so no rank is taken.
     """
-    G, f, d = M.group, M.field, M.dim
-    n = G.order
-    E = M.element_mats
+    G, f, d, n = M.group, M.field, M.dim, M.group.order
+    E = _element_table(M)
     for gi, a in enumerate(G.generators):
         if not np.array_equal(M.gen_mats[gi].a, E[G.index[a]]):
             raise ValueError(f"generator matrix {gi} violates the group relations")
@@ -199,14 +194,15 @@ def regular_rep(group: Group, field: Field) -> Rep:
     return Rep(group, field, mats, dim=n)
 
 
-def rep_apply_algebra(M: Rep, coeffs) -> Matrix:
-    """Action of the group algebra element sum(coeffs[i] * elements[i])."""
-    f = M.field
+def rep_apply_algebra(M: Rep, coeffs) -> list[Matrix]:
+    """Actions of the group algebra elements sum(c[i] * elements[i]), one per
+    row c of coeffs, from one element table of M."""
+    f, n, d = M.field, M.group.order, M.dim
     coeffs = np.asarray(coeffs, dtype=f.dtype)
-    if coeffs.shape != (M.group.order,):
-        raise ValueError("coefficient vector length must equal the group order")
-    E = M.element_mats.reshape(M.group.order, M.dim * M.dim)
-    return Matrix(f, ef._matmul(f, coeffs[None, :], E).reshape(M.dim, M.dim))
+    if coeffs.ndim != 2 or coeffs.shape[1] != n:
+        raise ValueError("coefficient rows must have the group order as length")
+    acted = ef._matmul(f, coeffs, _element_table(M).reshape(n, d * d))
+    return [Matrix(f, a.reshape(d, d)) for a in acted]
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +571,7 @@ def induce(M: Rep, big: Group, T: Transversal) -> Rep:
     f = M.field
     k, d = len(T.reps), M.dim
     D = k * d
-    mats = []
+    mats, acts = [], {}  # act once per distinct h
     for a in big.generators:
         arr = np.zeros((D, D), dtype=f.dtype)
         for i, t in enumerate(T.reps):
@@ -584,7 +580,9 @@ def induce(M: Rep, big: Group, T: Transversal) -> Rep:
             h = T.reps[j].inverse() * u
             if h not in M.group.index:
                 raise ValueError("transversal inconsistent with the subgroup")
-            arr[j * d:(j + 1) * d, i * d:(i + 1) * d] = M.act(h).a
+            if h not in acts:
+                acts[h] = M.act(h).a
+            arr[j * d:(j + 1) * d, i * d:(i + 1) * d] = acts[h]
         mats.append(Matrix(f, arr))
     return Rep(big, f, mats, dim=D)
 

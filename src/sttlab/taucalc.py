@@ -419,13 +419,8 @@ class SttCertificate:
 
 def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
     """Support tau-tilting certificate via the counting criterion
-    m + z = n over the scope (all simples, or one block's simples)."""
-    if block is not None:
-        scope = tuple(block.simple_labels)
-        if not blockdec.module_in_block(M, block):
-            raise ValueError("module does not lie in the given block")
-    else:
-        scope = tuple(tables.simples.labels)
+    m + z = n over the scope (all simples, or one block's simples);
+    ValueError when M does not lie in the block."""
     classes: list[Rep] = []  # the first leaf of each class
     mults: Counter = Counter()
     for _, leaf in summand_stream(M, seed):
@@ -433,6 +428,10 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
         if hit is None:
             classes.append(leaf)
         mults[len(classes) - 1 if hit is None else hit[0]] += 1
+    support = set().union(*(tables.multiplicities(rep) for rep in classes))
+    if block is not None and support:  # ValueError outside the block
+        blockdec.block_of_factors(support, [block])
+    scope = tuple(tables.simples.labels if block is None else block.simple_labels)
     class_taus = [tau(rep, tables) for rep in classes]
     rigid = not any(t_j.dim and hom_space(rep_i, t_j).dim
                     for rep_i in classes for t_j in class_taus)
@@ -441,9 +440,6 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
         if t_j.dim:
             tau_parts.extend([t_j] * mults[i])
     tau_M = direct_sum(tau_parts, group=M.group, field=M.field)
-    support = set()
-    for rep_j in classes:
-        support.update(tables.multiplicities(rep_j).keys())
     cosupport = tuple(lab for lab in scope if lab not in support)
     m = len(classes)
     stt = rigid and (m + len(cosupport) == len(scope))

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Optional
 
-from .blockdec import Block, block_of_module, covering_blocks, inertial_group, \
-    module_in_block
+from .blockdec import Block, block_of_factors, covering_blocks, inertial_group
 from .exactfield import Field
 from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
     restrict
@@ -264,7 +263,11 @@ class PairLab:
 
     @_memo
     def class_block(self, side: str, cid: int) -> int:
-        return block_of_module(self.class_rep(side, cid), self.side_blocks(side)).index
+        """The block of class cid, read off its composition factors."""
+        try:
+            return block_of_factors(self.chop_class(side, cid), self.side_blocks(side)).index
+        except ValueError as e:  # an indecomposable module lies in one block
+            raise AssertionError(f"class {cid} spans several blocks") from e
 
     @partial(_memo, key=lambda B: B.index)  # a Block is unhashable
     def inertial(self, B: Block) -> Group:
@@ -391,8 +394,6 @@ def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
 def check_theorem2(M: Rep, B: Block, Btilde: Block, lab: PairLab) -> TheoremVerdict:
     """Block version: the Btilde-cut of Ind M against rigidity plus the
     support tau-tilting orbit over the inertial transversal, in scope B."""
-    if M.dim and not module_in_block(M, B):
-        raise ValueError("module does not lie in the given block")
     return check_theorem2_classes(lab.classes_of(M, "small"), B, Btilde, lab)
 
 
@@ -402,10 +403,9 @@ def remark_classify(M: Rep, lab: PairLab) -> RemarkFlags:
     sets in the rigid sets is enforced as a hard error."""
     classes = lab.classes_of(M, "small")
     counts, orbit = _rhs_counts(classes, lab)
-    if M.dim == 0:
-        B = lab.side_blocks("small")[0]
-    else:
-        B = block_of_module(M, lab.side_blocks("small"))
+    blocks = lab.side_blocks("small")
+    support = set().union(*(lab.chop_class("small", cid) for cid in classes))
+    B = block_of_factors(support, blocks) if support else blocks[0]
     counts_b, orbit_b = _rhs_counts(classes, lab, B)
     flags = RemarkFlags(
         in_rig_group=counts.rigid and orbit.stt,

@@ -3,7 +3,7 @@ import pytest
 
 from sttlab.blockdec import (
     block_cut_induce,
-    block_of_module,
+    block_of_factors,
     blocks,
     covering_blocks,
     embed_subgroup_vector,
@@ -12,7 +12,6 @@ from sttlab.blockdec import (
     ga_identity,
     ga_mul,
     inertial_group,
-    module_in_block,
 )
 from sttlab.grouprep import direct_sum, regular_rep, trivial_rep
 from sttlab.meataxe import is_irreducible, is_isomorphic, simples_of
@@ -69,19 +68,26 @@ def test_each_block_has_simples(c3_blocks):
 
 
 def test_block_of_module(c3, f4, c3_blocks):
-    k = trivial_rep(c3, f4)
-    b = block_of_module(k, c3_blocks)
-    table = simples_of(c3, f4)
-    assert b.is_principal(table)
-    reg = regular_rep(c3, f4)
+    """A module's block, read off the labels of its composition factors."""
+    tables = Tables(c3, f4)
+    b = block_of_factors(tables.multiplicities(trivial_rep(c3, f4)), c3_blocks)
+    assert b.is_principal(tables.simples)
+    reg = tables.multiplicities(regular_rep(c3, f4))
     with pytest.raises(ValueError):
-        block_of_module(reg, c3_blocks)  # mixed across blocks
+        block_of_factors(reg, c3_blocks)  # mixed across blocks
+    with pytest.raises(ValueError):
+        block_of_factors([], c3_blocks)  # the zero module
 
 
 def test_module_in_block(c3, f4, c3_blocks):
-    k = trivial_rep(c3, f4)
-    principal = [b for b in c3_blocks
-                 if module_in_block(k, b)]
+    """The trivial module lies in exactly one block."""
+    k = Tables(c3, f4).multiplicities(trivial_rep(c3, f4))
+    principal = []
+    for b in c3_blocks:
+        try:
+            principal.append(block_of_factors(k, [b]))
+        except ValueError:
+            pass
     assert len(principal) == 1
 
 

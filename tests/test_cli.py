@@ -12,7 +12,7 @@ from sttlab.cli import (
     write_group_file,
     write_rep_file,
 )
-from sttlab.grouprep import induce, trivial_rep
+from sttlab.grouprep import induce, regular_rep, trivial_rep
 from sttlab.permgroup import transversal
 
 
@@ -200,12 +200,14 @@ def test_cmd_thm2(workdir, c3, s3, f4):
     rep_path = workdir / "chi.rep"
     rep_path.write_text("field 2 2\ngroup c3.grp\ndim 1\n0:1\n")
     # find the deterministic indices of chi's block and a covering block
-    from sttlab.blockdec import blocks, covering_blocks, module_in_block
+    from sttlab.blockdec import blocks, covering_blocks
     from sttlab.cli import parse_rep_file
+    from sttlab.taucalc import Tables
 
     chi, _, _ = parse_rep_file(str(rep_path))
     small_blocks = blocks(c3, f4)
-    B = next(b for b in small_blocks if module_in_block(chi, b))
+    labels = set(Tables(c3, f4).multiplicities(chi))
+    B = next(b for b in small_blocks if labels <= set(b.simple_labels))
     big_blocks = blocks(s3, f4)
     Bt = covering_blocks(B, s3, big_blocks=big_blocks)[0]
     status, out = run_cli(["thm2", "--module", str(rep_path),
@@ -213,6 +215,23 @@ def test_cmd_thm2(workdir, c3, s3, f4):
                            "--block", str(B.index), "--cover", str(Bt.index)])
     assert status == 0
     assert "agree = True" in out
+
+
+def test_module_spread_over_blocks_exits_2(workdir, c3, s3, f4, capsys):
+    """The regular module of C3 over GF(4) lies in no single block."""
+    from sttlab.blockdec import blocks, covering_blocks
+
+    (workdir / "s3.grp").write_text("degree 3\n(0 1)\n(0 1 2)\n")
+    rep_path = workdir / "reg_c3.rep"
+    write_rep_file(regular_rep(c3, f4), str(rep_path), "c3.grp")
+    cover = covering_blocks(blocks(c3, f4)[0], s3, blocks(s3, f4))[0].index
+    capsys.readouterr()
+    for args in (["check-stt", "--block", "0"],
+                 ["thm2", "--big", str(workdir / "s3.grp"), "--block", "0",
+                  "--cover", str(cover)]):
+        status, out = run_cli([*args, "--module", str(rep_path)])
+        assert status == 2 and out == ""
+        assert "does not lie in" in capsys.readouterr().err
 
 
 def test_cmd_induce_writes_file(workdir):

@@ -73,7 +73,7 @@ def test_rep_homomorphism_all_pairs(a4, f4):
     table = a4.mult_table()
     for i in (0, 1, 5, 11):
         for j in (0, 2, 7):
-            assert (reg.act_idx(i) @ reg.act_idx(j)) == reg.act_idx(int(table[i, j]))
+            assert (reg.act(i) @ reg.act(j)) == reg.act(int(table[i, j]))
 
 
 def test_act_identities(a4, f4):

@@ -153,8 +153,9 @@ def test_p_regular_class_count(name, p, count):
 
 @pytest.mark.parametrize("name", ["S4xC2", "A5", "PGL27"])
 def test_cayley_table_matches_perm_products(name):
-    """mult_table, regular_rep and element_mats, read off the products the
-    closure kept, equal their definitions by Perm products bit for bit."""
+    """mult_table, regular_rep and the element matrices of act, read off
+    the products the closure kept, equal their definitions by Perm products
+    bit for bit."""
     degree, cycles = BRAUER_GROUPS[name]
     G = group_close(degree, [parse_cycles(c, degree) for c in cycles])
     f = field_make(2, 1)
@@ -175,8 +176,8 @@ def test_cayley_table_matches_perm_products(name):
     reg = regular_rep(G, f)
     for a, A in zip(G.generators, reg.gen_mats):
         assert A.a.dtype == f.dtype and np.array_equal(A.a, basis_map(ref[G.index[a]]))
-    E = reg.element_mats
-    assert E.dtype == f.dtype
+    E = [reg.act(i).a for i in range(n)]
+    assert all(e.dtype == f.dtype for e in E)
     assert all(np.array_equal(E[i], basis_map(ref[i])) for i in range(n))
 
 

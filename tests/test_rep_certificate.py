@@ -3,13 +3,17 @@
 rep_make is the one place the law is certified.  These tests run the same
 routine on the output of every derived constructor, show that checking the
 generator rows rejects exactly the tuples an all-pairs oracle rejects, and
-check that element matrices are built only when something reads them.
+check that a table of all element matrices is built only where every
+element is read, and kept by no Rep.
 """
+
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sttlab import grouprep
 from sttlab.exactfield import Matrix, field_make, rank
 from sttlab.grouprep import (
     Rep,
@@ -202,17 +206,18 @@ def test_oracle_and_certificate_on_a_repeated_generator():
 
 
 # ---------------------------------------------------------------------------
-# element matrices are built on first use
+# element tables: one per rep_make, kept by no Rep
 
-def test_element_matrices_are_built_lazily(a4, s4, f4, cast, monkeypatch):
+def test_rep_make_builds_one_table_and_no_rep_keeps_it(a4, s4, f4, cast, monkeypatch):
     builds = []
-    build = Rep._build_element_mats
+    build = grouprep._element_table
 
-    def counted(self):
-        builds.append(self)
-        return build(self)
+    def counted(M):
+        table = build(M)
+        builds.append((M, weakref.ref(table)))
+        return table
 
-    monkeypatch.setattr(Rep, "_build_element_mats", counted)
+    monkeypatch.setattr(grouprep, "_element_table", counted)
     reg = regular_rep(a4, f4)
     ones = Matrix(f4, np.ones((1, 12), dtype=f4.dtype))
     derived = [quotient_rep(reg, ones), direct_sum([cast.kS, cast.kT]),
@@ -222,15 +227,20 @@ def test_element_matrices_are_built_lazily(a4, s4, f4, cast, monkeypatch):
         hom_space(M, M)
         decompose(M)
         duals.append(dual_rep(M))
-    assert builds == []
     # the dual reads rho(a^-1) off the inverse of each generator matrix
     for M, D in zip(derived, duals):
         want = [M.act(a.inverse()).T for a in M.group.generators]
         assert all(X.a.dtype == Y.a.dtype and X.a.tobytes() == Y.a.tobytes()
                    for X, Y in zip(D.gen_mats, want))
-    # built on first read, kept, and equal to what rep_make certifies
-    for M in [induce(cast.kS, s4, transversal(s4, a4)), dual_rep(cast.ST), derived[0]]:
-        first = M.element_mats
-        assert M.element_mats is first
+    derived.append(induce(cast.kS, s4, transversal(s4, a4)))
+    derived.append(restrict(derived[-1], a4))
+    assert builds == []
+    # rep_make builds one table, of the Rep it returns, and drops it; the
+    # table agrees with act on every element
+    assert "_element_mats" not in Rep.__slots__
+    for M in [derived[3], dual_rep(cast.ST), derived[0]]:
+        builds.clear()
         certified = rep_make(M.group, M.field, M.gen_mats, dim=M.dim)
-        assert np.array_equal(first, certified.element_mats)
+        assert [(R, ref()) for R, ref in builds] == [(certified, None)]
+        E = build(certified)
+        assert all(np.array_equal(E[i], M.act(i).a) for i in range(M.group.order))

@@ -14,6 +14,7 @@ from sttlab.grouprep import (
     hom_space,
     induce,
     regular_rep,
+    rep_apply_algebra,
     rep_make,
     restrict,
     trivial_rep,
@@ -548,7 +549,7 @@ MEMO_LOOKUPS = [
     ("ind_classes", (1,), "induce"),
     ("res_ind_classes", (2,), "induce"),
     ("conj_classes", (1, 1), "conjugate_rep"),
-    ("class_block", ("small", 2), "block_of_module"),
+    ("class_block", ("small", 2), "multiplicities"),
 ]
 
 
@@ -567,8 +568,7 @@ def test_pair_lab_lookups_are_memoized(c3, s3, f4, c3s3, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("induce", "conjugate_rep", "hom_space", "block_of_module",
-                 "inertial_group"):
+    for name in ("induce", "conjugate_rep", "hom_space", "inertial_group"):
         monkeypatch.setattr(tl, name, counted(name, getattr(tl, name)))
     lab = PairLab(c3, s3, f4)
     for side in ("small", "big"):
@@ -758,3 +758,93 @@ def test_theorem2_where_the_big_group_moves_a_non_semisimple_block():
                        if lab.class_block("big", cj) == Bt.index})
         M = lab.materialize(e.classes, "small")
         assert lab.classes_of(block_cut_induce(M, Bt, lab.trans), "big") == cut, e.name
+
+
+def _block_by_idempotents(R, blocks) -> int:
+    """The one block whose idempotent acts on R as the identity; all the
+    others must act as 0."""
+    actions = rep_apply_algebra(R, [b.coeffs for b in blocks])
+    ones = [b.index for b, m in zip(blocks, actions) if m == Matrix.identity(R.field, R.dim)]
+    assert len(ones) == 1
+    assert all(m.is_zero() for b, m in zip(blocks, actions) if b.index != ones[0])
+    return ones[0]
+
+
+@pytest.mark.parametrize("small, big, p, m", [
+    *[(small, big, 3, 1) for small, big in P3_PAIRS], (C3A4, S3A4, 2, 2),
+], ids=["v4a4", "c3s3", "a4s4", "v4s4", "c3a4"])
+def test_class_block_matches_the_idempotent_acting_as_identity(small, big, p, m):
+    """class_block, read off composition factors, names the block whose
+    idempotent acts as 1, on every class the corpus and the inductions of
+    its classes register on either side."""
+    lab = PairLab(group(small), group(big), field_make(p, m))
+    build_corpus(lab)
+    for cid in range(len(lab.class_reps("small"))):
+        lab.ind_classes(cid)
+    for side in ("small", "big"):
+        reps, blocks = lab.class_reps(side), lab.side_blocks(side)
+        assert reps
+        for cid, R in enumerate(reps):
+            assert lab.class_block(side, cid) == _block_by_idempotents(R, blocks)
+
+
+def test_a_module_spread_over_blocks_is_rejected(c3, f4, c3s3):
+    """The regular module of C3 over GF(4) has a summand in each of the
+    three blocks of kC3."""
+    reg = regular_rep(c3, f4)
+    B = c3s3.side_blocks("small")[0]
+    Bt = covering_blocks(B, c3s3.big, c3s3.side_blocks("big"))[0]
+    with pytest.raises(ValueError, match="does not lie in"):
+        remark_classify(reg, c3s3)
+    with pytest.raises(ValueError, match="does not lie in the given block"):
+        check_theorem2(reg, B, Bt, c3s3)
+    with pytest.raises(ValueError, match="does not lie in"):
+        is_stt(reg, c3s3.tables["small"], block=B)
+
+
+def test_the_zero_module_is_classified_in_block_0(c3, f4, c3s3, monkeypatch):
+    import sttlab.theoremlab as tl
+
+    scopes = []
+    rhs = tl._rhs_counts
+    monkeypatch.setattr(tl, "_rhs_counts",
+                        lambda classes, lab, B=None: scopes.append(B) or rhs(classes, lab, B))
+    remark_classify(zero_rep(c3, f4), c3s3)
+    assert scopes == [None, c3s3.side_blocks("small")[0]]
+
+
+def test_theorem2_sweep_builds_element_tables_only_for_simples_in_blocks(monkeypatch):
+    """A theorem-2 sweep of A4 in S4 over GF(3) builds an element table only
+    inside blocks(), where each idempotent acts on a simple module; class
+    blocks come from composition factors."""
+    from sttlab import grouprep
+
+    gc.collect()
+    lab = PairLab(group(A4), group(S4), field_make(3, 1))
+    assert not any("blocks" in vars(t) for t in lab.tables.values())
+    inside, built = [False], []
+    blocks, build = blockdec.blocks, grouprep._element_table
+
+    def spied_blocks(*args, **kwargs):
+        inside[0] = True
+        try:
+            return blocks(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def spied_table(M):
+        built.append((inside[0], M))
+        return build(M)
+
+    monkeypatch.setattr(blockdec, "blocks", spied_blocks)
+    monkeypatch.setattr(grouprep, "_element_table", spied_table)
+    corpus = build_corpus(lab)
+    verdicts = []
+    for B in lab.side_blocks("small"):
+        for Bt in covering_blocks(B, lab.big, lab.side_blocks("big")):
+            verdicts += [check_theorem2_classes(e.classes, B, Bt, lab) for e in corpus
+                         if all(lab.class_block("small", c) == B.index for c in e.classes)]
+    assert verdicts and all(v.agree for v in verdicts)
+    simples = [S for t in lab.tables.values() for S in t.simples.simples]
+    assert len(built) == len(simples)
+    assert all(flag and any(M is S for S in simples) for flag, M in built)
