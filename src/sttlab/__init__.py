@@ -10,7 +10,6 @@ from .grouprep import (
     HomBasis,
     InconclusiveError,
     Rep,
-    act,
     conjugate_rep,
     direct_sum,
     dual_rep,

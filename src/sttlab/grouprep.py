@@ -45,7 +45,6 @@ __all__ = [
     "HomBasis",
     "IsoResult",
     "rep_make",
-    "act",
     "hom_space",
     "iso_indecomposable",
     "InconclusiveError",
@@ -167,10 +166,6 @@ def rep_make(group: Group, field: Field, gen_matrices: list[Matrix],
     M = Rep(group, field, gen_matrices, dim=dim)
     _check_homomorphism(M)
     return M
-
-
-def act(M: Rep, g) -> Matrix:
-    return M.act(g)
 
 
 def zero_rep(group: Group, field: Field) -> Rep:

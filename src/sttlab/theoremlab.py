@@ -10,6 +10,20 @@ cheap while the underlying kernels stay exact.  omega_class, tau_classes
 (tau = Omega^2) and conj_classes map class ids to classes registered
 undecomposed: kG is symmetric, so Omega of an indecomposable under its
 certified minimal cover is zero or indecomposable, and so is a twist.
+register scans the classes of M's dimension in id order and asks
+Hom(R, M) of each rep R: R keeps its spin, so M is spun only once it is a
+class itself.  The test is exact either way, so the class found is too.
+
+The sweep reads sets of class ids (m + z = n and rigidity ignore
+multiplicities), so induction and orbit sums are pushed as ordered key
+sets.  Per side it keeps a support bitmask over the simple labels for each
+class, so z = popcount(scope & ~support), and two clash rows for each
+class ci: the cj with (ci, cj) decided, and those with Hom(ci, tau cj) != 0.
+A row fully decided on a set of classes answers rigidity with one AND.
+Any other row is walked pair by pair in the short-circuit (ci, cj) order,
+deciding each unknown pair as a scan of every pair would: _clash(ci, cj)
+runs tau_classes(cj) before it reads the cover of ci, which ran at (ci, ci)
+or (c1, ci), so tau images register when that scan would register them.
 
 Two certificates answer hom questions of a sweep without a hom space:
 - Hom(X, tau Y) != 0 when P(X) and P(Omega Y) share a summand (the
@@ -34,8 +48,8 @@ from typing import Optional
 
 from .blockdec import Block, block_of_factors, covering_blocks, inertial_group
 from .exactfield import Field
-from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, iso_class, \
-    restrict
+from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, \
+    iso_indecomposable, restrict
 from .meataxe import split_local, summand_stream
 from .permgroup import Group, Transversal, transversal
 from .taucalc import Tables, ext1, ext_module
@@ -109,6 +123,11 @@ def _push(classes: Counter, image) -> Counter:
     return out
 
 
+def _keys(classes, image) -> dict:
+    """The keys of _push(classes, image), in its order, as an ordered set."""
+    return dict.fromkeys(cj for cid in classes for cj in image(cid))
+
+
 def _memo(fn, key=lambda *args: args):
     """Memoize a PairLab method per instance on key(*args)."""
     @wraps(fn)
@@ -139,6 +158,10 @@ class PairLab:
                        "big": Tables.shared(big, field, seed=seed)}
         self._classes: dict[str, list[Rep]] = {"small": [], "big": []}
         self._memo: defaultdict[str, dict] = defaultdict(dict)
+        # per side: label masks of the support of each class id and of each
+        # scope, and the clash rows of each class id (see the module doc)
+        self._masks: dict[str, dict] = {"small": {}, "big": {}}
+        self._rows = {side: defaultdict(lambda: [0, 0]) for side in ("small", "big")}
         index = len(self.trans.reps)
         while index % field.p == 0:
             index //= field.p
@@ -150,9 +173,9 @@ class PairLab:
 
     def register(self, rep: Rep, side: str) -> int:
         """Class id of an indecomposable module, adding it when new."""
-        hit = iso_class(rep, self._classes[side])
-        if hit is not None:
-            return hit[0]
+        for cid, R in enumerate(self._classes[side]):
+            if R.dim == rep.dim and iso_indecomposable(R, rep):
+                return cid
         self._classes[side].append(rep)
         return len(self._classes[side]) - 1
 
@@ -205,7 +228,6 @@ class PairLab:
     def chop_class(self, side: str, cid: int) -> Counter:
         return self.tables[side].multiplicities(self.class_rep(side, cid))
 
-    @_memo
     def _clash(self, side: str, ci: int, cj: int) -> bool:
         """Whether Hom(X, tau Y) != 0 for X = class ci and Y = class cj.  A
         simple in top(X) and soc(tau Y) = top(Omega Y) gives X -> S -> tau Y;
@@ -293,18 +315,42 @@ class PairLab:
         return out
 
     # -- support tau-tilting over class multisets ---------------------------
-    def stt_counts(self, counter: Counter, side: str,
+    def _mask(self, side: str, labels) -> int:
+        """The bitmask of a set of simple labels, of all labels for None."""
+        order = self.tables[side].simples.labels
+        return sum(1 << order.index(lab) for lab in (order if labels is None else labels))
+
+    def _rigid(self, side: str, keys) -> bool:
+        """No Hom(X, tau Y) != 0 for X, Y among the classes keys."""
+        mask = sum(1 << c for c in keys)
+        for ci in keys:
+            row = self._rows[side][ci]  # [decided, clashing]
+            if not mask & ~row[0]:
+                if row[1] & mask:
+                    return False
+                continue
+            for cj in keys:
+                bit = 1 << cj
+                if not row[0] & bit:
+                    if self._clash(side, ci, cj):
+                        row[1] |= bit
+                    row[0] |= bit
+                if row[1] & bit:
+                    return False
+        return True
+
+    def stt_counts(self, counter, side: str,
                    scope: Optional[tuple[str, ...]] = None) -> SttCounts:
-        tables = self.tables[side]
-        if scope is None:
-            scope = tuple(tables.simples.labels)
-        m = len(counter)
-        # _clash(ci, cj) runs tau_classes(cj) before it reads the cover of ci,
-        # which ran at (ci, ci) or (c1, ci): classes register as they always did
-        rigid = not any(self._clash(side, ci, cj) for ci in counter for cj in counter)
-        support = set().union(*(self.chop_class(side, cid) for cid in counter))
-        z = sum(1 for lab in scope if lab not in support)
-        n = len(scope)
+        """Counts of the distinct classes among the keys of counter."""
+        rigid = self._rigid(side, counter)
+        masks, support = self._masks[side], 0
+        for cid in counter:
+            if cid not in masks:
+                masks[cid] = self._mask(side, self.chop_class(side, cid))
+            support |= masks[cid]
+        if scope not in masks:
+            masks[scope] = self._mask(side, scope)
+        m, z, n = len(counter), (masks[scope] & ~support).bit_count(), masks[scope].bit_count()
         return SttCounts(m=m, z=z, n=n, rigid=rigid, stt=rigid and (m + z == n))
 
 
@@ -341,14 +387,14 @@ def _rhs_counts(classes: Counter, lab: PairLab,
     theorems 1 and 2 is: the first rigid and the second support tau-tilting."""
     scope = None if B is None else B.simple_labels
     counts = lab.stt_counts(classes, "small", scope)
-    rep_indices = None if B is None else lab.inertial_rep_indices(B)
-    orbit = lab.orbit_classes(classes, rep_indices)
+    rep_indices = range(len(lab.trans.reps)) if B is None else lab.inertial_rep_indices(B)
+    orbit = _keys(classes, partial(lab._orbit_class, tuple(rep_indices)))
     return counts, lab.stt_counts(orbit, "small", scope)
 
 
 def check_theorem1_classes(classes: Counter, lab: PairLab) -> TheoremVerdict:
     """check_theorem1 on a Krull-Schmidt class multiset."""
-    lhs_counts = lab.stt_counts(_push(classes, lab.ind_classes), "big")
+    lhs_counts = lab.stt_counts(_keys(classes, lab.ind_classes), "big")
     counts, orbit = _rhs_counts(classes, lab)
     return TheoremVerdict(
         lhs=lhs_counts.stt,
@@ -375,9 +421,8 @@ def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
     for cid in classes:
         if lab.class_block("small", cid) != B.index:
             raise ValueError("module does not lie in the given block")
-    ind = _push(classes, lab.ind_classes)
-    cut = Counter({cj: mj for cj, mj in ind.items()
-                   if lab.class_block("big", cj) == Btilde.index})
+    cut = [cj for cj in _keys(classes, lab.ind_classes)
+           if lab.class_block("big", cj) == Btilde.index]
     lhs_counts = lab.stt_counts(cut, "big", scope=Btilde.simple_labels)
     counts, orbit = _rhs_counts(classes, lab, B)
     return TheoremVerdict(
