@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import sttlab
 from sttlab.cli import (
     InputError,
     main,
@@ -295,6 +299,24 @@ def test_example_a4s4_deterministic():
     _, out1 = run_cli(["example-a4s4", "--format", "json"])
     _, out2 = run_cli(["example-a4s4", "--format", "json"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_is_not_a_traceback(unbuffered):
+    """A reader that leaves early (`| head`) gets no traceback and no exit 1:
+    the pipe's read end is closed before the child writes a byte."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sttlab.__file__)))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "sttlab.cli", "example-a4s4", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in child.stderr.decode()
+    assert child.returncode == 0
 
 
 def test_cmd_remark_with_several_covering_blocks(tmp_path):
