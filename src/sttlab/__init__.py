@@ -38,8 +38,8 @@ from .theoremlab import (
     PairLab,
     TheoremVerdict,
     build_corpus,
-    check_theorem1,
-    check_theorem2,
+    check_theorem1_classes,
+    check_theorem2_classes,
     is_invariant,
     mackey_check,
     orbit_module,

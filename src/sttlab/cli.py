@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .exactfield import Field, Matrix, Scalar, field_make
-from .grouprep import InconclusiveError, Rep, conjugate_rep, direct_sum, induce, \
-    rep_make, trivial_rep
+from .grouprep import InconclusiveError, Rep, conjugate_rep, induce, rep_make, \
+    trivial_rep
 from .meataxe import is_isomorphic, simples_of
 from .permgroup import Group, group_close, parse_cycles, transversal
 from .taucalc import Tables, ext1, ext_module, is_stt, pims, tau_routes
-from .theoremlab import PairLab, check_theorem1, check_theorem1_classes, \
-    check_theorem2, is_invariant, mackey_check, remark_classify
+from .theoremlab import PairLab, check_theorem1_classes, check_theorem2_classes, \
+    is_invariant, mackey_check, remark_classify
 
 
 class InputError(ValueError):
@@ -273,7 +273,7 @@ def cmd_check_rigid(args, report: Report) -> int:
     tables = Tables(G, M.field, seed=args.seed)
     cert = is_stt(M, tables, seed=args.seed)
     report.verdict("tau_rigid", cert.rigid)
-    report.witness("tau_dim", cert.tau.dim)
+    report.witness("tau_dim", cert.tau_dim)
     return 0
 
 
@@ -324,7 +324,7 @@ def _load_pair(args, report: Report) -> tuple[Rep, PairLab]:
 
 def cmd_mackey(args, report: Report) -> int:
     M, lab = _load_pair(args, report)
-    ok = mackey_check(M, lab)
+    ok = mackey_check(lab.classes_of(M, "small"), lab)
     report.verdict("mackey_res_ind_is_orbit", ok)
     return 0 if ok else 1
 
@@ -343,7 +343,7 @@ def cmd_blocks(args, report: Report) -> int:
 
 def cmd_thm1(args, report: Report) -> int:
     M, lab = _load_pair(args, report)
-    v = check_theorem1(M, lab)
+    v = check_theorem1_classes(lab.classes_of(M, "small"), lab)
     report.verdict("lhs_ind_stt", v.lhs)
     report.verdict("rhs_rigid_and_orbit_stt", v.rhs)
     report.verdict("agree", v.agree)
@@ -360,7 +360,8 @@ def cmd_thm2(args, report: Report) -> int:
         raise InputError(f"--block: index {args.block} out of range")
     if not 0 <= args.cover < len(big_blocks):
         raise InputError(f"--cover: index {args.cover} out of range")
-    v = check_theorem2(M, small_blocks[args.block], big_blocks[args.cover], lab)
+    v = check_theorem2_classes(lab.classes_of(M, "small"), small_blocks[args.block],
+                               big_blocks[args.cover], lab)
     report.verdict("lhs_blockcut_ind_stt", v.lhs)
     report.verdict("rhs_rigid_and_inertial_orbit_stt", v.rhs)
     report.verdict("agree", v.agree)
@@ -371,7 +372,7 @@ def cmd_thm2(args, report: Report) -> int:
 
 def cmd_remark(args, report: Report) -> int:
     M, lab = _load_pair(args, report)
-    flags = remark_classify(M, lab)
+    flags = remark_classify(lab.classes_of(M, "small"), lab)
     for key, val in flags.as_dict().items():
         report.verdict(f"in_{key}", val)
     return 0
@@ -409,19 +410,18 @@ def cmd_example_a4s4(args, report: Report) -> int:
     check("b_sigmaT_iso_S", bool(is_isomorphic(conjugate_rep(T, sigma), S,
                                                seed=args.seed, trials=args.trials)))
 
-    kS = ext_module(k, S, ext1(k, S, ta).cocycles[0])
-    kT = ext_module(k, T, ext1(k, T, ta).cocycles[0])
-    M = direct_sum([k, kS, kT])
-    N1 = direct_sum([k, kS])
-    N2 = direct_sum([k, kT])
-
     # (c)-(f) and the remark read off the lab's class maps: Ind and
     # conjugation are additive, so the classes of Ind X and of the orbit sum
-    # of X are the images of those of X, and add X = add Y compares key sets
-    cM, cN1, cN2 = (lab.classes_of(X, "small") for X in (M, N1, N2))
+    # of X are the images of those of X, and add X = add Y compares key sets;
+    # k and the non-split extensions of simples are indecomposable (class_of)
+    def ext_class(X, Y):
+        return lab.class_of(ext_module(X, Y, ext1(X, Y, ta).cocycles[0]), "small")
+
+    ck, ckS, ckT = lab.class_of(k, "small"), ext_class(k, S), ext_class(k, T)
+    cM, cN1, cN2 = ck + ckS + ckT, ck + ckS, ck + ckT
 
     # (c) M is invariant support tau-tilting
-    check("c_M_invariant", is_invariant(M, lab))
+    check("c_M_invariant", is_invariant(cM, lab))
     check("c_M_stt", lab.stt_counts(cM, "small").stt)
 
     # (d) Ind M is support tau-tilting over kS4
@@ -430,8 +430,8 @@ def cmd_example_a4s4(args, report: Report) -> int:
     # (e) N1, N2 support tau-tilting but not invariant
     check("e_N1_stt", lab.stt_counts(cN1, "small").stt)
     check("e_N2_stt", lab.stt_counts(cN2, "small").stt)
-    check("e_N1_not_invariant", not is_invariant(N1, lab))
-    check("e_N2_not_invariant", not is_invariant(N2, lab))
+    check("e_N1_not_invariant", not is_invariant(cN1, lab))
+    check("e_N2_not_invariant", not is_invariant(cN2, lab))
 
     # (f) orbit sums are add-equivalent to M; Ind N_i support tau-tilting
     check("f_orbit_N1_addeq_M", set(lab.orbit_classes(cN1)) == set(cM))
@@ -440,14 +440,13 @@ def cmd_example_a4s4(args, report: Report) -> int:
     check("f_IndN2_stt", check_theorem1_classes(cN2, lab).lhs)
 
     # remark: [S/T] separates the rigid set from the stt set
-    ST = ext_module(S, T, ext1(S, T, ta).cocycles[0])
-    cST = lab.classes_of(ST, "small")
+    cST = ext_class(S, T)
     countsST = lab.stt_counts(cST, "small")
     check("r_ST_rigid", countsST.rigid)
     check("r_ST_not_stt", not countsST.stt)
     check("r_orbit_ST_stt", lab.stt_counts(lab.orbit_classes(cST), "small").stt)
     check("r_IndST_stt", check_theorem1_classes(cST, lab).lhs)
-    flags = remark_classify(ST, lab)
+    flags = remark_classify(cST, lab)
     check("r_ST_in_rig_group", flags.in_rig_group)
     check("r_ST_not_in_sta_group", not flags.in_sta_group)
 

@@ -400,8 +400,7 @@ def ext_module(S: Rep, T: Rep, cocycle: Cocycle) -> Rep:
 
 @dataclass
 class SttCertificate:
-    module: Rep
-    tau: Rep
+    tau_dim: int                  # dim tau M
     summand_classes: int          # m: pairwise non-isomorphic summand classes
     cosupport: tuple[str, ...]    # scope simples with Hom(P_i, M) = 0
     scope: tuple[str, ...]        # simple labels in scope
@@ -435,17 +434,11 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
     class_taus = [tau(rep, tables) for rep in classes]
     rigid = not any(t_j.dim and hom_space(rep_i, t_j).dim
                     for rep_i in classes for t_j in class_taus)
-    tau_parts = []
-    for i, t_j in enumerate(class_taus):
-        if t_j.dim:
-            tau_parts.extend([t_j] * mults[i])
-    tau_M = direct_sum(tau_parts, group=M.group, field=M.field)
     cosupport = tuple(lab for lab in scope if lab not in support)
     m = len(classes)
     stt = rigid and (m + len(cosupport) == len(scope))
     return SttCertificate(
-        module=M,
-        tau=tau_M,
+        tau_dim=sum(mults[i] * t_j.dim for i, t_j in enumerate(class_taus)),
         summand_classes=m,
         cosupport=cosupport,
         scope=scope,

@@ -1,5 +1,10 @@
 """Executable statements of the two induced-module criteria, the Mackey
-step, the worked A4-in-S4 scenario and the four-set separation flags.
+step, the invariance test and the four-set separation flags.
+
+Each takes the Krull-Schmidt class multiset of a small-side module M, a
+Counter of class ids from PairLab.classes_of or class_of, and its docstring
+speaks of M: the criteria read M only through its classes, so M is
+decomposed once, where it enters.
 
 All corpus-scale work runs through PairLab, which keeps one canonical
 representative per discovered indecomposable class and reduces every
@@ -62,9 +67,7 @@ __all__ = [
     "orbit_module",
     "is_invariant",
     "mackey_check",
-    "check_theorem1",
     "check_theorem1_classes",
-    "check_theorem2",
     "check_theorem2_classes",
     "remark_classify",
     "build_corpus",
@@ -367,16 +370,14 @@ def orbit_module(M: Rep, big: Group, T: Optional[Transversal] = None) -> Rep:
                       group=M.group, field=M.field)
 
 
-def is_invariant(M: Rep, lab: PairLab) -> bool:
+def is_invariant(classes: Counter, lab: PairLab) -> bool:
     """True when every conjugate by a coset representative is isomorphic to M."""
-    classes = lab.classes_of(M, "small")
     return all(lab.orbit_classes(classes, [ri]) == classes
                for ri in range(1, len(lab.trans.reps)))
 
 
-def mackey_check(M: Rep, lab: PairLab) -> bool:
+def mackey_check(classes: Counter, lab: PairLab) -> bool:
     """Res Ind M isomorphic to the orbit sum of M (always expected true)."""
-    classes = lab.classes_of(M, "small")
     return _push(classes, lab.res_ind_classes) == lab.orbit_classes(classes)
 
 
@@ -393,7 +394,8 @@ def _rhs_counts(classes: Counter, lab: PairLab,
 
 
 def check_theorem1_classes(classes: Counter, lab: PairLab) -> TheoremVerdict:
-    """check_theorem1 on a Krull-Schmidt class multiset."""
+    """Ind M support tau-tilting over the big algebra iff M is tau-rigid
+    with a support tau-tilting orbit sum over the small algebra."""
     lhs_counts = lab.stt_counts(_keys(classes, lab.ind_classes), "big")
     counts, orbit = _rhs_counts(classes, lab)
     return TheoremVerdict(
@@ -407,15 +409,10 @@ def check_theorem1_classes(classes: Counter, lab: PairLab) -> TheoremVerdict:
     )
 
 
-def check_theorem1(M: Rep, lab: PairLab) -> TheoremVerdict:
-    """Ind M support tau-tilting over the big algebra iff M is tau-rigid
-    with a support tau-tilting orbit sum over the small algebra."""
-    return check_theorem1_classes(lab.classes_of(M, "small"), lab)
-
-
 def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
                            lab: PairLab) -> TheoremVerdict:
-    """check_theorem2 on a Krull-Schmidt class multiset inside block B."""
+    """Block version: the Btilde-cut of Ind M against rigidity plus the
+    support tau-tilting orbit over the inertial transversal, in scope B."""
     if Btilde.index not in [b.index for b in lab._covering(B)]:
         raise ValueError("the big block does not cover the small block")
     for cid in classes:
@@ -436,17 +433,10 @@ def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
     )
 
 
-def check_theorem2(M: Rep, B: Block, Btilde: Block, lab: PairLab) -> TheoremVerdict:
-    """Block version: the Btilde-cut of Ind M against rigidity plus the
-    support tau-tilting orbit over the inertial transversal, in scope B."""
-    return check_theorem2_classes(lab.classes_of(M, "small"), B, Btilde, lab)
-
-
-def remark_classify(M: Rep, lab: PairLab) -> RemarkFlags:
+def remark_classify(classes: Counter, lab: PairLab) -> RemarkFlags:
     """Membership flags for the four separation sets (rigid/stt at group
     level, and at the level of the block of M); containment of the stt
     sets in the rigid sets is enforced as a hard error."""
-    classes = lab.classes_of(M, "small")
     counts, orbit = _rhs_counts(classes, lab)
     blocks = lab.side_blocks("small")
     support = set().union(*(lab.chop_class("small", cid) for cid in classes))

@@ -91,7 +91,7 @@ def test_criterion_2_remark_reproduction(cast, a4s4, a4_tables, s4_tables, s4):
         a4s4.orbit_classes(a4s4.classes_of(cast.ST, "small")), "small"
     )
     ind_cert = is_stt(induce(cast.ST, s4, a4s4.trans), s4_tables)
-    flags = remark_classify(cast.ST, a4s4)
+    flags = remark_classify(a4s4.classes_of(cast.ST, "small"), a4s4)
     ok = (cert.rigid and not cert.stt
           and orb_cert.stt
           and ind_cert.stt

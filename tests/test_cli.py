@@ -238,6 +238,28 @@ def test_module_spread_over_blocks_exits_2(workdir, c3, s3, f4, capsys):
         assert "does not lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["thm2", "--big", "s4.grp", "--block", "1", "--cover", "0"],
+    ["thm2", "--big", "s4.grp", "--block", "0", "--cover", "1"],
+    ["check-stt", "--block", "5"],
+], ids=["thm2-block", "thm2-cover", "check-stt-block"])
+def test_block_flags_out_of_range_exit_2_before_any_split(workdir, capsys, monkeypatch, args):
+    """A4 and S4 have one block each over GF(4): an index past it is an input
+    error, raised before the module is split into classes."""
+    from sttlab.theoremlab import PairLab
+
+    split = []
+    real = PairLab.classes_of
+    monkeypatch.setattr(PairLab, "classes_of",
+                        lambda self, M, side: split.append(M) or real(self, M, side))
+    args = [str(workdir / a) if a.endswith(".grp") else a for a in args]
+    capsys.readouterr()
+    status, out = run_cli([*args, "--module", str(workdir / "k_a4.rep")])
+    assert status == 2 and out == ""
+    assert "out of range" in capsys.readouterr().err
+    assert split == []
+
+
 def test_cmd_induce_writes_file(workdir):
     out_path = workdir / "ind.rep"
     status, out = run_cli(["induce", "--module", str(workdir / "k_a4.rep"),

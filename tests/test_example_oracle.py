@@ -5,7 +5,9 @@ PairLab's class maps.  The reference below decides the same twelve checks
 on the modules themselves, as the command once did: is_stt on M, N1, N2, ST,
 on the orbit sum of ST and on the literally induced modules, and
 add_compare on the orbit sums of N1 and N2.  Both routes must give the same
-booleans, and the command must call none of the module-route functions.
+booleans, and the command must call none of the module-route functions and
+split no module (PairLab.classes_of): its modules are indecomposable by
+construction.
 """
 
 import io
@@ -86,7 +88,8 @@ def test_example_builds_no_module_route(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [(taucalc, "is_stt"), (meataxe, "add_compare"),
-                         (theoremlab, "orbit_module")]:
+                         (theoremlab, "orbit_module"),
+                         (theoremlab.PairLab, "classes_of")]:
         spy(module, name)
         if hasattr(cli, name):  # a name cli imported is bound there too
             spy(cli, name)

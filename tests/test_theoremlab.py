@@ -26,9 +26,7 @@ from sttlab.taucalc import Tables, is_stt, syzygy, tau
 from sttlab.theoremlab import (
     PairLab,
     build_corpus,
-    check_theorem1,
     check_theorem1_classes,
-    check_theorem2,
     check_theorem2_classes,
     is_invariant,
     mackey_check,
@@ -64,16 +62,16 @@ def test_orbit_of_invariant_module(cast, s4, a4s4):
 
 
 def test_is_invariant(cast, a4s4, a4, f4):
-    assert is_invariant(cast.M, a4s4)
-    assert not is_invariant(cast.N1, a4s4)
-    assert not is_invariant(cast.N2, a4s4)
-    assert is_invariant(trivial_rep(a4, f4), a4s4)
-    assert is_invariant(zero_rep(a4, f4), a4s4)
+    assert is_invariant(a4s4.classes_of(cast.M, "small"), a4s4)
+    assert not is_invariant(a4s4.classes_of(cast.N1, "small"), a4s4)
+    assert not is_invariant(a4s4.classes_of(cast.N2, "small"), a4s4)
+    assert is_invariant(a4s4.classes_of(trivial_rep(a4, f4), "small"), a4s4)
+    assert is_invariant(a4s4.classes_of(zero_rep(a4, f4), "small"), a4s4)
 
 
 def test_mackey_named_modules(cast, a4s4, a4, f4):
     for M in (cast.k, cast.S, cast.kS, cast.M, regular_rep(a4, f4)):
-        assert mackey_check(M, a4s4)
+        assert mackey_check(a4s4.classes_of(M, "small"), a4s4)
 
 
 def test_mackey_res_ind_matches_materialized(cast, a4, s4, f4, a4s4):
@@ -83,7 +81,7 @@ def test_mackey_res_ind_matches_materialized(cast, a4, s4, f4, a4s4):
         res = restrict(ind, a4)
         orb = orbit_module(M, s4, a4s4.trans)
         assert is_isomorphic(res, orb)
-        assert mackey_check(M, a4s4)
+        assert mackey_check(a4s4.classes_of(M, "small"), a4s4)
 
 
 def test_mackey_res_ind_of_simple_is_both_simples(cast, a4, s4, a4s4):
@@ -95,10 +93,10 @@ def test_mackey_res_ind_of_simple_is_both_simples(cast, a4, s4, a4s4):
 def test_check_theorem1_named(cast, a4s4, a4, f4):
     for M, lhs in ((cast.N1, True), (cast.N2, True), (cast.ST, True),
                    (cast.M, True), (regular_rep(a4, f4), True)):
-        v = check_theorem1(M, a4s4)
+        v = check_theorem1_classes(a4s4.classes_of(M, "small"), a4s4)
         assert v.agree
         assert v.lhs == lhs
-    v0 = check_theorem1(zero_rep(a4, f4), a4s4)
+    v0 = check_theorem1_classes(a4s4.classes_of(zero_rep(a4, f4), "small"), a4s4)
     assert v0.agree and v0.lhs
 
 
@@ -107,7 +105,7 @@ def test_check_theorem1_negative_instance(cast, a4s4, a4_tables):
     from sttlab.taucalc import syzygy
 
     bad = direct_sum([cast.k, syzygy(cast.k, a4_tables)])
-    v = check_theorem1(bad, a4s4)
+    v = check_theorem1_classes(a4s4.classes_of(bad, "small"), a4s4)
     assert v.agree
     assert not v.lhs and not v.rhs
 
@@ -398,7 +396,7 @@ def test_theorem1_classwise_matches_materialized(a4s4, corpus_a4):
     sample = corpus_a4[:: max(1, len(corpus_a4) // 12)]
     for entry in sample:
         M = a4s4.materialize(entry.classes, "small")
-        direct = check_theorem1(M, a4s4)
+        direct = check_theorem1_classes(a4s4.classes_of(M, "small"), a4s4)
         fast = check_theorem1_classes(entry.classes, a4s4)
         assert direct.lhs == fast.lhs and direct.rhs == fast.rhs
 
@@ -449,7 +447,7 @@ def test_theorem2_c3_acceptance_case(c3, s3, f4, c3s3):
     Bt = next(b for b in c3s3.side_blocks("big")
               if big_table.trivial_label() not in b.simple_labels)
     Bsimple = table.simples[table.labels.index(B.simple_labels[0])]
-    v = check_theorem2(Bsimple, B, Bt, c3s3)
+    v = check_theorem2_classes(c3s3.classes_of(Bsimple, "small"), B, Bt, c3s3)
     assert v.lhs and v.rhs and v.agree
 
 
@@ -460,7 +458,7 @@ def test_theorem2_rejects_foreign_module(c3s3, c3, f4):
     Bt = c3s3.side_blocks("big")[0]
     k = trivial_rep(c3, f4)
     with pytest.raises(ValueError):
-        check_theorem2(k, B, Bt, c3s3)
+        check_theorem2_classes(c3s3.classes_of(k, "small"), B, Bt, c3s3)
 
 
 def test_theorem2_rejects_a_big_block_that_does_not_cover(c3s3):
@@ -476,12 +474,12 @@ def test_theorem2_rejects_a_big_block_that_does_not_cover(c3s3):
 
 
 def test_remark_flags(cast, a4s4):
-    fl = remark_classify(cast.ST, a4s4)
+    fl = remark_classify(a4s4.classes_of(cast.ST, "small"), a4s4)
     assert fl.in_rig_group and not fl.in_sta_group
     assert fl.in_rig_block and not fl.in_sta_block
-    fl2 = remark_classify(cast.N1, a4s4)
+    fl2 = remark_classify(a4s4.classes_of(cast.N1, "small"), a4s4)
     assert fl2.in_rig_group and fl2.in_sta_group
-    z = remark_classify(zero_rep(cast.k.group, cast.k.field), a4s4)
+    z = remark_classify(a4s4.classes_of(zero_rep(cast.k.group, cast.k.field), "small"), a4s4)
     assert z.in_rig_group and z.in_sta_group
 
 
@@ -535,7 +533,7 @@ def test_remark_classify_with_several_covering_blocks():
     lab = PairLab(c2, c6, f4)
     (B,) = lab.side_blocks("small")
     assert len(covering_blocks(B, c6, lab.side_blocks("big"))) == 3
-    flags = remark_classify(trivial_rep(c2, f4), lab)
+    flags = remark_classify(lab.classes_of(trivial_rep(c2, f4), "small"), lab)
     assert flags.as_dict() == {"rig_group": False, "sta_group": False,
                                "rig_block": False, "sta_block": False}
 
@@ -795,9 +793,9 @@ def test_a_module_spread_over_blocks_is_rejected(c3, f4, c3s3):
     B = c3s3.side_blocks("small")[0]
     Bt = covering_blocks(B, c3s3.big, c3s3.side_blocks("big"))[0]
     with pytest.raises(ValueError, match="does not lie in"):
-        remark_classify(reg, c3s3)
+        remark_classify(c3s3.classes_of(reg, "small"), c3s3)
     with pytest.raises(ValueError, match="does not lie in the given block"):
-        check_theorem2(reg, B, Bt, c3s3)
+        check_theorem2_classes(c3s3.classes_of(reg, "small"), B, Bt, c3s3)
     with pytest.raises(ValueError, match="does not lie in"):
         is_stt(reg, c3s3.tables["small"], block=B)
 
@@ -809,7 +807,7 @@ def test_the_zero_module_is_classified_in_block_0(c3, f4, c3s3, monkeypatch):
     rhs = tl._rhs_counts
     monkeypatch.setattr(tl, "_rhs_counts",
                         lambda classes, lab, B=None: scopes.append(B) or rhs(classes, lab, B))
-    remark_classify(zero_rep(c3, f4), c3s3)
+    remark_classify(c3s3.classes_of(zero_rep(c3, f4), "small"), c3s3)
     assert scopes == [None, c3s3.side_blocks("small")[0]]
 
 
