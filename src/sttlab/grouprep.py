@@ -425,11 +425,17 @@ def _spin_hom(M: Rep, N: Rep) -> HomBasis:
         U = ef._kernel_from_rref(f, R, pivots)
         X = ef._matmul(f, psi.reshape(dm * dn, s * dn), U)  # rows (c, a), columns j
         X = np.ascontiguousarray(X.reshape(dm, dn, r).transpose(2, 1, 0)).reshape(r, -1)
-        # the _kernel_from_rref basis is the RREF under reversed column order
-        X = RowSpace(f, dn * dm, X[:, ::-1]).matrix()[::-1, ::-1]
-        return [Matrix(f, x.reshape(dn, dm).copy()) for x in X]
+        return _canonical_basis(f, X, dn, dm)
 
     return HomBasis(M, N, build, dim=r)
+
+
+def _canonical_basis(f: Field, flat: np.ndarray, rows: int, cols: int) -> list[Matrix]:
+    """The basis hom_space returns of the span of the flattened rows x cols
+    matrices in flat: the _kernel_from_rref basis of a kernel, its RREF
+    under reversed column order, which depends on the span alone."""
+    X = RowSpace(f, rows * cols, flat[:, ::-1]).matrix()[::-1, ::-1]
+    return [Matrix(f, x.reshape(rows, cols).copy()) for x in X]
 
 
 def _same_group(G: Group, H: Group) -> bool:

@@ -7,9 +7,10 @@ come from Fitting splits along random endomorphisms.  Before any attempt,
 a piece is certified indecomposable if its endomorphism algebra is k.1 + N
 with N a nilpotent ideal; only when that and the Fitting attempts fail is
 the Jacobson radical computed, for the deterministic split off End/J.
-Both walks are lazy streams, so the simple and PIM tables stop at their
-certificates: l(G) simples (Brauer's count of p-regular classes), the last
-one the trivial module once the others are not, and one PIM each.
+Both walks are lazy streams, so the simple table stops at its
+certificate: l(G) simples (Brauer's count of p-regular classes), the last
+one the trivial module once the others are not.  The PIM table
+(taucalc.pims) splits its projectives with _proper_split alone.
 Everything randomized takes a seed, runs on the fixed budget BUDGET (not a
 parameter) and raises InconclusiveError instead of ever guessing.
 """

@@ -10,14 +10,18 @@ dim Hom(P(S), M), not a chop.
 
 The PIMs P(S) are summands of the modules induced from the simples of a
 maximal p'-subgroup H, not of the regular module, which is Ind_1^G(k):
-the PIMs of a p-group are still drawn from kG itself.
+the PIMs of a p-group are still drawn from kG itself.  Hom(Ind T, S) and
+End(Ind T) are read off kH by Frobenius reciprocity, as Hom_H(T, Res S)
+and Hom_H(T, Res Ind T).  A projective is split local exactly when its
+top is one simple S with End(S) = k, so the split stops there, and End is
+computed only for a module that must split.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 import weakref
 
@@ -26,7 +30,9 @@ import numpy as np
 from . import blockdec, exactfield as ef
 from .exactfield import Field, Matrix, RowSpace
 from .grouprep import (
+    HomBasis,
     Rep,
+    _canonical_basis,
     direct_sum,
     dual_rep,
     hom_space,
@@ -35,18 +41,20 @@ from .grouprep import (
     iso_class,
     quotient_projection,
     quotient_rep,
+    restrict,
     sub_rep,
     zero_rep,
 )
 from .meataxe import (
     SimpleTable,
+    _proper_split,
     chop,
     is_isomorphic,
     radical_top,
     simples_of,
     summand_stream,
 )
-from .permgroup import Group, p_prime_subgroup, transversal
+from .permgroup import Group, Transversal, p_prime_subgroup, transversal
 
 __all__ = [
     "Tables",
@@ -132,52 +140,138 @@ class Tables:
         return +out  # the labels with [M : S] > 0
 
 
+class _Reciprocity:
+    """Hom_G(Ind T, S) and End_G(Ind T) for the modules M = Ind_H^G(T) over
+    one transversal t_1 = 1, ..., t_k of H, read off kH by Frobenius
+    reciprocity and brought to the basis hom_space returns
+    (grouprep._canonical_basis), so the random splits of End(M) draw the
+    same elements.  Ind T has the basis t_i (x) T, as in induce."""
+
+    def __init__(self, cosets: Transversal):
+        self.cosets = cosets
+
+    @cached_property
+    def coset_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """m and h with t_i t_j = t_m[i, j] h[i, j], h an index into
+        H.elements, found on point-image arrays: no Perm products."""
+        R = np.array([t.images for t in self.cosets.reps])
+        Hs = np.array([h.images for h in self.cosets.small.elements])
+        where = {g: (m, h) for m, row in enumerate(R[:, Hs].tolist())
+                 for h, g in enumerate(map(tuple, row))}
+        k = len(R)
+        mh = np.array([where[g] for g in map(tuple, R[:, R].reshape(k * k, -1).tolist())])
+        return mh[:, 0].reshape(k, k), mh[:, 1].reshape(k, k)
+
+    def hom(self, M: Rep, T: Rep, S: Rep) -> HomBasis:
+        """psi in Hom_H(T, Res S) gives the map t_i (x) v -> rho_S(t_i) psi v,
+        so column block i is rho_S(t_i) psi; the basis is built on first read."""
+        f, H = M.field, self.cosets.small
+        psi = hom_space(T, restrict(S, H))
+
+        def build() -> list[Matrix]:
+            if not psi.dim:
+                return []
+            r, k = psi.dim, len(self.cosets.reps)
+            acts = np.concatenate([S.act(t).a for t in self.cosets.reps])  # k d_S x d_S
+            side = np.concatenate([X.a for X in psi.basis], axis=1)  # the psi side by side
+            phi = ef._matmul(f, acts, side).reshape(k, S.dim, r, T.dim)
+            return _canonical_basis(f, phi.transpose(2, 1, 0, 3).reshape(r, -1), S.dim, M.dim)
+
+        return HomBasis(M, S, build, dim=psi.dim)
+
+    def end(self, M: Rep, T: Rep) -> HomBasis:
+        """psi in Hom_H(T, Res M), with row blocks psi_j, gives the map
+        t_i (x) v -> t_i psi(v); as t_i t_j = t_m h, its block (m, i) is
+        rho_T(h) psi_j."""
+        f, H, d = M.field, self.cosets.small, T.dim
+        m, h = self.coset_products
+        k = len(m)
+        psi = hom_space(T, restrict(M, H))
+        r = psi.dim
+        acts = np.concatenate([T.act(g).a for g in H.elements])  # |H| d x d
+        blocks = np.array([X.a for X in psi.basis]).reshape(r, k, d, d)
+        prod = ef._matmul(f, acts, blocks.transpose(2, 0, 1, 3).reshape(d, -1))
+        prod = prod.reshape(len(H.elements), d, r, k, d).transpose(0, 3, 2, 1, 4)
+        cols = np.broadcast_to(np.arange(k), (k, k))  # cols[i, j] = j
+        phi = np.empty((k, k, r, d, d), dtype=f.dtype)  # block (m, i) of each map
+        phi[m, cols.T] = prod[h, cols]
+        flat = phi.transpose(2, 0, 3, 1, 4).reshape(r, -1)
+        return HomBasis(M, M, _canonical_basis(f, flat, M.dim, M.dim))
+
+
 def _induced_projectives(group: Group, field: Field, simples: SimpleTable,
                          seed: int):
-    """The projective modules Ind_H^G(T), T a simple kH-module, for a
-    maximal p'-subgroup H; T = k first, as P(k) lies in no other, then by
-    dimension.  H = 1 induces the regular module itself; H = G needs no
-    induction, and its simples are the table's."""
+    """The projective modules M = Ind_H^G(T), T a simple kH-module, for a
+    maximal p'-subgroup H, each as (M, [Hom(M, S) for the simples S], a
+    function giving End(M)), both from kH (_Reciprocity); T = k first, as
+    P(k) lies in no other, then by dimension.  H = 1 induces the regular
+    module itself; H = G needs no induction: the table's simples are the
+    modules, and Schur's lemma their homs."""
     H = p_prime_subgroup(group, field.p)
     if H.order == group.order:
-        yield from simples.simples
+        for S in simples.simples:
+            yield (S, [hom_space(S, S) if R is S else HomBasis(S, R, []) for R in simples.simples],
+                   partial(hom_space, S, S))
         return
-    T = transversal(group, H)
+    recip = _Reciprocity(transversal(group, H))
     table = simples_of(H, field, seed=seed)
     trivial = table.simples[table.labels.index(table.trivial_label())]
-    for S in sorted(table.simples, key=lambda S: (S is not trivial, S.dim)):
-        yield induce(S, group, T)
+    for T in sorted(table.simples, key=lambda T: (T is not trivial, T.dim)):
+        M = induce(T, group, recip.cosets)
+        yield M, [recip.hom(M, T, S) for S in simples.simples], partial(recip.end, M, T)
+
+
+def _pim_leaves(M: Rep, homs: list[HomBasis], end, simples: SimpleTable, seed: int):
+    """The leaves of summand_stream(M, seed) for a projective M, in its
+    order, each as (P, [Hom(P, S) for the simples S]), given M's homs and
+    a function giving End(M).
+
+    A projective is split local exactly when its top is one simple S with
+    End(S) = k, that is, when sum_S dim Hom(M, S) = 1; so End is built only
+    at a node that must split, as _proper_split needs it.  A part is a
+    summand, so its homs are the restrictions phi W^T of M's, W its rows."""
+    if sum(H.dim for H in homs) == 1:
+        yield M, homs
+        return
+    f = M.field
+    for rows in _proper_split(M, end(), seed):
+        P = sub_rep(M, rows)
+        part_homs = []
+        for H, S in zip(homs, simples.simples):
+            if H.dim == 0:
+                part_homs.append(HomBasis(P, S, []))
+                continue
+            flat = ef._matmul(f, np.concatenate([X.a for X in H.basis]), rows.a.T)
+            part_homs.append(HomBasis(P, S, _canonical_basis(
+                f, flat.reshape(H.dim, -1), S.dim, P.dim)))
+        yield from _pim_leaves(P, part_homs, partial(hom_space, P, P), simples, seed)
 
 
 def pims(group: Group, field: Field, seed: int = 0,
          simples: Optional[SimpleTable] = None) -> PimTable:
     """Indecomposable projectives, each labelled by its simple top, drawn
-    from the summands of the Ind_H^G(T) of _induced_projectives until every
+    from the Ind_H^G(T) of _induced_projectives by _pim_leaves until every
     simple has one; certified complete by
     sum_S (dim S / dim End S) * dim P(S) = |G|.
 
     kH is semisimple for a p'-subgroup H, so every Ind_H^G(T) is
     projective, and kG = Ind_H^G(kH), so every PIM is a summand of one
-    (Alperin, "Local Representation Theory", 1986)."""
+    (Alperin, "Local Representation Theory", 1986).  P(S) and P(S') are
+    isomorphic exactly when S and S' are, so a leaf is new exactly when its
+    top is.  Its surjection onto S is the one basis map of Hom(P, S),
+    normalized, as every hom_space basis is, to end in a 1 at the last
+    nonzero entry of its last row."""
     if simples is None:
         simples = simples_of(group, field, seed=seed)
     found: dict[str, tuple[Rep, Matrix]] = {}  # label -> (P, surjection P -> S)
-    leaves = (P for M in _induced_projectives(group, field, simples, seed)
-              for _rows, P in summand_stream(M, seed))
-    for P in leaves:
-        if iso_class(P, [Q for Q, _ in found.values()]) is not None:
-            continue
-        rt = radical_top(P, simples)
-        hit = iso_class(rt.top, simples.simples)
-        if hit is None:
-            raise AssertionError("top of a projective matches no simple")
-        label = simples.labels[hit[0]]
-        if label in found:
-            raise AssertionError("two projective classes share a top")
-        # the surjection: top projection followed by the matching iso
-        found[label] = (P, hit[1] @ quotient_projection(P, rt.radical_rows))
-        if len(found) == simples.count:
-            break
+    leaves = (leaf for root in _induced_projectives(group, field, simples, seed)
+              for leaf in _pim_leaves(*root, simples, seed))
+    for P, homs in leaves:
+        i = [H.dim for H in homs].index(1)
+        if simples.labels[i] not in found:
+            found[simples.labels[i]] = (P, homs[i].basis[0])
+            if len(found) == simples.count:
+                break
     if len(found) != simples.count:
         raise AssertionError("projective classes do not match the simples")
     end_dims = [hom_space(S, S).dim for S in simples.simples]
@@ -297,7 +391,7 @@ def _tau_dtr(c0: CoverData, c1: CoverData) -> Rep:
     of d, and D Tr M is the dual of P1* / R."""
     f = c1.cover.field
     # presentation map d: P1 -> P0 through the inclusion of Omega(M)
-    d = Matrix(f, c0.kernel_rows.a.T.copy()) @ c1.surjection
+    d = Matrix(f, c0.kernel_rows.a.T) @ c1.surjection
     P1_dual = dual_rep(c1.cover)
     if not is_invariant_subspace(P1_dual, d):  # R, the row space of d
         raise AssertionError("the transpose image is not a submodule of P1*")
@@ -333,7 +427,7 @@ def ext1(S: Rep, T: Rep, tables: Tables) -> Ext1Result:
     H = hom_space(data.omega, T)
     restr = RowSpace(f, T.dim * data.omega.dim)
     restriction_rows = []
-    emb = Matrix(f, data.kernel_rows.a.T.copy())  # Omega coords -> P coords
+    emb = Matrix(f, data.kernel_rows.a.T)  # Omega coords -> P coords
     for psi in hom_space(data.cover, T).basis:
         restricted = psi @ emb
         if restr.add(restricted.a.reshape(-1)):

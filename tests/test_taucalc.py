@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -411,7 +412,7 @@ def test_induced_projectives_start_from_the_trivial_module(name, fq):
     f = field_make(*fq)
     H = p_prime_subgroup(G, f.p)
     assert 1 < H.order < G.order
-    first = next(taucalc._induced_projectives(G, f, simples_of(G, f), 0))
+    first, _homs, _end = next(taucalc._induced_projectives(G, f, simples_of(G, f), 0))
     assert same_rep(first, induce(trivial_rep(H, f), G, transversal(G, H)))
 
 
@@ -425,9 +426,9 @@ def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
     table = simples_of(G, f3)
     drawn = []
 
-    def counted(M, seed=0, stream=taucalc.summand_stream):
+    def counted(M, homs, end, simples, seed, stream=taucalc._pim_leaves):
         drawn.append(M.dim)
-        yield from stream(M, seed)
+        yield from stream(M, homs, end, simples, seed)
 
     def no_decompose(*args, **kwargs):
         raise AssertionError("pims must not decompose the whole regular module")
@@ -437,7 +438,7 @@ def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
             raise AssertionError("pims must not build the regular module of G")
         return real(group, field)
 
-    monkeypatch.setattr(taucalc, "summand_stream", counted)
+    monkeypatch.setattr(taucalc, "_pim_leaves", counted)
     monkeypatch.setattr(taucalc, "decompose", no_decompose, raising=False)
     for mod in (grouprep, meataxe):
         monkeypatch.setattr(mod, "regular_rep", no_regular)
@@ -445,18 +446,122 @@ def test_pims_stop_once_every_simple_has_a_pim(monkeypatch):
     assert drawn and all(d == 3 for d in drawn)
 
 
-def simples_in_place_of_pims(table):
-    """A broken summand stream: each simple S in place of P(S).  Every top
-    still matches, so only the dimension count can tell."""
-    return lambda M, seed=0: ((None, S) for S in table.simples)
+def simples_in_place_of_pims(M, homs, end, simples, seed):
+    """A broken PIM stream: each simple S in place of P(S), with its homs
+    onto the simples.  Every top still matches, so only the dimension count
+    can tell."""
+    return ((S, [hom_space(S, R) for R in simples.simples]) for S in simples.simples)
 
 
 def test_pim_count_certificate_catches_simples_for_pims(s3, monkeypatch):
     f2 = field_make(2, 1)
     table = simples_of(s3, f2)
-    monkeypatch.setattr(taucalc, "summand_stream", simples_in_place_of_pims(table))
+    monkeypatch.setattr(taucalc, "_pim_leaves", simples_in_place_of_pims)
     with pytest.raises(AssertionError, match="do not fill kG"):
         pims(s3, f2, simples=table)
+
+
+def reference_group(name):
+    degree, cycles = REFERENCE_GROUPS[name]
+    return group_close(degree, [parse_cycles(c, degree) for c in cycles])
+
+
+def same_basis(A, B):
+    """Two hom bases with the same matrices, byte for byte, in one order."""
+    return A.dim == B.dim and [(X.shape, X.a.tobytes()) for X in A.basis] == \
+        [(X.shape, X.a.tobytes()) for X in B.basis]
+
+
+FIELDS = pytest.mark.parametrize("fq", [(2, 1), (3, 1), (2, 2)], ids=["GF2", "GF3", "GF4"])
+
+
+@FIELDS
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_reciprocity_bases_equal_hom_space(name, fq):
+    """Hom(Ind T, S) and End(Ind T), read off kH by Frobenius reciprocity,
+    are hom_space's bases matrix for matrix, for every module pims draws
+    from; where H = G those are the table's simples, with Schur's homs."""
+    G, f = reference_group(name), field_make(*fq)
+    simples = simples_of(G, f)
+    roots = list(taucalc._induced_projectives(G, f, simples, 0))
+    assert roots
+    for M, homs, end in roots:
+        assert len(homs) == simples.count
+        for H, S in zip(homs, simples.simples):
+            assert H.source is M and H.target is S
+            assert same_basis(H, hom_space(M, S))
+        assert same_basis(end(), hom_space(M, M))
+
+
+@FIELDS
+@pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+def test_top_test_decides_split_locality(name, fq, monkeypatch):
+    """On every node the PIM stream visits, sum_S dim Hom(M, S) = 1 exactly
+    when split_local(hom_space(M, M)), and the homs the node carries (a
+    part's restricted from its parent's) are hom_space's bases.  A field
+    that does not split G stalls, and the nodes before the stall count."""
+    G, f = reference_group(name), field_make(*fq)
+    nodes, roots = [], []
+    real_leaves, real_roots = taucalc._pim_leaves, taucalc._induced_projectives
+
+    def leaves(M, homs, end, simples, seed):
+        nodes.append((M, homs, simples))
+        yield from real_leaves(M, homs, end, simples, seed)
+
+    def induced(*args):
+        for root in real_roots(*args):
+            roots.append(root[0])
+            yield root
+
+    monkeypatch.setattr(taucalc, "_pim_leaves", leaves)
+    monkeypatch.setattr(taucalc, "_induced_projectives", induced)
+    for seed in range(3):
+        try:
+            pims(G, f, seed=seed)
+        except InconclusiveError:
+            pass
+    monkeypatch.undo()
+    for M, homs, simples in nodes:
+        assert (sum(H.dim for H in homs) == 1) == meataxe.split_local(hom_space(M, M))
+        for H, S in zip(homs, simples.simples):
+            assert same_basis(H, hom_space(M, S))
+    parts = [M for M, _, _ in nodes if not any(M is R for R in roots)]
+    # Ind_C3(T) splits for the 2-dimensional T over GF(2)
+    assert bool(parts) == (fq == (2, 1) and name in ("S3", "S4", "S4xC2"))
+
+
+def pim_digest(pt) -> str:
+    """sha256 over a PIM table: each PIM's dimension, generator matrices
+    and surjection onto its simple, in label order, then the dims of End(S)."""
+    h = hashlib.sha256()
+    for P, X in zip(pt.pims, pt.cover_maps):
+        h.update(repr((P.dim, X.shape)).encode())
+        for A in P.gen_mats:
+            h.update(A.a.tobytes())
+        h.update(X.a.tobytes())
+    h.update(repr(pt.end_dims).encode())
+    return h.hexdigest()
+
+
+# pim_digest at seeds 0, 1 and 2, taken when pims still split each
+# Ind_H^G(T) with summand_stream and told its PIMs apart by isomorphism
+PINNED_PIMS = {
+    ("S4xC2", (2, 1)): ["cd7ebc5ba552b153cf5cb55ca9fbfc79464c5606ffef9e30d0fcb1e65e8e491e",
+                        "321ba42e6966ba23761e3d56c7150cb94ca66d6e8617a24063196963dbca1f46",
+                        "7075b6ccc7da6c3ae135f9689e6e975b3dc77a517109d3c6e51e0975429a025a"],
+    ("S4", (3, 1)): ["765e7687d61ff9cdd080995bce671e1d233b46193b1b36407756340c9c0731ff",
+                     "5125136c8b57299b53e3293617850b7638e6a8fd2a4d7df006fc356b152179ec",
+                     "ca52b7b46771b84b182ffb6016be3ffa77ea9a8bd8221f6c0b6d4944f2bb8cbd"],
+    ("A4", (2, 2)): ["8b950a20750364a5fd74a67ed0b8d99584fc0bbb7d31dfac0aa7657fd723c031",
+                     "8b950a20750364a5fd74a67ed0b8d99584fc0bbb7d31dfac0aa7657fd723c031",
+                     "c67279ad795d8627986ce554bf867c952572f2d29cccf6f28da3e02946b680c2"],
+}
+
+
+@pytest.mark.parametrize("name, fq", list(PINNED_PIMS), ids=["S4xC2-GF2", "S4-GF3", "A4-GF4"])
+def test_pims_match_pinned_digests(name, fq):
+    G, f = reference_group(name), field_make(*fq)
+    assert [pim_digest(pims(G, f, seed=seed)) for seed in range(3)] == PINNED_PIMS[name, fq]
 
 
 def run_optimized(code):
@@ -482,7 +587,8 @@ from sttlab.permgroup import group_close, parse_cycles
 s3 = group_close(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)])
 f2 = field_make(2, 1)
 table = simples_of(s3, f2)
-taucalc.summand_stream = lambda M, seed=0: ((None, S) for S in table.simples)
+taucalc._pim_leaves = lambda M, homs, end, simples, seed: (
+    (S, [taucalc.hom_space(S, R) for R in simples.simples]) for S in simples.simples)
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 try:
