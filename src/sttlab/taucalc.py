@@ -5,8 +5,9 @@ Group algebras are symmetric, so tau is computed as the double syzygy of
 minimal projective covers; the dual-of-transpose construction, on the dual
 modules of a minimal presentation, is kept as an independent second route
 and the two must agree up to isomorphism on every module they are both
-asked about.  The support of M, for the counting criterion, is read from
-dim Hom(P(S), M), not a chop.
+asked about.  A cover solves Hom(P(S), M) once for each simple S and reads
+off it the composition multiplicities (the support of M, with no chop),
+rad M as the sum of the phi(rad P(S)), and the lifts of top M.
 
 The PIMs P(S) are summands of the modules induced from the simples of a
 maximal p'-subgroup H, not of the regular module, which is Ind_1^G(k):
@@ -50,7 +51,6 @@ from .meataxe import (
     _proper_split,
     chop,
     is_isomorphic,
-    radical_top,
     simples_of,
     summand_stream,
 )
@@ -123,21 +123,14 @@ class Tables:
         return chop(M, self.simples, seed=self.seed)
 
     def cover(self, M: Rep) -> CoverData:
-        """The minimal projective cover of M, with its kernel and top."""
+        """The minimal projective cover of M, with its kernel, its top and
+        the composition multiplicities of M."""
         return _cover_data(M, self)
 
     def multiplicities(self, M: Rep) -> Counter:
-        """chop's Counter read off hom dimensions, [M : S] = dim Hom(P(S), M)
-        / dim End(S), and certified by sum_S [M : S] dim S = dim M."""
-        pt = self.pimtable
-        out: Counter = Counter()
-        for lab, P, e in zip(pt.simples.labels, pt.pims, pt.end_dims):
-            out[lab], rest = divmod(hom_space(P, M).dim, e)
-            if rest:
-                raise AssertionError("dim Hom(P(S), M) is not a multiple of dim End(S)")
-        if sum(c * S.dim for c, S in zip(out.values(), pt.simples.simples)) != M.dim:
-            raise AssertionError("composition multiplicities do not fill dim M")
-        return +out  # the labels with [M : S] > 0
+        """The composition multiplicities [M : S] > 0 by label, read off the
+        cover: chop's Counter without a chop."""
+        return self.cover(M).multiplicities
 
 
 class _Reciprocity:
@@ -294,60 +287,57 @@ class CoverData:
     surjection: Matrix    # dim M x dim P(M)
     kernel_rows: Matrix   # rows of Omega(M) inside P(M)
     omega: Rep
-    top_dims: list[int]   # dim Hom(M, S) for each simple S, in table order
+    top_dims: list[int]   # [top M : S], the lifts from P(S), for each simple S in table order
+    multiplicities: Counter  # [M : S] by label, for the labels with [M : S] > 0
 
 
 def _cover_data(M: Rep, tables: Tables) -> CoverData:
+    """The minimal cover of M, read off one Hom(P(S), M) for each simple S:
+    [M : S] = dim Hom(P(S), M) / dim End(S), and rad M = J M is the sum of
+    the phi(rad P(S)), rad P(S) the kernel of the cover map P(S) -> S.  The
+    e_j of the first column off rad P(S) generates P(S), so phi lifts a new
+    summand of top M exactly when phi(e_j) is new modulo rad M and the
+    lifts before it."""
     f = M.field
     pt = tables.pimtable
-    simples = tables.simples
+    homs = [hom_space(P, M) for P in pt.pims]
+    mults: Counter = Counter()
+    for lab, H, e in zip(pt.simples.labels, homs, pt.end_dims):
+        mults[lab], rest = divmod(H.dim, e)
+        if rest:
+            raise AssertionError("dim Hom(P(S), M) is not a multiple of dim End(S)")
+    if sum(c * S.dim for c, S in zip(mults.values(), pt.simples.simples)) != M.dim:
+        raise AssertionError("composition multiplicities do not fill dim M")
     if M.dim == 0:
-        empty = Matrix.zeros(f, 0, 0)
-        z = zero_rep(M.group, f)
-        return CoverData(z, empty, Matrix.zeros(f, 0, 0), z, [0] * simples.count)
-    rt = radical_top(M, simples)
-    top_dim = M.dim - rt.radical_rows.rows
-    top_proj = quotient_projection(M, rt.radical_rows)  # dim top x dim M
-    parts: list[Rep] = []
-    columns: list[np.ndarray] = []
-    for P, to_simple in zip(pt.pims, rt.homs):
-        c_i = to_simple.dim  # multiplicity of the simple S_i in top(M)
-        if c_i == 0:
-            continue
-        H = hom_space(P, M)
-        # pick c_i maps whose composites with the top projection are
-        # linearly independent; projectivity guarantees they exist
-        chosen: list[Matrix] = []
-        probe = RowSpace(f, top_dim * P.dim)
-        for phi in H.basis:
-            composite = top_proj @ phi
-            if probe.add(composite.a.reshape(-1)):
-                chosen.append(phi)
-                if len(chosen) == c_i:
-                    break
-        if len(chosen) != c_i:
-            raise AssertionError(
-                "projective cover lifting system is inconsistent"
-            )
-        for phi in chosen:
-            parts.append(P)
-            columns.append(phi.a)
-    if parts:
-        P_total = direct_sum(parts)
-        surj = Matrix(f, np.concatenate(columns, axis=1))
-    else:  # M is zero-dimensional (handled above) or has no top: impossible
+        z, empty = zero_rep(M.group, f), Matrix.zeros(f, 0, 0)
+        return CoverData(z, empty, empty, z, [0] * len(homs), Counter())
+    rad = []  # the phi(rad P(S)), as the rows of (phi_1; ...; phi_r) K for each S
+    for H, to_simple in zip(homs, pt.cover_maps):
+        if H.dim:
+            K = ef._nullspace(f, to_simple.a)
+            images = ef._matmul(f, np.concatenate([phi.a for phi in H.basis]), K)
+            rad.append(images.reshape(H.dim, M.dim, -1).transpose(0, 2, 1).reshape(-1, M.dim))
+    space = RowSpace(f, M.dim, np.concatenate(rad))  # rad M, then the lifts
+    top_dim = M.dim - space.dim
+    lifts = []  # for each S, the phi new modulo rad M and the lifts before them
+    for H, to_simple in zip(homs, pt.cover_maps):
+        j = np.flatnonzero(to_simple.a.any(axis=0))[0]  # e_j generates P(S)
+        lifts.append([phi.a for phi in H.basis if space.add(phi.a[:, j])])
+    if not any(lifts):
         raise AssertionError("nonzero module with empty top")
+    P_total = direct_sum([P for P, chosen in zip(pt.pims, lifts) for _ in chosen])
+    surj = Matrix(f, np.concatenate([phi for chosen in lifts for phi in chosen], axis=1))
+    top_dims = [len(chosen) for chosen in lifts]
     # minimality and surjectivity certificates; the rank is read off the
     # kernel, from the one echelon form
     null = ef._nullspace(f, surj.a)
     if surj.cols - null.shape[1] != M.dim:
         raise AssertionError("projective cover map is not surjective")
-    top_dims = [H.dim for H in rt.homs]
-    if sum(S.dim * d for S, d in zip(simples.simples, top_dims)) != top_dim:
+    if sum(S.dim * d for S, d in zip(pt.simples.simples, top_dims)) != top_dim:
         raise AssertionError("projective cover is not minimal")
     kernel_rows = Matrix(f, RowSpace(f, P_total.dim, null.T).matrix())
     omega = sub_rep(P_total, kernel_rows) if kernel_rows.rows else zero_rep(M.group, f)
-    return CoverData(P_total, surj, kernel_rows, omega, top_dims)
+    return CoverData(P_total, surj, kernel_rows, omega, top_dims, +mults)
 
 
 def projective_cover(M: Rep, tables: Tables) -> tuple[Rep, Matrix]:
@@ -521,11 +511,12 @@ def is_stt(M: Rep, tables: Tables, block=None, seed: int = 0) -> SttCertificate:
         if hit is None:
             classes.append(leaf)
         mults[len(classes) - 1 if hit is None else hit[0]] += 1
-    support = set().union(*(tables.multiplicities(rep) for rep in classes))
+    covers = [tables.cover(rep) for rep in classes]  # for the support and Omega
+    support = set().union(*(c.multiplicities for c in covers))
     if block is not None and support:  # ValueError outside the block
         blockdec.block_of_factors(support, [block])
     scope = tuple(tables.simples.labels if block is None else block.simple_labels)
-    class_taus = [tau(rep, tables) for rep in classes]
+    class_taus = [syzygy(c.omega, tables) for c in covers]
     rigid = not any(t_j.dim and hom_space(rep_i, t_j).dim
                     for rep_i in classes for t_j in class_taus)
     cosupport = tuple(lab for lab in scope if lab not in support)

@@ -37,7 +37,7 @@ Two certificates answer hom questions of a sweep without a hom space:
   (Auslander, Reiten and Smalo, Representation Theory of Artin Algebras,
   ch. IV).  It is 0 when top(X) meets no composition factor of tau Y or
   soc(tau Y) none of X; a hom space decides the rest (_clash).  Tops
-  come from the covers omega_class computes anyway.
+  and composition factors come from the one cover of each class.
 - Ind M is indecomposable when [big : small] is a power of p and End(M)
   is local with residue field k (J. A. Green, Math. Z. 70, 1959), so
   ind_classes registers it without a decomposition.
@@ -57,7 +57,7 @@ from .grouprep import Rep, conjugate_rep, direct_sum, hom_space, induce, \
     iso_indecomposable, restrict
 from .meataxe import split_local, summand_stream
 from .permgroup import Group, Transversal, transversal
-from .taucalc import Tables, ext1, ext_module
+from .taucalc import CoverData, Tables, ext1, ext_module
 
 __all__ = [
     "PairLab",
@@ -207,11 +207,16 @@ class PairLab:
 
     # -- per-class data -----------------------------------------------------
     @_memo
+    def _minimal_cover(self, side: str, cid: int) -> CoverData:
+        """The minimal cover, top and composition factors of class cid."""
+        return self.tables[side].cover(self.class_rep(side, cid))
+
+    @_memo
     def _cover(self, side: str, cid: int) -> tuple[Counter, frozenset]:
         """The class of Omega W and the simple labels of top(W), for
         W = class cid, both read off the minimal cover of W."""
         tables = self.tables[side]
-        cover = tables.cover(self.class_rep(side, cid))
+        cover = self._minimal_cover(side, cid)
         top = frozenset(lab for lab, d in zip(tables.simples.labels, cover.top_dims) if d)
         return self.class_of(cover.omega, side), top
 
@@ -227,9 +232,9 @@ class PairLab:
     def tau_classes(self, side: str, cid: int) -> Counter:
         return _push(self.omega_class(side, cid), partial(self.omega_class, side))
 
-    @_memo
     def chop_class(self, side: str, cid: int) -> Counter:
-        return self.tables[side].multiplicities(self.class_rep(side, cid))
+        """The composition multiplicities of class cid, read off its cover."""
+        return self._minimal_cover(side, cid).multiplicities
 
     def _clash(self, side: str, ci: int, cj: int) -> bool:
         """Whether Hom(X, tau Y) != 0 for X = class ci and Y = class cj.  A
@@ -413,6 +418,9 @@ def check_theorem2_classes(classes: Counter, B: Block, Btilde: Block,
                            lab: PairLab) -> TheoremVerdict:
     """Block version: the Btilde-cut of Ind M against rigidity plus the
     support tau-tilting orbit over the inertial transversal, in scope B."""
+    if not any(B is b for b in lab.side_blocks("small")) or \
+            not any(Btilde is b for b in lab.side_blocks("big")):
+        raise ValueError("the blocks are not the lab's own: the memos key them by index")
     if Btilde.index not in [b.index for b in lab._covering(B)]:
         raise ValueError("the big block does not cover the small block")
     for cid in classes:

@@ -2,12 +2,14 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import sttlab
-from sttlab import grouprep, meataxe, taucalc
-from sttlab.exactfield import field_make, rank
+from sttlab import exactfield, grouprep, meataxe, taucalc
+from sttlab.exactfield import Matrix, RowSpace, field_make, rank
 from sttlab.grouprep import (
     HomBasis,
     InconclusiveError,
@@ -18,6 +20,7 @@ from sttlab.grouprep import (
     iso_indecomposable,
     quotient_projection,
     regular_rep,
+    sub_rep,
     trivial_rep,
     verify_witness,
     zero_rep,
@@ -33,6 +36,7 @@ from sttlab.meataxe import (
 )
 from sttlab.permgroup import group_close, p_prime_subgroup, parse_cycles, transversal
 from sttlab.taucalc import (
+    PimTable,
     Tables,
     ext1,
     is_stt,
@@ -42,7 +46,7 @@ from sttlab.taucalc import (
     tau,
     tau_routes,
 )
-from sttlab.theoremlab import PairLab, build_corpus
+from sttlab.theoremlab import PairLab, build_corpus, check_theorem1_classes
 
 
 def test_pims_a4(a4_tables):
@@ -564,13 +568,13 @@ def test_pims_match_pinned_digests(name, fq):
     assert [pim_digest(pims(G, f, seed=seed)) for seed in range(3)] == PINNED_PIMS[name, fq]
 
 
-def run_optimized(code):
-    """Run code in a python -O child, where assert is a no-op; it exits 0
-    when its certificate held."""
+def run_optimized(code, *args):
+    """Run code with args in a python -O child, where assert is a no-op; it
+    exits 0 when its certificate held."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sttlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-O", "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 
@@ -650,3 +654,145 @@ for patch, message in [("hom", "do not fill dim M"), ("end", "not a multiple of 
         sys.exit("a wrong hom dimension was accepted (" + patch + ")")
 """
     run_optimized(code)
+
+
+# ---------------------------------------------------------------------------
+# the cover reads composition factors, radical and top off one
+# Hom(P(S), W) per simple S
+
+def reference_cover(M, tables):
+    """The cover as it was computed before it read rad M off Hom(P(S), M):
+    top(M) from Hom(M, S) by radical_top, and each PIM lifted by the first
+    homs whose composites with the projection onto top(M) are independent.
+    Returns the cover, surjection, kernel rows, Omega, dim Hom(M, S) for
+    each simple S, and dim rad M."""
+    f, pt = M.field, tables.pimtable
+    rt = radical_top(M, tables.simples)
+    top_proj = quotient_projection(M, rt.radical_rows)
+    parts, columns = [], []
+    for P, to_simple in zip(pt.pims, rt.homs):
+        probe = RowSpace(f, top_proj.rows * P.dim)
+        chosen = []
+        for phi in hom_space(P, M).basis:
+            if len(chosen) < to_simple.dim and probe.add((top_proj @ phi).a.reshape(-1)):
+                chosen.append(phi.a)
+        assert len(chosen) == to_simple.dim
+        parts += [P] * len(chosen)
+        columns += chosen
+    cover = direct_sum(parts)
+    surj = Matrix(f, np.concatenate(columns, axis=1))
+    kernel = Matrix(f, RowSpace(f, cover.dim, exactfield._nullspace(f, surj.a).T).matrix())
+    omega = sub_rep(cover, kernel) if kernel.rows else zero_rep(M.group, f)
+    return cover, surj, kernel, omega, [H.dim for H in rt.homs], rt.radical_rows.rows
+
+
+def rep_bytes(M):
+    return M.dim, [A.a.tobytes() for A in M.gen_mats]
+
+
+COVER_SWEEPS = {
+    "a4s4-gf4": ("A4", "S4", (2, 2)),
+    "c3s3-gf4": ("C3", "S3", (2, 2)),
+    "v4a4-gf3": ("V4", "A4", (3, 1)),
+    "c3s3-gf3": ("C3", "S3", (3, 1)),
+    "a4s4-gf3": ("A4", "S4", (3, 1)),
+    "v4s4-gf3": ("V4", "S4", (3, 1)),
+}
+
+
+@pytest.mark.parametrize("pair", list(COVER_SWEEPS))
+def test_cover_equals_the_radical_top_route(pair):
+    """On every class rep of both sides of a theorem-1 sweep, at seeds 0-2,
+    the cover read off Hom(P(S), W) has the bytes of the cover found
+    through radical_top, and the top and radical dimensions of radical_top."""
+    small, big, fq = COVER_SWEEPS[pair]
+    for seed in range(3):
+        lab = PairLab(reference_group(small), reference_group(big), field_make(*fq), seed=seed)
+        for entry in build_corpus(lab):
+            check_theorem1_classes(entry.classes, lab)
+        for side in ("small", "big"):
+            tables = lab.tables[side]
+            dims = [S.dim for S in tables.simples.simples]
+            for W in lab.class_reps(side):
+                data = tables.cover(W)
+                cover, surj, kernel, omega, top_dims, rad_dim = reference_cover(W, tables)
+                assert rep_bytes(data.cover) == rep_bytes(cover)
+                assert data.surjection == surj and data.kernel_rows == kernel
+                assert rep_bytes(data.omega) == rep_bytes(omega)
+                assert data.top_dims == top_dims
+                assert W.dim - sum(d * c for d, c in zip(dims, data.top_dims)) == rad_dim
+
+
+def test_theorem1_sweep_solves_each_pim_class_pair_once(a4, s4, f4, monkeypatch):
+    """Over the theorem-1 sweep of A4 in S4 over GF(4), no Hom(P(S), W) is
+    solved twice for a PIM P(S) and a class rep W: composition factors, top
+    and Omega of a class come from one cover.  The arguments of every call
+    are kept, so no id is reused."""
+    lab = PairLab(a4, s4, f4)
+    corpus = build_corpus(lab)
+    asked = []
+
+    def spy(M, N, real=taucalc.hom_space):
+        asked.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(taucalc, "hom_space", spy)
+    for entry in corpus:
+        check_theorem1_classes(entry.classes, lab)
+    monkeypatch.undo()
+    pairs = Counter()
+    for side in ("small", "big"):
+        pim_ids = {id(P) for P in lab.tables[side].pimtable.pims}
+        rep_ids = {id(W) for W in lab.class_reps(side)}
+        pairs.update((id(M), id(N)) for M, N in asked if id(M) in pim_ids and id(N) in rep_ids)
+    assert pairs and max(pairs.values()) == 1
+
+
+def cover_certificate_inputs():
+    """Two inputs whose covers fail a certificate, with its message.
+
+    - S3 over GF(2), with a cover map of P(k) onto k that is not a module
+      map: its kernel holds a generator of P(k), so rad(k + S) comes out
+      as k, and the one lift, from P(S), is not onto k + S.
+    - C3 over GF(2), whose 2-dimensional simple S has End(S) = GF(4), with
+      the simples as their own PIMs (pims stalls on this field): both homs
+      S -> S lift top(S), so the cover is S + S, twice top(S)."""
+    f2 = field_make(2, 1)
+    tables = Tables(reference_group("S3"), f2)
+    simples, pt = tables.simples, tables.pimtable
+    i = simples.labels.index(simples.trivial_label())
+    pt.cover_maps[i] = Matrix(f2, np.array([[1, 0]], dtype=f2.dtype))
+    yield tables, direct_sum(simples.simples), "not surjective"
+    c3 = reference_group("C3")
+    tables = Tables(c3, f2)
+    simples = tables.simples
+    eye = [Matrix(f2, np.eye(S.dim, dtype=f2.dtype)) for S in simples.simples]
+    tables.pimtable = PimTable(c3, f2, simples, list(simples.simples), eye,
+                               [hom_space(S, S).dim for S in simples.simples])
+    yield tables, simples.simples[1], "not minimal"
+
+
+def test_cover_certificates_catch_a_wrong_cover():
+    for tables, M, message in cover_certificate_inputs():
+        with pytest.raises(AssertionError, match=message):
+            tables.cover(M)
+
+
+def test_cover_certificates_survive_optimize():
+    """The same two inputs in a python -O child."""
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_taucalc import cover_certificate_inputs
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+for tables, M, message in cover_certificate_inputs():
+    try:
+        tables.cover(M)
+    except AssertionError as e:
+        if message not in str(e):
+            sys.exit(str(e))
+    else:
+        sys.exit("a wrong cover was accepted (" + message + ")")
+"""
+    run_optimized(code, os.path.dirname(os.path.abspath(__file__)))

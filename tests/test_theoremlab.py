@@ -473,6 +473,23 @@ def test_theorem2_rejects_a_big_block_that_does_not_cover(c3s3):
             check_theorem2_classes(Counter(), B, Bt, c3s3)
 
 
+def test_theorem2_rejects_blocks_from_outside_the_lab():
+    """The lab memoizes covering blocks and inertial groups by block index,
+    so a block of another algebra, or of another copy of a group, is refused
+    before any memo is read: on a lab that has answered theorem 2 for its
+    own block 0, and on a fresh one.  A4 in S4 over GF(3)."""
+    f3 = field_make(3, 1)
+    warm, fresh = (PairLab(group(A4), group(S4), f3) for _ in range(2))
+    B = warm.side_blocks("small")[0]
+    check_theorem2_classes(Counter(), B, warm._covering(B)[0], warm)
+    for lab in (warm, fresh):
+        own, own_t = lab.side_blocks("small")[0], lab.side_blocks("big")[0]
+        for B, Bt in ((blockdec.blocks(group(V4), f3)[0], own_t),
+                      (own, blockdec.blocks(group(S4), f3)[0])):
+            with pytest.raises(ValueError, match="not the lab's own"):
+                check_theorem2_classes(Counter(), B, Bt, lab)
+
+
 def test_remark_flags(cast, a4s4):
     fl = remark_classify(a4s4.classes_of(cast.ST, "small"), a4s4)
     assert fl.in_rig_group and not fl.in_sta_group
@@ -543,11 +560,11 @@ def test_remark_classify_with_several_covering_blocks():
 MEMO_LOOKUPS = [
     ("omega_class", ("big", 1), "cover"),
     ("tau_classes", ("small", 1), "cover"),
-    ("chop_class", ("big", 1), "multiplicities"),
+    ("chop_class", ("big", 1), "cover"),
     ("ind_classes", (1,), "induce"),
     ("res_ind_classes", (2,), "induce"),
     ("conj_classes", (1, 1), "conjugate_rep"),
-    ("class_block", ("small", 2), "multiplicities"),
+    ("class_block", ("small", 2), "cover"),
 ]
 
 
